@@ -5,7 +5,6 @@ from .arch import (
     ArchConfig,
     ArchError,
     JITNet,
-    build_network,
     count_params,
     count_params_from_config,
     estimate_flops,
@@ -24,7 +23,7 @@ from .distill import (
     rasterize_teacher,
     update_stride,
 )
-from .metrics import ConfusionAccumulator, CostModel, interval_series, mean_iou, speedup
+from .metrics import ConfusionAccumulator, CostModel, interval_series, mean_iou
 from .streams import (
     EventSpec,
     NoisyTeacher,

@@ -15,10 +15,15 @@ encoder block's output into the input of the matching decoder block.
 Decoder resizes target the recorded extent of the mirrored encoder stage,
 which keeps skip junctions aligned for any input size (for extents
 divisible by 32 this coincides with the nominal integer factors).
+
+:meth:`ArchConfig.stage_plan` is the one architecture table: the network is
+built by walking its rows, and the parameter count and FLOP model are folds
+over the same rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,15 +43,41 @@ class ArchError(ValueError):
     """Raised for configurations that violate the resolution ledger."""
 
 
-# Reference class count for full-scale cost ledgers: eight movable foreground
-# classes (the teacher vocabulary the system targets) plus background.
-DEFAULT_NUM_CLASSES = 9
-
-
 def round_channels(base: int, multiplier: float) -> int:
     """Scale a channel count, rounding to the nearest multiple of 4 (floor 4)."""
     scaled = base * multiplier
     return max(4, int(np.floor(scaled / 4.0 + 0.5)) * 4)
+
+
+class Stage(NamedTuple):
+    """One row of the architecture table."""
+
+    name: str
+    kind: str               # "conv3x3" (conv + norm + ReLU), "block" or "conv1x1"
+    stride: int
+    resize: int             # nominal output upsampling factor
+    channels: int           # per path for blocks, which output twice this
+    in_channels: int        # including any skip concatenated into the input
+
+    @property
+    def out_channels(self) -> int:
+        return 2 * self.channels if self.kind == "block" else self.channels
+
+    def convs(self) -> list[tuple[int, int, int, int, bool]]:
+        """``(kh, kw, cin, cout, bias)`` of every convolution in the stage."""
+        cin, c = self.in_channels, self.channels
+        if self.kind == "block":            # shortcut, residual 3x3, 1x3, 3x1
+            return [(1, 1, cin, c, True), (3, 3, cin, c, True),
+                    (1, 3, c, c, True), (3, 1, c, c, True)]
+        k = 3 if self.kind == "conv3x3" else 1
+        return [(k, k, cin, c, self.kind == "conv1x1")]
+
+    def norm_channels(self) -> int:
+        """Channels of the stage's normalization: a block normalizes its
+        input, a 3x3 stage its output, the classifier nothing."""
+        if self.kind == "block":
+            return self.in_channels
+        return self.channels if self.kind == "conv3x3" else 0
 
 
 @dataclass(frozen=True)
@@ -79,20 +110,37 @@ class ArchConfig:
     def scaled(self, base: int) -> int:
         return round_channels(base, self.width_multiplier)
 
-    def stage_plan(self) -> list[tuple[str, str, int, int, int]]:
-        """Ordered (name, kind, stride, resize, channels) rows; block channel
-        counts are per path."""
-        plan = [("stem1", "conv3x3", 2, 1, self.scaled(self.stem_channels[0])),
-                ("stem2", "conv3x3", 2, 1, self.scaled(self.stem_channels[1]))]
+    def stage_plan(self) -> list[Stage]:
+        """The stages in execution (and parameter initialization) order.
+        Each takes the previous stage's output; decoder ``dec{i}`` below the
+        deepest also takes ``enc{i}``'s output when skips are on."""
+        plan: list[Stage] = []
+        skips: dict[str, int] = {}
+
+        def add(name, kind, stride, resize, channels, skip=0):
+            in_ch = (plan[-1].out_channels if plan else 3) + skip
+            plan.append(Stage(name, kind, stride, resize, channels, in_ch))
+
+        add("stem1", "conv3x3", 2, 1, self.scaled(self.stem_channels[0]))
+        add("stem2", "conv3x3", 2, 1, self.scaled(self.stem_channels[1]))
         for i, c in enumerate(self.encoder_channels, start=1):
-            plan.append((f"enc{i}", "block", 2, 1, self.scaled(c)))
+            add(f"enc{i}", "block", 2, 1, self.scaled(c))
+            skips[f"dec{i}"] = plan[-1].out_channels if self.skip_connections else 0
         n = len(self.decoder_channels)
         for i, (c, r) in enumerate(zip(self.decoder_channels, self.decoder_resizes)):
-            plan.append((f"dec{n - i}", "block", 1, r, self.scaled(c)))
-        plan.append(("head1", "conv3x3", 1, 1, self.scaled(self.head_channels[0])))
-        plan.append(("head2", "conv3x3", 1, self.head_resize, self.scaled(self.head_channels[1])))
-        plan.append(("head3", "conv1x1", 1, 1, self.num_classes))
+            name = f"dec{n - i}"
+            add(name, "block", 1, r, self.scaled(c), skips[name] if i else 0)
+        add("head1", "conv3x3", 1, 1, self.scaled(self.head_channels[0]))
+        add("head2", "conv3x3", 1, self.head_resize, self.scaled(self.head_channels[1]))
+        add("head3", "conv1x1", 1, 1, self.num_classes)
         return plan
+
+
+def scaled_extent(hw: tuple[int, int], scale: float) -> tuple[int, int]:
+    """The extent the network computes at for a frame of extent ``hw``."""
+    if scale == 1.0:
+        return hw
+    return (max(1, round(hw[0] * scale)), max(1, round(hw[1] * scale)))
 
 
 class ConvStage:
@@ -104,7 +152,6 @@ class ConvStage:
         self.conv = Conv2d(in_ch, out_ch, kernel, stride, bias=False, rng=rng, dtype=dtype)
         self.bn = BatchNorm(out_ch, eps, dtype)
         self.relu = ReLU()
-        self.out_channels = out_ch
 
     def params(self):
         return ([(f"{self.name}.conv.{n}", p) for n, p in self.conv.params()]
@@ -131,7 +178,6 @@ class EncDecBlock:
         self.concat = Concat()
         self.relu_out = ReLU()
         self.resize = BilinearResize()
-        self.out_channels = 2 * path_ch
 
     def params(self):
         groups = [("bn_in", self.bn_in), ("shortcut", self.shortcut),
@@ -169,33 +215,26 @@ class JITNet:
         self.dtype = dtype
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4a49544e]))
         eps = config.bn_eps
-        s1 = config.scaled(config.stem_channels[0])
-        s2 = config.scaled(config.stem_channels[1])
-        e1, e2, e3 = (config.scaled(c) for c in config.encoder_channels)
-        d3, d2, d1 = (config.scaled(c) for c in config.decoder_channels)
-        h1, h2 = (config.scaled(c) for c in config.head_channels)
-        skip = config.skip_connections
-
-        self.stem1 = ConvStage("stem1", 3, s1, 3, 2, eps, rng, dtype)
-        self.stem2 = ConvStage("stem2", s1, s2, 3, 2, eps, rng, dtype)
-        self.enc1 = EncDecBlock("enc1", s2, e1, 2, eps, rng, dtype)
-        self.enc2 = EncDecBlock("enc2", 2 * e1, e2, 2, eps, rng, dtype)
-        self.enc3 = EncDecBlock("enc3", 2 * e2, e3, 2, eps, rng, dtype)
-        self.dec3 = EncDecBlock("dec3", 2 * e3, d3, 1, eps, rng, dtype)
-        self.dec2 = EncDecBlock("dec2", 2 * d3 + (2 * e2 if skip else 0), d2, 1, eps, rng, dtype)
-        self.dec1 = EncDecBlock("dec1", 2 * d2 + (2 * e1 if skip else 0), d1, 1, eps, rng, dtype)
-        self.head1 = ConvStage("head1", 2 * d1, h1, 3, 1, eps, rng, dtype)
-        self.head2 = ConvStage("head2", h1, h2, 3, 1, eps, rng, dtype)
-        self.classifier = Conv2d(h2, config.num_classes, 1, 1, bias=True, rng=rng, dtype=dtype)
+        *stages, head3 = config.stage_plan()
+        # built in table order, which is also the order of the weight draws
+        self._stages = []
+        for row in stages:
+            if row.kind == "block":
+                stage = EncDecBlock(row.name, row.in_channels, row.channels, row.stride,
+                                    eps, rng, dtype)
+            else:
+                stage = ConvStage(row.name, row.in_channels, row.channels, 3, row.stride,
+                                  eps, rng, dtype)
+            setattr(self, row.name, stage)
+            self._stages.append(stage)
+        self.classifier = Conv2d(head3.in_channels, head3.channels, 1, 1, bias=True,
+                                 rng=rng, dtype=dtype)
 
         self._skip2 = Concat()
         self._skip1 = Concat()
         self._in_resize = BilinearResize()
         self._head_resize = BilinearResize()
         self._out_resize = BilinearResize()
-        self._blocks = [self.enc1, self.enc2, self.enc3, self.dec3, self.dec2, self.dec1]
-        self._stages = ([self.stem1, self.stem2] + self._blocks
-                        + [self.head1, self.head2])
 
     # -- parameter bookkeeping -------------------------------------------
 
@@ -234,12 +273,6 @@ class JITNet:
 
     # -- execution --------------------------------------------------------
 
-    def _scaled_extent(self, h: int, w: int) -> tuple[int, int]:
-        s = self.config.input_scale
-        if s == 1.0:
-            return (h, w)
-        return (max(1, round(h * s)), max(1, round(w * s)))
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Map a ``(3, H, W)`` frame to ``(num_classes, H, W)`` logits.
 
@@ -252,7 +285,7 @@ class JITNet:
             raise ValueError(f"expected a (3, H, W) frame, got {x.shape}")
         x = x.astype(self.dtype, copy=False)
         h, w = x.shape[1:]
-        x0 = self._in_resize.forward(x, self._scaled_extent(h, w))
+        x0 = self._in_resize.forward(x, scaled_extent((h, w), self.config.input_scale))
 
         s1 = self.stem1.forward(x0)
         s2 = self.stem2.forward(s1)
@@ -301,10 +334,6 @@ class JITNet:
         return self.stem1.backward(ds1)
 
 
-def build_network(config: ArchConfig, seed: int = 0, dtype=np.float32) -> JITNet:
-    return JITNet(config, seed=seed, dtype=dtype)
-
-
 def count_params(net: JITNet) -> int:
     return sum(p.value.size for _, p in net.params())
 
@@ -318,29 +347,13 @@ def count_params_by_stage(net: JITNet) -> dict[str, int]:
 
 
 def count_params_from_config(config: ArchConfig) -> int:
-    """Parameter count derived from the configuration alone (no allocation)."""
-    s1 = config.scaled(config.stem_channels[0])
-    s2 = config.scaled(config.stem_channels[1])
-    e1, e2, e3 = (config.scaled(c) for c in config.encoder_channels)
-    d3, d2, d1 = (config.scaled(c) for c in config.decoder_channels)
-    h1, h2 = (config.scaled(c) for c in config.head_channels)
-    skip = config.skip_connections
-
-    def block(cin: int, p: int) -> int:
-        return (2 * cin                      # input norm
-                + cin * p + p                # shortcut 1x1
-                + 9 * cin * p + p            # residual 3x3
-                + 3 * p * p + p              # 1x3
-                + 3 * p * p + p)             # 3x1
-
-    total = 9 * 3 * s1 + 2 * s1 + 9 * s1 * s2 + 2 * s2
-    total += block(s2, e1) + block(2 * e1, e2) + block(2 * e2, e3)
-    total += block(2 * e3, d3)
-    total += block(2 * d3 + (2 * e2 if skip else 0), d2)
-    total += block(2 * d2 + (2 * e1 if skip else 0), d1)
-    total += 9 * 2 * d1 * h1 + 2 * h1 + 9 * h1 * h2 + 2 * h2
-    total += h2 * config.num_classes + config.num_classes
-    return total
+    """Parameter count derived from the configuration alone (no allocation):
+    kernels and biases of every convolution plus scale and shift of every
+    normalized channel."""
+    return sum(2 * row.norm_channels()
+               + sum(kh * kw * cin * cout + (cout if bias else 0)
+                     for kh, kw, cin, cout, bias in row.convs())
+               for row in config.stage_plan())
 
 
 # -- analytic cost model ----------------------------------------------------
@@ -370,50 +383,23 @@ def _conv_out_hw(hw: tuple[int, int], k: int, stride: int) -> tuple[int, int]:
 def estimate_flops(config: ArchConfig, input_hw: tuple[int, int],
                    mode: str = "inference") -> int:
     """Analytic FLOP total of one forward pass (or one training step) at the
-    given frame extent, mirroring the execution path of :class:`JITNet`."""
+    given frame extent.  A strided stage runs at the extent its stride
+    gives; a stage resizing by ``2**k`` then undoes the ``k`` most recent
+    strides not yet undone, returning to the extent before them, as
+    :meth:`JITNet.forward` does for the default resizes."""
     if mode not in ("inference", "train_step"):
         raise ValueError(f"unknown mode {mode!r}")
-    h, w = input_hw
-    scale = config.input_scale
-    hw0 = (max(1, round(h * scale)), max(1, round(w * scale))) if scale != 1.0 else (h, w)
-
+    hw = scaled_extent(input_hw, config.input_scale)
+    mirror = []                      # input extents of the strided stages
     total = 0
-
-    s1c = config.scaled(config.stem_channels[0])
-    s2c = config.scaled(config.stem_channels[1])
-    e1c, e2c, e3c = (config.scaled(c) for c in config.encoder_channels)
-    d3c, d2c, d1c = (config.scaled(c) for c in config.decoder_channels)
-    h1c, h2c = (config.scaled(c) for c in config.head_channels)
-    skip = config.skip_connections
-
-    hw_s1 = _conv_out_hw(hw0, 3, 2)
-    total += _conv_flops(3, s1c, (3, 3), hw_s1, bias=False)
-    hw_s2 = _conv_out_hw(hw_s1, 3, 2)
-    total += _conv_flops(s1c, s2c, (3, 3), hw_s2, bias=False)
-
-    def block(cin: int, path: int, stride: int, hw_in: tuple[int, int]) -> int:
-        hw_conv = _conv_out_hw(hw_in, 3, stride)
-        flops = _conv_flops(cin, path, (1, 1), hw_conv, bias=True)   # shortcut
-        flops += _conv_flops(cin, path, (3, 3), hw_conv, bias=True)
-        flops += _conv_flops(path, path, (1, 3), hw_conv, bias=True)
-        flops += _conv_flops(path, path, (3, 1), hw_conv, bias=True)
-        return flops
-
-    hw_e1 = _conv_out_hw(hw_s2, 3, 2)
-    total += block(s2c, e1c, 2, hw_s2)
-    hw_e2 = _conv_out_hw(hw_e1, 3, 2)
-    total += block(2 * e1c, e2c, 2, hw_e1)
-    hw_e3 = _conv_out_hw(hw_e2, 3, 2)
-    total += block(2 * e2c, e3c, 2, hw_e2)
-
-    total += block(2 * e3c, d3c, 1, hw_e3)
-    total += block(2 * d3c + (2 * e2c if skip else 0), d2c, 1, hw_e2)
-    total += block(2 * d2c + (2 * e1c if skip else 0), d1c, 1, hw_e1)
-
-    total += _conv_flops(2 * d1c, h1c, (3, 3), hw_s1, bias=False)
-    total += _conv_flops(h1c, h2c, (3, 3), hw_s1, bias=False)
-    total += _conv_flops(h2c, config.num_classes, (1, 1), hw0, bias=True)
-
+    for row in config.stage_plan():
+        if row.stride > 1:
+            mirror.append(hw)
+            hw = _conv_out_hw(hw, 3, row.stride)
+        total += sum(_conv_flops(cin, cout, (kh, kw), hw, bias)
+                     for kh, kw, cin, cout, bias in row.convs())
+        for _ in range(row.resize.bit_length() - 1):
+            hw = mirror.pop()
     if mode == "train_step":
         total = 3 * total + 2 * count_params_from_config(config)
     return total

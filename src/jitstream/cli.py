@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import JITNet, count_params, estimate_flops
+from .arch import JITNet, count_params_from_config, end_to_end_gradient_check, estimate_flops
 from .config import ConfigError, RunConfig, load_pretrain_config, load_run_config
 from .distill import (
     StreamNumericError,
@@ -28,7 +28,6 @@ from .distill import (
 from .metrics import interval_series, speedup_from_counts
 from .nn import load_weights, save_weights
 from .nn.gradcheck import run_layer_suite
-from .arch import end_to_end_gradient_check
 from .pretrain import pretrain
 from .streams import (
     ContainerSource,
@@ -94,17 +93,18 @@ def write_run_csv(path: Path, records) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def summarize(cfg: RunConfig, report) -> dict:
+def summarize(cfg: RunConfig, report, source) -> dict:
     """Run summary; every accuracy figure is computed from the same rounded
     per-frame values the CSV carries, so the summary can be recomputed from
-    the CSV exactly."""
+    the CSV exactly.  Parameter and FLOP counts come from the architecture
+    table at the stream's frame extent."""
     eval_rounded = [_csv_value(r.eval_iou) for r in report.records]
     defined = [v for v in eval_rounded if v is not None]
     cost = speedup_from_counts(report.n_frames, report.teacher_invocations,
                                report.total_updates, cfg.cost)
     frame_hw = ((cfg.synthetic.height, cfg.synthetic.width)
-                if cfg.synthetic is not None else None)
-    summary = {
+                if cfg.synthetic is not None else source.frames.shape[1:3])
+    return {
         "frames": report.n_frames,
         "teacher_invocations": report.teacher_invocations,
         "teacher_failures": report.teacher_failures,
@@ -118,12 +118,10 @@ def summarize(cfg: RunConfig, report) -> dict:
         "updates_intervals_30s": interval_series(
             [float(r.updates_performed) for r in report.records], cfg.fps, 30.0),
         "seed": cfg.seed,
+        "param_count": count_params_from_config(cfg.arch),
+        "flops_inference": estimate_flops(cfg.arch, frame_hw),
+        "flops_train_step": estimate_flops(cfg.arch, frame_hw, "train_step"),
     }
-    if frame_hw is not None:
-        summary["param_count"] = count_params(JITNet(cfg.arch, seed=0))
-        summary["flops_inference"] = estimate_flops(cfg.arch, frame_hw)
-        summary["flops_train_step"] = estimate_flops(cfg.arch, frame_hw, "train_step")
-    return summary
 
 
 def cmd_run(args) -> int:
@@ -143,12 +141,7 @@ def cmd_run(args) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     write_run_csv(out_dir / "run.csv", report.records)
-    summary = summarize(cfg, report)
-    if cfg.container is not None:
-        hw = source.frames.shape[1:3]
-        summary["param_count"] = count_params(net)
-        summary["flops_inference"] = estimate_flops(cfg.arch, hw)
-        summary["flops_train_step"] = estimate_flops(cfg.arch, hw, "train_step")
+    summary = summarize(cfg, report, source)
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     if args.save_predictions:
@@ -250,7 +243,7 @@ def cmd_sweep(args) -> int:
             source, teacher, eval_labels, net = build_world(cfg)
             report = process_stream(source, teacher, cfg.distill, net,
                                     eval_labels=eval_labels)
-            summary = summarize(cfg, report)
+            summary = summarize(cfg, report, source)
             unstable = (report.numeric_events > 0
                         or (summary["mean_iou"] is not None
                             and summary["mean_iou"] < 0.3))
@@ -258,7 +251,7 @@ def cmd_sweep(args) -> int:
             cell += [status, _fmt(summary["mean_iou"]),
                      f"{summary['teacher_fraction']:.6f}",
                      f"{summary['speedup']:.4f}", str(summary["total_updates"]),
-                     str(summary.get("flops_inference", ""))]
+                     str(summary["flops_inference"])]
         except StreamNumericError:
             cell += ["unstable", "", "", "", "", ""]
         except (ConfigError, ValueError) as exc:
@@ -271,14 +264,23 @@ def cmd_sweep(args) -> int:
 
 
 def _limit_threads() -> None:
+    """Apply ``JITSTREAM_THREADS`` as a BLAS thread cap, or say on stderr why
+    it has no effect."""
     cap = os.environ.get("JITSTREAM_THREADS")
     if not cap:
         return
     try:
+        threads = int(cap)
         import threadpoolctl
-        threadpoolctl.threadpool_limits(int(cap))
-    except (ImportError, ValueError):
-        pass
+    except ValueError:
+        print(f"warning: JITSTREAM_THREADS={cap!r} ignored: not an integer",
+              file=sys.stderr)
+        return
+    except ImportError:
+        print("warning: JITSTREAM_THREADS ignored: capping BLAS threads needs "
+              "threadpoolctl, which is not installed", file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(threads)
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,7 @@ resolved relative to the file that names them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .arch import ArchConfig

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .arch import JITNet
-from .metrics import IGNORE_LABEL, mean_iou
+from .metrics import mean_iou
 from .nn import SGDMomentum, weighted_softmax_cross_entropy
 
 
@@ -112,9 +112,6 @@ class StreamReport:
     total_updates: int = 0
     numeric_events: int = 0                   # non-finite losses / rejected steps
 
-    def eval_series(self) -> list[float | None]:
-        return [r.eval_iou for r in self.records]
-
 
 # -- teacher output -> training targets --------------------------------------
 
@@ -132,13 +129,16 @@ def retain_instances(instances, conf_thresh: float,
     return kept
 
 
-def _paint(target: np.ndarray, inst: TeacherInstance, value) -> None:
-    x0, y0, x1, y1 = inst.bbox
-    if inst.mask.shape == target.shape:
-        target[inst.mask] = value
-    else:
-        region = target[y0:y1, x0:x1]
-        region[inst.mask] = value
+def _paint_labels(retained, frame_hw: tuple[int, int]) -> np.ndarray:
+    """Class-id map of instances already retained, painted in order."""
+    labels = np.zeros(frame_hw, dtype=np.uint8)
+    for inst in retained:
+        if inst.mask.shape == labels.shape:
+            labels[inst.mask] = inst.class_id
+        else:
+            x0, y0, x1, y1 = inst.bbox
+            labels[y0:y1, x0:x1][inst.mask] = inst.class_id
+    return labels
 
 
 def rasterize_teacher(instances, conf_thresh: float,
@@ -148,10 +148,7 @@ def rasterize_teacher(instances, conf_thresh: float,
     Pixels covered by no retained instance are background (class 0); where
     retained instances overlap, the most confident one wins.
     """
-    labels = np.zeros(frame_hw, dtype=np.uint8)
-    for inst in retain_instances(instances, conf_thresh, frame_hw):
-        _paint(labels, inst, inst.class_id)
-    return labels
+    return _paint_labels(retain_instances(instances, conf_thresh, frame_hw), frame_hw)
 
 
 def dilate_box(bbox: tuple[int, int, int, int], box_dilation: float,
@@ -178,6 +175,16 @@ def build_weight_map(retained, box_dilation: float, weight_factor: float,
     return weights
 
 
+def teacher_targets(instances, cfg: DistillConfig,
+                    frame_hw: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Training targets of one teacher frame, ``(labels, weights)``: the
+    rasterized class-id map and the loss weight map, both from one pass of
+    :func:`retain_instances`."""
+    retained = retain_instances(instances, cfg.conf_thresh, frame_hw)
+    return (_paint_labels(retained, frame_hw),
+            build_weight_map(retained, cfg.box_dilation, cfg.weight_factor, frame_hw))
+
+
 # -- accuracy signal ----------------------------------------------------------
 
 def control_iou(teacher_labels: np.ndarray, prediction: np.ndarray) -> float:
@@ -197,15 +204,16 @@ class JITNetStudent:
     """Wraps a network with prediction and single-step training.
 
     ``train_step`` reuses the forward pass cached by the immediately
-    preceding ``predict`` call on the same frame, so each adaptation loop
-    iteration costs one forward plus (when updating) one backward.
+    preceding ``predict`` call on the same frame object, so each adaptation
+    loop iteration costs one forward plus (when updating) one backward.
+    The cache holds the frame itself, so a later array can never match it
+    by reusing a freed frame's ``id``; every step consumes the cache.
     """
 
     def __init__(self, net: JITNet, lr: float = 0.01, momentum: float = 0.9):
         self.net = net
         self.optimizer = SGDMomentum(net.param_states(), lr, momentum)
-        self._cached_logits: np.ndarray | None = None
-        self._cached_key: int | None = None
+        self._cached: tuple[np.ndarray, np.ndarray] | None = None   # (frame, logits)
 
     @staticmethod
     def prepare(frame: np.ndarray) -> np.ndarray:
@@ -218,22 +226,21 @@ class JITNetStudent:
         logits = self.net.forward(self.prepare(frame))
         if not np.isfinite(logits).all():
             raise StreamNumericError(-1)
-        self._cached_logits = logits
-        self._cached_key = id(frame)
+        self._cached = (frame, logits)
         return logits.argmax(axis=0).astype(np.uint8)
 
     def train_step(self, frame: np.ndarray, labels: np.ndarray,
                    weights: np.ndarray) -> float:
-        if self._cached_key != id(frame) or self._cached_logits is None:
+        if self._cached is None or self._cached[0] is not frame:
             self.predict(frame)
-        res = weighted_softmax_cross_entropy(self._cached_logits, labels, weights)
+        logits = self._cached[1]
+        self._cached = None
+        res = weighted_softmax_cross_entropy(logits, labels, weights)
         if not np.isfinite(res.loss):
             self.optimizer.zero_grad()
-            self._cached_key = None
             return res.loss
         self.net.backward(res.grad)
         self.optimizer.step()
-        self._cached_key = None
         return res.loss
 
 
@@ -306,11 +313,7 @@ def process_stream(source, teacher, cfg: DistillConfig, student,
                 report.teacher_failures += 1
                 instances = None
             if instances is not None:
-                frame_hw = frame.shape[:2]
-                retained = retain_instances(instances, cfg.conf_thresh, frame_hw)
-                labels = rasterize_teacher(retained, cfg.conf_thresh, frame_hw)
-                weights = build_weight_map(retained, cfg.box_dilation,
-                                           cfg.weight_factor, frame_hw)
+                labels, weights = teacher_targets(instances, cfg, frame.shape[:2])
                 try:
                     result = adapt_on_frame(student, frame, labels, weights, cfg)
                 except StreamNumericError:
@@ -357,37 +360,40 @@ def materialize_dataset(source, teacher, cfg: DistillConfig, every_kth: int):
     training set for the offline baseline."""
     samples = []
     for frame_index, frame in source:
-        if frame_index % every_kth:
-            continue
-        frame_hw = frame.shape[:2]
-        retained = retain_instances(teacher.predict(frame_index, frame),
-                                    cfg.conf_thresh, frame_hw)
-        samples.append((frame,
-                        rasterize_teacher(retained, cfg.conf_thresh, frame_hw),
-                        build_weight_map(retained, cfg.box_dilation,
-                                         cfg.weight_factor, frame_hw)))
+        if frame_index % every_kth == 0:
+            targets = teacher_targets(teacher.predict(frame_index, frame), cfg,
+                                      frame.shape[:2])
+            samples.append((frame, *targets))
     return samples
 
 
 def offline_oracle_train(net: JITNet, dataset, epochs: int, lr: float = 0.01,
-                         momentum: float = 0.9, seed: int = 0,
-                         epoch_hook=None) -> JITNet:
-    """Epoch-based training over a pre-materialized labeled set with the same
-    weighted loss as the online loop (batch size stays 1; frames are shuffled
-    per epoch with a seeded permutation)."""
+                         momentum: float = 0.9, seed: int | np.random.Generator = 0
+                         ) -> list[tuple[int, float, float]]:
+    """Epoch-based training of ``net`` in place over a pre-materialized
+    labeled set with the same weighted loss as the online loop (batch size
+    stays 1; frames are shuffled per epoch with a permutation drawn from
+    ``seed``, a seed or a generator).
+
+    Returns one ``(epoch, mean loss, train mean IoU)`` row per epoch; the
+    IoU scores each sample's prediction just before its step.
+    """
     if not dataset:
         raise ValueError("offline training requires a non-empty dataset")
     student = JITNetStudent(net, lr, momentum)
     rng = np.random.default_rng(seed)
+    log = []
     for epoch in range(epochs):
-        order = rng.permutation(len(dataset))
-        losses = []
-        for i in order:
+        losses, scores = [], []
+        for i in rng.permutation(len(dataset)):
             frame, labels, weights = dataset[i]
+            result = mean_iou(student.predict(frame), labels, exclude_background=True)
+            if result.defined:
+                scores.append(result.value)
             losses.append(student.train_step(frame, labels, weights))
-        if epoch_hook is not None:
-            epoch_hook(epoch, float(np.mean(losses)))
-    return net
+        log.append((epoch, float(np.mean(losses)),
+                    float(np.mean(scores)) if scores else float("nan")))
+    return log
 
 
 # -- recorded-teacher wire format ----------------------------------------------

@@ -8,7 +8,7 @@ mean, which is distinct from 0.0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,9 +131,3 @@ def speedup_from_counts(n_frames: int, n_teacher: int, n_updates: int,
     return SpeedupResult(speedup=n_frames * cm.t_teacher / total,
                          teacher_fraction=n_teacher / n_frames,
                          total_ms=total)
-
-
-def speedup(report, cm: CostModel) -> SpeedupResult:
-    """Cost summary for a finished stream report (see distill.StreamReport)."""
-    return speedup_from_counts(report.n_frames, report.teacher_invocations,
-                               report.total_updates, cm)

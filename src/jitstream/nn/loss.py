@@ -5,9 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..metrics import IGNORE_LABEL
 from .layers import ShapeError, strip_batch
-
-IGNORE_LABEL = 255
 
 
 @dataclass

@@ -8,12 +8,9 @@ is how the online loop is meant to be deployed.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .arch import JITNet
 from .config import PretrainConfig
-from .distill import JITNetStudent, materialize_dataset
-from .metrics import mean_iou
+from .distill import materialize_dataset, offline_oracle_train
 from .seeding import child_rng
 from .streams import ObjectSpec, OracleTeacher, SyntheticStreamConfig, gen_synthetic_stream
 
@@ -56,20 +53,6 @@ def pretrain(cfg: PretrainConfig, net: JITNet | None = None):
     ``(epoch, mean loss, train mean IoU)``.
     """
     net = net or JITNet(cfg.arch, seed=cfg.seed)
-    dataset = build_corpus(cfg)
-    student = JITNetStudent(net, cfg.distill.lr, cfg.distill.momentum)
-    shuffle = child_rng(cfg.seed, "shuffle")
-    log = []
-    for epoch in range(cfg.epochs):
-        order = shuffle.permutation(len(dataset))
-        losses, scores = [], []
-        for i in order:
-            frame, labels, weights = dataset[i]
-            prediction = student.predict(frame)
-            result = mean_iou(prediction, labels, exclude_background=True)
-            if result.defined:
-                scores.append(result.value)
-            losses.append(student.train_step(frame, labels, weights))
-        log.append((epoch, float(np.mean(losses)),
-                    float(np.mean(scores)) if scores else float("nan")))
+    log = offline_oracle_train(net, build_corpus(cfg), cfg.epochs, cfg.distill.lr,
+                               cfg.distill.momentum, seed=child_rng(cfg.seed, "shuffle"))
     return net, log

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import colorsys
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -287,9 +287,6 @@ class SyntheticStream:
         for t in range(self.config.num_frames):
             yield t, self.frame(t)
 
-    def rewind(self) -> None:
-        """Iteration is stateless; kept for frame-source compatibility."""
-
     def frame(self, t: int) -> np.ndarray:
         return self._render(t)[0]
 
@@ -487,9 +484,6 @@ class ContainerSource:
     def __iter__(self):
         for t in range(len(self)):
             yield t, self.frames[t]
-
-    def rewind(self) -> None:
-        """Iteration is stateless."""
 
     def frame(self, t: int) -> np.ndarray:
         return self.frames[t]

@@ -5,7 +5,6 @@ from jitstream.arch import (
     ArchConfig,
     ArchError,
     JITNet,
-    build_network,
     count_params,
     count_params_by_stage,
     count_params_from_config,
@@ -37,8 +36,8 @@ class TestConfig:
             ArchConfig(num_classes=4, decoder_resizes=(2, 2, 2))
 
     def test_width_scales_every_stage(self):
-        full = {name: c for name, _, _, _, c in ArchConfig(num_classes=8).stage_plan()}
-        half = {name: c for name, _, _, _, c in
+        full = {row.name: row.channels for row in ArchConfig(num_classes=8).stage_plan()}
+        half = {row.name: row.channels for row in
                 ArchConfig(num_classes=8, width_multiplier=0.5).stage_plan()}
         for name, c in full.items():
             if name == "head3":
@@ -52,6 +51,30 @@ class TestConfig:
             "dec3", "dec2", "dec1", "head1", "head2", "head3"]
         assert [row[2] for row in plan] == [2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1]
         assert [row[3] for row in plan] == [1, 1, 1, 1, 1, 2, 2, 4, 1, 2, 1]
+
+    def test_stage_inputs_chain_and_carry_skips(self):
+        cfg = ArchConfig(num_classes=8, encoder_channels=(32, 64, 128))
+        plan = {row.name: row for row in cfg.stage_plan()}
+        assert plan["stem1"].in_channels == 3
+        assert plan["enc2"].in_channels == plan["enc1"].out_channels == 64
+        assert plan["dec2"].in_channels == 2 * 64 + plan["enc2"].out_channels
+        assert plan["dec1"].in_channels == 2 * 32 + plan["enc1"].out_channels
+        assert plan["head3"].in_channels == plan["head2"].out_channels
+        skipless = {row.name: row for row in
+                    ArchConfig(num_classes=8, encoder_channels=(32, 64, 128),
+                               skip_connections=False).stage_plan()}
+        assert skipless["dec2"].in_channels == 2 * 64
+        assert skipless["dec1"].in_channels == 2 * 32
+
+    def test_network_follows_the_plan(self):
+        cfg = tiny_config(encoder_channels=(32, 64, 128))
+        net = JITNet(cfg, seed=0)
+        names = [row.name for row in cfg.stage_plan()]
+        assert [getattr(net, name).name for name in names[:-1]] == names[:-1]
+        assert net.classifier.w.value.shape[:2] == (cfg.num_classes,
+                                                    cfg.stage_plan()[-1].in_channels)
+        prefixes = list(dict.fromkeys(name.split(".", 1)[0] for name, _ in net.params()))
+        assert prefixes == names
 
 
 class TestForward:
@@ -115,6 +138,26 @@ class TestCounts:
         changed = {s for s in with_skip if with_skip[s] != without[s]}
         assert changed == {"dec1", "dec2"}
 
+    def test_ledger_pinned(self):
+        assert count_params_from_config(ArchConfig(num_classes=32)) == 775528
+        cfg = ArchConfig(num_classes=9)
+        assert estimate_flops(cfg, (720, 1280)) == 18484367360
+        assert estimate_flops(cfg, (720, 1280), "train_step") == 55454651618
+
+    @pytest.mark.parametrize("skip, params, infer, train", [
+        (True, 173933, 1107187200, 3321909466),
+        (False, 158381, 1051481600, 3154761562),
+    ])
+    def test_ledger_pinned_with_distinct_skip_widths(self, skip, params, infer, train):
+        # enc1 and enc2 output different widths, so a skip routed from the
+        # wrong encoder changes every figure
+        cfg = ArchConfig(num_classes=9, width_multiplier=0.5, input_scale=0.5,
+                         skip_connections=skip, encoder_channels=(32, 64, 128))
+        assert count_params_from_config(cfg) == params
+        assert count_params(JITNet(cfg, seed=0)) == params
+        assert estimate_flops(cfg, (720, 1280)) == infer
+        assert estimate_flops(cfg, (720, 1280), "train_step") == train
+
     def test_counters_are_pure(self):
         cfg = ArchConfig(num_classes=9)
         assert count_params_from_config(cfg) == count_params_from_config(cfg)
@@ -171,7 +214,7 @@ class TestSnapshotRoundTrip:
         y = net.forward(x)
         path = tmp_path / "weights.jitw"
         save_weights(path, net.state_arrays())
-        twin = build_network(cfg, seed=99)
+        twin = JITNet(cfg, seed=99)
         twin.load_state(load_weights(path))
         np.testing.assert_array_equal(twin.forward(x), y)
 

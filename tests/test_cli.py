@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from jitstream.arch import ArchConfig, JITNet
-from jitstream.cli import CSV_HEADER, main
+from jitstream.cli import CSV_HEADER, _limit_threads, main
 from jitstream.metrics import CostModel, speedup_from_counts
 from jitstream.nn import load_weights, save_weights
 from jitstream.streams import read_lvss
@@ -155,6 +156,20 @@ class TestThreadCap:
     def test_thread_cap_env_honored(self, small_world, monkeypatch):
         monkeypatch.setenv("JITSTREAM_THREADS", "1")
         assert main(["gradcheck", "--seeds", "1"]) == 0
+
+    def test_cap_without_effect_is_reported(self, monkeypatch, capsys):
+        monkeypatch.setenv("JITSTREAM_THREADS", "1")
+        _limit_threads()
+        err = capsys.readouterr().err
+        if importlib.util.find_spec("threadpoolctl") is None:
+            assert "JITSTREAM_THREADS ignored" in err and "threadpoolctl" in err
+        else:
+            assert err == ""
+
+    def test_non_integer_cap_is_reported(self, monkeypatch, capsys):
+        monkeypatch.setenv("JITSTREAM_THREADS", "two")
+        _limit_threads()
+        assert "JITSTREAM_THREADS='two' ignored: not an integer" in capsys.readouterr().err
 
 
 class TestBundledConfig:

@@ -10,6 +10,7 @@ from jitstream.distill import (
     process_stream,
 )
 from jitstream.metrics import mean_iou
+from jitstream.nn import weighted_softmax_cross_entropy
 from jitstream.streams import (
     ObjectSpec,
     OracleTeacher,
@@ -42,6 +43,25 @@ class TestDataset:
         assert set(np.unique(weights)) <= {1.0, 5.0}
 
 
+class TestStudentCache:
+    def test_step_on_fresh_frame_after_predict_on_freed_frame(self):
+        """A fresh array can take over the ``id`` of a frame freed right after
+        ``predict``; the step must still use the fresh frame's own forward."""
+        net = JITNet(ArchConfig(num_classes=3, width_multiplier=0.25), seed=0)
+        student = JITNetStudent(net)
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 3, size=(16, 16))
+        weights = np.ones((16, 16), dtype=np.float32)
+        for _ in range(50):
+            temporary = rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8)
+            student.predict(temporary)
+            del temporary
+            frame = rng.integers(0, 256, size=(16, 16, 3)).astype(np.uint8)
+            fresh = weighted_softmax_cross_entropy(
+                net.forward(JITNetStudent.prepare(frame)), labels, weights).loss
+            assert student.train_step(frame, labels, weights) == pytest.approx(fresh, rel=1e-6)
+
+
 class TestOfflineTraining:
     def test_zero_epochs_leaves_network_unchanged(self):
         stream = gen_synthetic_stream(static_scene(num_frames=10))
@@ -69,6 +89,16 @@ class TestOfflineTraining:
             nets.append(net)
         for (_, a), (_, b) in zip(nets[0].params(), nets[1].params()):
             np.testing.assert_array_equal(a.value, b.value)
+
+    def test_log_rows_per_epoch(self):
+        stream = gen_synthetic_stream(static_scene(num_frames=20))
+        dataset = materialize_dataset(stream, OracleTeacher(stream),
+                                      DistillConfig(), every_kth=5)
+        net = JITNet(ArchConfig(num_classes=3, width_multiplier=0.25), seed=1)
+        log = offline_oracle_train(net, dataset, epochs=2,
+                                   seed=np.random.default_rng(3))
+        assert [row[0] for row in log] == [0, 1]
+        assert all(np.isfinite(loss) and 0 <= miou <= 1 for _, loss, miou in log)
 
     def test_offline_oracle_tracks_online_on_static_scene(self):
         """Both arms converge on an unchanging scene; their accuracy agrees.
