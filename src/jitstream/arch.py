@@ -80,6 +80,11 @@ class Stage(NamedTuple):
         return self.channels if self.kind == "conv3x3" else 0
 
 
+# JITNet.forward resizes dec3, dec2 and dec1 to the extents of enc2, enc1
+# and stem1, and head2 to the network input: these nominal factors
+_FORWARD_RESIZES = ((2, 2, 4), 2)
+
+
 @dataclass(frozen=True)
 class ArchConfig:
     num_classes: int
@@ -106,6 +111,10 @@ class ArchConfig:
         if strides != resizes:
             raise ArchError(f"resolution ledger violated: stride product {strides} "
                             f"!= resize product {resizes}")
+        if (self.decoder_resizes, self.head_resize) != _FORWARD_RESIZES:
+            raise ArchError(f"decoder_resizes {self.decoder_resizes} / head_resize "
+                            f"{self.head_resize} differ from the plan JITNet.forward "
+                            f"runs, {_FORWARD_RESIZES[0]} / {_FORWARD_RESIZES[1]}")
 
     def scaled(self, base: int) -> int:
         return round_channels(base, self.width_multiplier)
@@ -386,7 +395,8 @@ def estimate_flops(config: ArchConfig, input_hw: tuple[int, int],
     given frame extent.  A strided stage runs at the extent its stride
     gives; a stage resizing by ``2**k`` then undoes the ``k`` most recent
     strides not yet undone, returning to the extent before them, as
-    :meth:`JITNet.forward` does for the default resizes."""
+    :meth:`JITNet.forward` does (:class:`ArchConfig` admits no other
+    resizes)."""
     if mode not in ("inference", "train_step"):
         raise ValueError(f"unknown mode {mode!r}")
     hw = scaled_extent(input_hw, config.input_scale)

@@ -6,11 +6,20 @@ stripped).  Every layer implements an explicit ``forward`` that caches
 whatever the matching ``backward`` needs; parameter gradients accumulate
 into :class:`ParamState.gradient` and are cleared by the optimizer.
 
+Each :class:`Conv2d` refills one im2col column buffer of its own and
+allocates a new one only when its input extent changes; the backward cache
+references that buffer, which holds because a layer's backward always
+follows its own latest forward.  1x1 convolutions skip im2col and run one
+GEMM on the (strided) input.  Kernel rewrites here must stay bit-exact:
+the same values reach BLAS in the same layout and every elementwise step
+keeps its order, so a run's outputs do not move by a single bit.
+
 Production code runs in float32; gradient checking runs the same code in
 float64.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,22 +67,34 @@ def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int,
-           pad_h: int, pad_w: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """Unfold ``(C, H, W)`` into ``(C*kh*kw, Ho*Wo)`` patch columns."""
-    c, h, w = x.shape
+def _conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int,
+                 pad_h: int, pad_w: int) -> tuple[int, int]:
     ho = conv_out_size(h, kh, stride, pad_h)
     wo = conv_out_size(w, kw, stride, pad_w)
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv output extent would be {ho}x{wo} for input {h}x{w}, "
                          f"kernel {kh}x{kw}, stride {stride}, pad ({pad_h},{pad_w})")
+    return ho, wo
+
+
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad_h: int, pad_w: int,
+           out: np.ndarray | None = None) -> tuple[np.ndarray, tuple[int, int]]:
+    """Unfold ``(C, H, W)`` into ``(C*kh*kw, Ho*Wo)`` patch columns, written
+    into ``out`` when it has that extent and ``x``'s dtype."""
+    c, h, w = x.shape
+    ho, wo = _conv_out_hw(h, w, kh, kw, stride, pad_h, pad_w)
     if pad_h or pad_w:
-        x = np.pad(x, ((0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-    cols = np.empty((c, kh, kw, ho, wo), dtype=x.dtype)
+        xp = np.zeros((c, h + 2 * pad_h, w + 2 * pad_w), dtype=x.dtype)
+        xp[:, pad_h:pad_h + h, pad_w:pad_w + w] = x
+        x = xp
+    shape = (c * kh * kw, ho * wo)
+    if out is None or out.shape != shape or out.dtype != x.dtype:
+        out = np.empty(shape, dtype=x.dtype)
+    cols = out.reshape(c, kh, kw, ho, wo)
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = x[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols.reshape(c * kh * kw, ho * wo), (ho, wo)
+    return out, (ho, wo)
 
 
 def col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int,
@@ -92,10 +113,16 @@ def col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int,
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                   stride: int = 1, pad: int | tuple[int, int] = 0):
+                   stride: int = 1, pad: int | tuple[int, int] = 0,
+                   cols: np.ndarray | None = None):
     """Cross-correlation of a ``(C,H,W)`` frame with ``(Cout,Cin,kh,kw)`` weights.
 
-    Returns ``(y, cache)``; pass the cache to :func:`conv2d_backward`.
+    ``cols`` is an im2col buffer to refill (see :func:`im2col`).  An
+    unpadded 1x1 kernel runs one GEMM on the strided input instead, which
+    is the matrix im2col would build; ``cols`` is then neither read nor
+    written.  Returns ``(y, cache)``; pass the cache to
+    :func:`conv2d_backward`.  The cache's columns may be ``cols`` or a view
+    of ``x``.
     """
     x = strip_batch(x)
     cout, cin, kh, kw = w.shape
@@ -104,7 +131,12 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"conv2d: bias extent {b.shape} != out_channels ({cout},)")
     ph, pw = _pair(pad)
-    cols, (ho, wo) = im2col(x, kh, kw, stride, ph, pw)
+    if (kh, kw, ph, pw) == (1, 1, 0, 0):
+        # C order, as im2col writes it: BLAS then sees the same operand
+        ho, wo = _conv_out_hw(*x.shape[1:], 1, 1, stride, 0, 0)
+        cols = np.ascontiguousarray(x[:, ::stride, ::stride]).reshape(cin, ho * wo)
+    else:
+        cols, (ho, wo) = im2col(x, kh, kw, stride, ph, pw, cols)
     y = (w.reshape(cout, -1) @ cols).reshape(cout, ho, wo)
     if b is not None:
         y += b[:, None, None]
@@ -177,6 +209,31 @@ def resize_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
     return m
 
 
+_RESIZE_FORWARD = "oh,chw,pw->cop"
+_RESIZE_BACKWARD = "oh,cop,pw->chw"
+
+
+@functools.lru_cache(maxsize=64)
+def _resize_plan(x_shape: tuple[int, int, int], out_hw: tuple[int, int], dtype):
+    """Read-only interpolation matrices of one resize and the contraction
+    paths ``einsum(optimize=True)`` picks for its forward and backward.
+
+    Passing the path back to ``einsum`` runs the same contractions as
+    planning again, so the result keeps its values and its memory layout
+    (which may be a transposed view, and later reductions depend on it).
+    """
+    c, h, w = x_shape
+    mh = resize_weights(h, out_hw[0], dtype)
+    mw = resize_weights(w, out_hw[1], dtype)
+    mh.flags.writeable = mw.flags.writeable = False
+    # planning reads only extents, so zero-stride stand-ins do
+    x = np.broadcast_to(np.zeros((), dtype), x_shape)
+    dy = np.broadcast_to(np.zeros((), dtype), (c, *out_hw))
+    forward = np.einsum_path(_RESIZE_FORWARD, mh, x, mw, optimize=True)[0]
+    backward = np.einsum_path(_RESIZE_BACKWARD, mh, dy, mw, optimize=True)[0]
+    return mh, mw, forward, backward
+
+
 def bilinear_resize_forward(x: np.ndarray, out_hw: tuple[int, int]):
     """Bilinear resample to an explicit target extent (a factor ``r`` maps to
     ``(H*r, W*r)``)."""
@@ -186,20 +243,21 @@ def bilinear_resize_forward(x: np.ndarray, out_hw: tuple[int, int]):
     if ho < 1 or wo < 1:
         raise ShapeError(f"bilinear_resize: target extent {ho}x{wo} invalid")
     if (ho, wo) == (h, w):
-        return x, (x.shape, None, None)
-    mh = resize_weights(h, ho, x.dtype)
-    mw = resize_weights(w, wo, x.dtype)
-    y = np.einsum("oh,chw,pw->cop", mh, x, mw, optimize=True)
-    return y, (x.shape, mh, mw)
+        return x, (x.shape, None)
+    plan = _resize_plan(x.shape, (ho, wo), x.dtype)
+    mh, mw, forward, _ = plan
+    y = np.einsum(_RESIZE_FORWARD, mh, x, mw, optimize=forward)
+    return y, (x.shape, plan)
 
 
 def bilinear_resize_backward(dy: np.ndarray, cache):
     """Scatter output gradients to the contributing input cells."""
-    x_shape, mh, mw = cache
+    _, plan = cache
     dy = strip_batch(dy)
-    if mh is None:
+    if plan is None:
         return dy
-    return np.einsum("oh,cop,pw->chw", mh, dy, mw, optimize=True)
+    mh, mw, _, backward = plan
+    return np.einsum(_RESIZE_BACKWARD, mh, dy, mw, optimize=backward)
 
 
 class Layer:
@@ -253,9 +311,10 @@ class Conv2d(Layer):
         return out
 
     def forward(self, x):
+        cols = None if self._cache is None else self._cache[1]
         y, self._cache = conv2d_forward(x, self.w.value,
                                         None if self.b is None else self.b.value,
-                                        self.stride, self.pad)
+                                        self.stride, self.pad, cols)
         return y
 
     def backward(self, dy):

@@ -52,11 +52,12 @@ def weighted_softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     denom = exp.sum(axis=0, keepdims=True)
     log_softmax = shifted - np.log(denom)
 
-    nll = -np.take_along_axis(log_softmax, lab[None], axis=0)[0]
+    at_label = lab[None]
+    nll = -np.take_along_axis(log_softmax, at_label, axis=0)[0]
     loss = float((w_eff * nll).sum() / w_sum)
 
     scale = w_eff / w_sum
     grad = (exp / denom) * scale[None]
-    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    grad[lab, rows, cols] -= scale
+    np.put_along_axis(grad, at_label,
+                      np.take_along_axis(grad, at_label, axis=0) - scale[None], axis=0)
     return LossResult(loss, grad)

@@ -261,17 +261,20 @@ class SyntheticStream:
             mask = self._mask(obj, cy, cx)
             if not mask.any():
                 continue
-            color, grid = self._object_style(index, obj.shift_count(t))
-            if cfg.textured:
-                tex = _value_noise(grid, self._ys - cy, self._xs - cx, 6.0)
-                shade = (0.78 + 0.4 * tex)[:, :, None]
-                frame = np.where(mask[:, :, None], color[None, None, :] * shade, frame)
-            else:
-                frame = np.where(mask[:, :, None], color[None, None, :], frame)
-            labels[mask] = obj.spec.class_id
             rows = np.flatnonzero(mask.any(axis=1))
             cols = np.flatnonzero(mask.any(axis=0))
             bbox = (int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1)
+            color, grid = self._object_style(index, obj.shift_count(t))
+            if cfg.textured:
+                # texture and composite are per pixel, so the mask's box suffices
+                box = np.s_[bbox[1]:bbox[3], bbox[0]:bbox[2]]
+                tex = _value_noise(grid, self._ys[box] - cy, self._xs[box] - cx, 6.0)
+                shade = (0.78 + 0.4 * tex)[:, :, None]
+                frame[box] = np.where(mask[box][:, :, None], color[None, None, :] * shade,
+                                      frame[box])
+            else:
+                frame[mask] = color
+            labels[mask] = obj.spec.class_id
             instances.append(TeacherInstance(obj.spec.class_id, 1.0, bbox, mask))
         frame_u8 = np.clip(frame * 255.0, 0, 255).astype(np.uint8)
         result = (frame_u8, labels, instances)

@@ -35,6 +35,13 @@ class TestConfig:
         with pytest.raises(ArchError, match="resolution ledger"):
             ArchConfig(num_classes=4, decoder_resizes=(2, 2, 2))
 
+    def test_resize_plan_the_forward_does_not_run_rejected(self):
+        # balances the ledger, but the forward resizes to the mirrored extents
+        with pytest.raises(ArchError, match="JITNet.forward"):
+            ArchConfig(num_classes=3, decoder_resizes=(4, 2, 2))
+        with pytest.raises(ArchError, match="JITNet.forward"):
+            ArchConfig(num_classes=3, decoder_resizes=(2, 2, 2), head_resize=4)
+
     def test_width_scales_every_stage(self):
         full = {row.name: row.channels for row in ArchConfig(num_classes=8).stage_plan()}
         half = {row.name: row.channels for row in

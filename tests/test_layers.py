@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jitstream.arch import ArchConfig, JITNet
 from jitstream.nn import (
     BilinearResize,
     Concat,
@@ -8,9 +9,13 @@ from jitstream.nn import (
     SeparableConv,
     ShapeError,
     batchnorm_forward,
+    bilinear_resize_backward,
     bilinear_resize_forward,
+    conv2d_backward,
     conv2d_forward,
+    layers,
 )
+from jitstream.nn.layers import col2im, im2col, resize_weights
 
 
 def conv2d_reference(x, w, b, stride, pad):
@@ -200,3 +205,89 @@ class TestDeterminism:
         y = layer.forward(x)
         dx = layer.backward(np.ones_like(y))
         assert np.isfinite(y).all() and np.isfinite(dx).all()
+
+
+def conv1x1_via_im2col(x, w, b, stride, dy):
+    """The im2col lowering of a 1x1 convolution, forward and backward."""
+    cout, cin = w.shape[:2]
+    cols, (ho, wo) = im2col(x, 1, 1, stride, 0, 0)
+    y = (w.reshape(cout, -1) @ cols).reshape(cout, ho, wo)
+    if b is not None:
+        y += b[:, None, None]
+    dy_mat = dy.reshape(cout, -1)
+    dw = (dy_mat @ cols.T).reshape(w.shape)
+    dx = col2im(w.reshape(cout, -1).T @ dy_mat, x.shape, 1, 1, stride, 0, 0, (ho, wo))
+    return y, dx, dw, dy.sum(axis=(1, 2))
+
+
+def resize_shapes_of(config, hw, monkeypatch):
+    """Every ``(input, target extent)`` the network resizes in one forward,
+    with each input in the memory layout the forward hands over."""
+    seen = []
+    real = layers.bilinear_resize_forward
+
+    def record(x, out_hw):
+        seen.append((x, tuple(out_hw)))
+        return real(x, out_hw)
+
+    monkeypatch.setattr(layers, "bilinear_resize_forward", record)
+    net = JITNet(config, seed=1)
+    net.forward(np.random.default_rng(2).random((3, *hw), dtype=np.float32))
+    monkeypatch.undo()
+    return seen
+
+
+class TestBitExactKernels:
+    """Rewritten kernels must give the bits of the formulation they replace."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("layout", ["C", "transposed"])
+    def test_1x1_direct_equals_im2col(self, rng, stride, bias, layout):
+        x = rng.standard_normal((24, 37, 41)).astype(np.float32)
+        if layout == "transposed":         # channels-last memory, as resizes can hand over
+            x = np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+        w = rng.standard_normal((16, 24, 1, 1)).astype(np.float32)
+        b = rng.standard_normal(16).astype(np.float32) if bias else None
+        y, cache = conv2d_forward(x, w, b, stride, 0)
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        dx, dw, db = conv2d_backward(dy, w, cache)
+        ref = conv1x1_via_im2col(x, w, b, stride, dy)
+        for got, want in zip((y, dx, dw, db), ref):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel,stride", [(3, 2), ((1, 3), 1), ((3, 1), 1), (1, 2)])
+    def test_reused_buffer_equals_fresh_layer(self, rng, kernel, stride):
+        layer = Conv2d(8, 12, kernel, stride, rng=np.random.default_rng(3))
+        for hw in ((96, 96), (50, 70), (96, 96)):
+            twin = Conv2d(8, 12, kernel, stride, rng=np.random.default_rng(3))
+            x = rng.standard_normal((8, *hw)).astype(np.float32)
+            y, y_twin = layer.forward(x), twin.forward(x)
+            assert y.tobytes() == y_twin.tobytes()
+            dy = rng.standard_normal(y.shape).astype(np.float32)
+            assert layer.backward(dy).tobytes() == twin.backward(dy).tobytes()
+            assert layer.w.gradient.tobytes() == twin.w.gradient.tobytes()
+            assert layer.b.gradient.tobytes() == twin.b.gradient.tobytes()
+            layer.w.clear_gradient()
+            layer.b.clear_gradient()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("skips", [True, False])
+    @pytest.mark.parametrize("hw", [(96, 96), (50, 70)])
+    def test_cached_resize_equals_fresh_einsum(self, monkeypatch, scale, skips, hw):
+        config = ArchConfig(num_classes=4, input_scale=scale, skip_connections=skips)
+        seen = resize_shapes_of(config, hw, monkeypatch)
+        assert len(seen) >= 6
+        for x, out_hw in seen:
+            y, cache = bilinear_resize_forward(x, out_hw)
+            if out_hw == x.shape[1:]:
+                assert y is x
+                continue
+            mh = resize_weights(x.shape[1], out_hw[0], x.dtype)
+            mw = resize_weights(x.shape[2], out_hw[1], x.dtype)
+            want = np.einsum("oh,chw,pw->cop", mh, x, mw, optimize=True)
+            assert y.strides == want.strides and y.tobytes() == want.tobytes()
+            dy = np.random.default_rng(4).standard_normal(y.shape).astype(x.dtype)
+            dx = bilinear_resize_backward(dy, cache)
+            want = np.einsum("oh,cop,pw->chw", mh, dy, mw, optimize=True)
+            assert dx.strides == want.strides and dx.tobytes() == want.tobytes()

@@ -77,6 +77,26 @@ class TestWeightedCrossEntropy:
         res = weighted_softmax_cross_entropy(logits, labels, np.zeros((2, 2)))
         assert res.degenerate and res.loss == 0.0 and not res.grad.any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_bits_match_meshgrid_formula(self, rng, dtype):
+        logits = rng.standard_normal((4, 9, 13)).astype(dtype)
+        labels = rng.integers(0, 4, size=(9, 13))
+        labels[2, :5] = 255
+        weights = rng.uniform(0.0, 2.0, size=(9, 13))
+        weights[5, 3:7] = 0.0
+        res = weighted_softmax_cross_entropy(logits, labels, weights)
+
+        valid = labels != 255
+        lab = np.where(valid, labels, 0)
+        w_eff = np.where(valid, weights, 0).astype(dtype)
+        scale = w_eff / float(w_eff.sum())
+        exp = np.exp(logits - logits.max(axis=0, keepdims=True))
+        denom = exp.sum(axis=0, keepdims=True)
+        want = (exp / denom) * scale[None]
+        rows, cols = np.meshgrid(np.arange(9), np.arange(13), indexing="ij")
+        want[lab, rows, cols] -= scale
+        assert res.grad.dtype == want.dtype and res.grad.tobytes() == want.tobytes()
+
     def test_softmax_normalization(self, rng):
         logits = rng.standard_normal((6, 3, 3)) * 10
         shifted = logits - logits.max(axis=0, keepdims=True)

@@ -1,6 +1,10 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from jitstream.config import load_synthetic_config
 from jitstream.distill import rasterize_teacher
 from jitstream.streams import (
     ContainerError,
@@ -36,6 +40,24 @@ class TestGenerator:
         for t in (0, 13, 59):
             assert a.frame(t).tobytes() == b.frame(t).tobytes()
             assert a.labels(t).tobytes() == b.labels(t).tobytes()
+
+    def test_bundled_stream_digest_pinned(self):
+        """Frames, label maps and instances of the bundled stream's first 64
+        frames, bit for bit as the whole-frame renderer drew them."""
+        path = (Path(__file__).resolve().parents[1] / "src" / "jitstream" / "configs"
+                / "standard_stream.cfg")
+        stream = gen_synthetic_stream(load_synthetic_config(path))
+        digest = hashlib.sha256()
+        for t in range(64):
+            for a in (stream.frame(t), stream.labels(t)):
+                digest.update(f"{a.dtype}{a.shape}".encode())
+                digest.update(a.tobytes())
+            for inst in stream.instances(t):
+                digest.update(repr((inst.class_id, inst.confidence, inst.bbox,
+                                    inst.mask.dtype, inst.mask.shape)).encode())
+                digest.update(inst.mask.tobytes())
+        assert digest.hexdigest() == ("82127674c370f64900c87aa539ce7b0c"
+                                      "b010ee3bd8bd9004831894df626eceda")
 
     def test_motion_follows_velocity_until_bounce(self):
         stream = gen_synthetic_stream(small_config())
