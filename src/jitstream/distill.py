@@ -419,6 +419,9 @@ def encode_rle(mask: np.ndarray) -> list[int]:
 
 def decode_rle(runs: list[int], shape: tuple[int, int]) -> np.ndarray:
     total = shape[0] * shape[1]
+    for index, run in enumerate(runs):
+        if run < 0:
+            raise ValueError(f"rle run {index} is negative ({run})")
     if sum(runs) != total:
         raise ValueError(f"rle covers {sum(runs)} pixels, mask needs {total}")
     flat = np.zeros(total, dtype=bool)

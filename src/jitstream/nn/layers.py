@@ -9,10 +9,17 @@ into :class:`ParamState.gradient` and are cleared by the optimizer.
 Each :class:`Conv2d` refills one im2col column buffer of its own and
 allocates a new one only when its input extent changes; the backward cache
 references that buffer, which holds because a layer's backward always
-follows its own latest forward.  1x1 convolutions skip im2col and run one
-GEMM on the (strided) input.  Kernel rewrites here must stay bit-exact:
-the same values reach BLAS in the same layout and every elementwise step
-keeps its order, so a run's outputs do not move by a single bit.
+follows its own latest forward.  :func:`im2col` copies each kernel tap's
+valid window straight from the input and never writes the entries that
+fall on padding: they stay zero from allocation.  So a column buffer may
+only be refilled for the input extent, kernel, stride and padding it was
+allocated for; two extents with the same column count (96x96 and 48x192)
+put their zeros in different places.  :func:`col2im` likewise scatter-adds
+only the valid windows into an unpadded gradient.  1x1 convolutions skip
+im2col and run one GEMM on the (strided) input.  Kernel rewrites here must
+stay bit-exact: the same values reach BLAS in the same layout and every
+elementwise step keeps its order, so a run's outputs do not move by a
+single bit.
 
 Production code runs in float32; gradient checking runs the same code in
 float64.
@@ -77,39 +84,57 @@ def _conv_out_hw(h: int, w: int, kh: int, kw: int, stride: int,
     return ho, wo
 
 
+@functools.lru_cache(maxsize=256)
+def _valid_taps(size: int, k: int, stride: int, pad: int, out: int):
+    """For each kernel offset along one axis: ``(first, last, start)``, the
+    output range ``first:last`` whose samples fall inside the input, and the
+    input index the first of them reads.  The rest read padding."""
+    taps = []
+    for i in range(k):
+        first = max(0, -((i - pad) // stride))
+        last = min(out, (size - 1 + pad - i) // stride + 1)
+        taps.append((first, max(first, last), i - pad + stride * first))
+    return tuple(taps)
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad_h: int, pad_w: int,
            out: np.ndarray | None = None) -> tuple[np.ndarray, tuple[int, int]]:
-    """Unfold ``(C, H, W)`` into ``(C*kh*kw, Ho*Wo)`` patch columns, written
-    into ``out`` when it has that extent and ``x``'s dtype."""
+    """Unfold ``(C, H, W)`` into ``(C*kh*kw, Ho*Wo)`` patch columns.
+
+    Only the entries that read ``x`` are written; those that read padding
+    keep the zeros of allocation.  ``out`` is refilled when it has the
+    columns' extent and ``x``'s dtype, so it must come from an earlier call
+    with an input of the same extent, kernel, stride and padding.
+    """
     c, h, w = x.shape
     ho, wo = _conv_out_hw(h, w, kh, kw, stride, pad_h, pad_w)
-    if pad_h or pad_w:
-        xp = np.zeros((c, h + 2 * pad_h, w + 2 * pad_w), dtype=x.dtype)
-        xp[:, pad_h:pad_h + h, pad_w:pad_w + w] = x
-        x = xp
     shape = (c * kh * kw, ho * wo)
     if out is None or out.shape != shape or out.dtype != x.dtype:
-        out = np.empty(shape, dtype=x.dtype)
+        out = (np.zeros if pad_h or pad_w else np.empty)(shape, dtype=x.dtype)
     cols = out.reshape(c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = x[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    cols_w = _valid_taps(w, kw, stride, pad_w, wo)
+    for i, (r0, r1, y0) in enumerate(_valid_taps(h, kh, stride, pad_h, ho)):
+        for j, (c0, c1, x0) in enumerate(cols_w):
+            cols[:, i, j, r0:r1, c0:c1] = x[:, y0:y0 + stride * (r1 - r0):stride,
+                                             x0:x0 + stride * (c1 - c0):stride]
     return out, (ho, wo)
 
 
 def col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int,
            stride: int, pad_h: int, pad_w: int, out_hw: tuple[int, int]) -> np.ndarray:
-    """Scatter-add patch-column gradients back to the input layout."""
+    """Scatter-add patch-column gradients back to the input layout; gradients
+    of entries that read padding are dropped."""
     c, h, w = x_shape
     ho, wo = out_hw
-    dxp = np.zeros((c, h + 2 * pad_h, w + 2 * pad_w), dtype=dcols.dtype)
+    # zero fill, then add every tap: assigning the first would keep -0.0
+    dx = np.zeros((c, h, w), dtype=dcols.dtype)
     dcols = dcols.reshape(c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
-    if pad_h or pad_w:
-        return dxp[:, pad_h:pad_h + h, pad_w:pad_w + w]
-    return dxp
+    cols_w = _valid_taps(w, kw, stride, pad_w, wo)
+    for i, (r0, r1, y0) in enumerate(_valid_taps(h, kh, stride, pad_h, ho)):
+        for j, (c0, c1, x0) in enumerate(cols_w):
+            dx[:, y0:y0 + stride * (r1 - r0):stride,
+               x0:x0 + stride * (c1 - c0):stride] += dcols[:, i, j, r0:r1, c0:c1]
+    return dx
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -117,10 +142,11 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                    cols: np.ndarray | None = None):
     """Cross-correlation of a ``(C,H,W)`` frame with ``(Cout,Cin,kh,kw)`` weights.
 
-    ``cols`` is an im2col buffer to refill (see :func:`im2col`).  An
-    unpadded 1x1 kernel runs one GEMM on the strided input instead, which
-    is the matrix im2col would build; ``cols`` is then neither read nor
-    written.  Returns ``(y, cache)``; pass the cache to
+    ``cols`` is an im2col buffer to refill, from an earlier call with an
+    input of the same extent and the same kernel, stride and padding (see
+    :func:`im2col`).  An unpadded 1x1 kernel runs one GEMM on the strided
+    input instead, which is the matrix im2col would build; ``cols`` is then
+    neither read nor written.  Returns ``(y, cache)``; pass the cache to
     :func:`conv2d_backward`.  The cache's columns may be ``cols`` or a view
     of ``x``.
     """
@@ -169,11 +195,18 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
                          f"got {gamma.shape}/{beta.shape}")
     if eps <= 0:
         raise ValueError("batchnorm: eps must be > 0")
-    mean = x.mean(axis=(1, 2), keepdims=True)
-    var = x.var(axis=(1, 2), keepdims=True)
+    # one pass for the statistics, with the sums and divisions numpy's
+    # x.mean and x.var make (their divisor is an intp), so the bits match
+    n = np.intp(h * w)
+    mean = np.add.reduce(x, axis=(1, 2), keepdims=True)
+    mean /= n
+    xhat = x - mean
+    var = np.add.reduce(xhat * xhat, axis=(1, 2), keepdims=True)
+    var /= n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    y = gamma[:, None, None] * xhat + beta[:, None, None]
+    xhat *= inv_std
+    y = xhat * gamma[:, None, None]
+    y += beta[:, None, None]
     return y, (xhat, inv_std, gamma)
 
 
@@ -311,7 +344,11 @@ class Conv2d(Layer):
         return out
 
     def forward(self, x):
-        cols = None if self._cache is None else self._cache[1]
+        x = strip_batch(x)
+        # the columns' zero border is laid out for one input extent
+        cols = None
+        if self._cache is not None and self._cache[0] == x.shape:
+            cols = self._cache[1]
         y, self._cache = conv2d_forward(x, self.w.value,
                                         None if self.b is None else self.b.value,
                                         self.stride, self.pad, cols)

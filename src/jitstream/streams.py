@@ -10,9 +10,9 @@ milliseconds for the cost model.
 from __future__ import annotations
 
 import colorsys
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -162,9 +162,12 @@ class SyntheticStream:
         self._global_shifts = [ev.frame_index for ev in config.events
                                if ev.kind == "appearance_shift" and ev.object_index is None]
         self._cache: tuple[int, tuple] | None = None
+        # pure functions of their keys, kept so that frames that share a key
+        # skip the seeding and the full-frame noise
+        self._background: tuple[tuple, np.ndarray] | None = None
+        self._styles: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def _background_style(self, t: int):
-        shift_count = sum(1 for f in self._global_shifts if f <= t)
+    def _background_style(self, shift_count: int):
         rng = child_rng(self.config.seed, "background", shift_count)
         if shift_count == 0:
             color = _hsv(0.58, 0.25, 0.42)
@@ -172,6 +175,22 @@ class SyntheticStream:
             color = _hsv(float(rng.uniform(0, 1)), float(rng.uniform(0.15, 0.35)),
                          float(rng.uniform(0.3, 0.5)))
         return color, _noise_grid(rng, 10)
+
+    def _background_frame(self, t: int, offset: tuple[float, float]) -> np.ndarray:
+        """The float RGB background of frame ``t`` seen from the camera
+        ``offset``.  It depends only on the scene-wide shift count and the
+        offset, and the last one is kept."""
+        key = (sum(1 for f in self._global_shifts if f <= t), offset)
+        if self._background is None or self._background[0] != key:
+            shift_count, (oy, ox) = key
+            color, grid = self._background_style(shift_count)
+            if self.config.textured:
+                noise = _value_noise(grid, self._ys + oy, self._xs + ox, 11.0)
+                frame = color[None, None, :] * (0.6 + 0.8 * noise)[:, :, None]
+            else:
+                frame = np.broadcast_to(color, (*self._ys.shape, 3))
+            self._background = (key, frame)
+        return self._background[1]
 
     def _init_object(self, index: int, spec: ObjectSpec) -> _ObjectState:
         cfg = self.config
@@ -245,12 +264,7 @@ class SyntheticStream:
         cfg = self.config
         h, w = cfg.height, cfg.width
         oy, ox = self.camera_offset(t)
-        bg_color, bg_grid = self._background_style(t)
-        if cfg.textured:
-            noise = _value_noise(bg_grid, self._ys + oy, self._xs + ox, 11.0)
-            frame = bg_color[None, None, :] * (0.6 + 0.8 * noise)[:, :, None]
-        else:
-            frame = np.broadcast_to(bg_color, (h, w, 3)).copy()
+        frame = self._background_frame(t, (oy, ox)).copy()
         labels = np.zeros((h, w), dtype=np.uint8)
         instances: list[TeacherInstance] = []
         for index, obj in enumerate(self._objects):
@@ -264,7 +278,10 @@ class SyntheticStream:
             rows = np.flatnonzero(mask.any(axis=1))
             cols = np.flatnonzero(mask.any(axis=0))
             bbox = (int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1)
-            color, grid = self._object_style(index, obj.shift_count(t))
+            style = (index, obj.shift_count(t))
+            if style not in self._styles:
+                self._styles[style] = self._object_style(*style)
+            color, grid = self._styles[style]
             if cfg.textured:
                 # texture and composite are per pixel, so the mask's box suffices
                 box = np.s_[bbox[1]:bbox[3], bbox[0]:bbox[2]]
@@ -450,11 +467,15 @@ def write_lvss(path, frames: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(frames).tobytes())
 
 
-def read_lvss(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise ContainerError(f"{path}: truncated header ({len(blob)} bytes)")
-    magic, version, w, h, channels, n = _HEADER.unpack_from(blob, 0)
+def _lvss_shape(path) -> tuple[int, ...]:
+    """Check a container's header against its exact file size and return
+    the frame stack's shape; the payload starts at ``_HEADER.size``."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+    if len(head) < _HEADER.size:
+        raise ContainerError(f"{path}: truncated header ({len(head)} bytes)")
+    magic, version, w, h, channels, n = _HEADER.unpack(head)
     if magic != LVSS_MAGIC:
         raise ContainerError(f"{path}: bad magic {magic!r} at offset 0")
     if version != LVSS_VERSION:
@@ -462,24 +483,33 @@ def read_lvss(path) -> np.ndarray:
     if channels not in (1, 3):
         raise ContainerError(f"{path}: channels must be 1 or 3, got {channels}")
     expected = n * h * w * channels
-    payload = len(blob) - _HEADER.size
+    payload = size - _HEADER.size
     if payload != expected:
         raise ContainerError(f"{path}: payload holds {payload} bytes at offset "
                              f"{_HEADER.size}, header promises {expected} "
                              f"({n} frames of {h}x{w}x{channels})")
-    data = np.frombuffer(blob, dtype=np.uint8, offset=_HEADER.size)
-    shape = (n, h, w) if channels == 1 else (n, h, w, channels)
-    return data.reshape(shape).copy()
+    return (n, h, w) if channels == 1 else (n, h, w, channels)
+
+
+def read_lvss(path) -> np.ndarray:
+    shape = _lvss_shape(path)
+    return np.fromfile(path, dtype=np.uint8, offset=_HEADER.size).reshape(shape)
 
 
 class ContainerSource:
-    """Frame source over a 3-channel container."""
+    """Frame source over a 3-channel container.
+
+    The payload is mapped read-only rather than read, so a long stream
+    costs address space, not resident memory, and the frames it hands out
+    are not writeable.  The mapping lives as long as the source.
+    """
 
     def __init__(self, path):
-        frames = read_lvss(path)
-        if frames.ndim != 4 or frames.shape[3] != 3:
+        shape = _lvss_shape(path)
+        if len(shape) != 4:
             raise ContainerError(f"{path}: frame source needs a 3-channel container")
-        self.frames = frames
+        self.frames = np.memmap(path, dtype=np.uint8, mode="r", offset=_HEADER.size,
+                                shape=shape).view(np.ndarray)
 
     def __len__(self) -> int:
         return self.frames.shape[0]

@@ -10,6 +10,7 @@ from jitstream.cli import CSV_HEADER, _limit_threads, main
 from jitstream.metrics import CostModel, speedup_from_counts
 from jitstream.nn import load_weights, save_weights
 from jitstream.streams import read_lvss
+from test_streams import write_damaged_lvss
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,33 @@ class TestContainerIngestion:
         # frames 8 and 16 are scheduled but unrecorded
         assert summary["teacher_failures"] == 2
         assert summary["teacher_invocations"] == 1
+
+
+    @pytest.mark.parametrize("damage", ["truncated", "over-long", "short header",
+                                        "bad magic"])
+    def test_damaged_container_exit_2(self, tmp_path, capsys, damage):
+        from jitstream.distill import write_predictions_jsonl
+
+        write_damaged_lvss(tmp_path / "frames.lvss", np.random.default_rng(0), damage)
+        write_predictions_jsonl(tmp_path / "teacher.jsonl", {0: []})
+        run = tmp_path / "run.cfg"
+        run.write_text("stream.container = frames.lvss\n"
+                       "stream.recorded_teacher = teacher.jsonl\nnum_classes = 2\n")
+        assert main(["run", "--config", str(run), "--out", str(tmp_path / "out")]) == 2
+        assert "frames.lvss" in capsys.readouterr().err
+
+    def test_negative_rle_run_exit_2(self, tmp_path, capsys):
+        from jitstream.streams import write_lvss
+
+        write_lvss(tmp_path / "frames.lvss", np.zeros((4, 8, 8, 3), dtype=np.uint8))
+        (tmp_path / "teacher.jsonl").write_text(
+            '{"frame": 0, "instances": [{"class": 1, "conf": 0.9, '
+            '"bbox": [0, 0, 2, 2], "rle": [2, -1, 3]}]}\n')
+        run = tmp_path / "run.cfg"
+        run.write_text("stream.container = frames.lvss\n"
+                       "stream.recorded_teacher = teacher.jsonl\nnum_classes = 2\n")
+        assert main(["run", "--config", str(run), "--out", str(tmp_path / "out")]) == 2
+        assert "line 1: rle run 1 is negative" in capsys.readouterr().err
 
 
 class TestThreadCap:

@@ -220,6 +220,59 @@ def conv1x1_via_im2col(x, w, b, stride, dy):
     return y, dx, dw, dy.sum(axis=(1, 2))
 
 
+def im2col_padded(x, kh, kw, stride, pad_h, pad_w):
+    """im2col over a zero-padded copy of the input."""
+    c, h, w = x.shape
+    ho = (h + 2 * pad_h - kh) // stride + 1
+    wo = (w + 2 * pad_w - kw) // stride + 1
+    xp = np.zeros((c, h + 2 * pad_h, w + 2 * pad_w), dtype=x.dtype)
+    xp[:, pad_h:pad_h + h, pad_w:pad_w + w] = x
+    cols = np.empty((c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(c * kh * kw, ho * wo), (ho, wo)
+
+
+def col2im_padded(dcols, x_shape, kh, kw, stride, pad_h, pad_w, out_hw):
+    """col2im into a zero-padded gradient, cropped at the end."""
+    c, h, w = x_shape
+    ho, wo = out_hw
+    dxp = np.zeros((c, h + 2 * pad_h, w + 2 * pad_w), dtype=dcols.dtype)
+    dcols = dcols.reshape(c, kh, kw, ho, wo)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, i, j]
+    return dxp[:, pad_h:pad_h + h, pad_w:pad_w + w]
+
+
+def batchnorm_mean_var(x, gamma, beta, eps):
+    """BatchNorm with numpy's own mean and variance."""
+    mean = x.mean(axis=(1, 2), keepdims=True)
+    var = x.var(axis=(1, 2), keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    y = gamma[:, None, None] * xhat + beta[:, None, None]
+    return y, (xhat, inv_std, gamma)
+
+
+def assert_conv_equals_fresh_twins(rng, kernel, stride, extents):
+    """One ``Conv2d`` fed ``extents`` in turn gives, forward and backward,
+    the bits of a fresh twin fed each one alone."""
+    layer = Conv2d(8, 12, kernel, stride, rng=np.random.default_rng(3))
+    for hw in extents:
+        twin = Conv2d(8, 12, kernel, stride, rng=np.random.default_rng(3))
+        x = rng.standard_normal((8, *hw)).astype(np.float32)
+        y, y_twin = layer.forward(x), twin.forward(x)
+        assert y.tobytes() == y_twin.tobytes()
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        assert layer.backward(dy).tobytes() == twin.backward(dy).tobytes()
+        assert layer.w.gradient.tobytes() == twin.w.gradient.tobytes()
+        assert layer.b.gradient.tobytes() == twin.b.gradient.tobytes()
+        layer.w.clear_gradient()
+        layer.b.clear_gradient()
+
+
 def resize_shapes_of(config, hw, monkeypatch):
     """Every ``(input, target extent)`` the network resizes in one forward,
     with each input in the memory layout the forward hands over."""
@@ -258,18 +311,7 @@ class TestBitExactKernels:
 
     @pytest.mark.parametrize("kernel,stride", [(3, 2), ((1, 3), 1), ((3, 1), 1), (1, 2)])
     def test_reused_buffer_equals_fresh_layer(self, rng, kernel, stride):
-        layer = Conv2d(8, 12, kernel, stride, rng=np.random.default_rng(3))
-        for hw in ((96, 96), (50, 70), (96, 96)):
-            twin = Conv2d(8, 12, kernel, stride, rng=np.random.default_rng(3))
-            x = rng.standard_normal((8, *hw)).astype(np.float32)
-            y, y_twin = layer.forward(x), twin.forward(x)
-            assert y.tobytes() == y_twin.tobytes()
-            dy = rng.standard_normal(y.shape).astype(np.float32)
-            assert layer.backward(dy).tobytes() == twin.backward(dy).tobytes()
-            assert layer.w.gradient.tobytes() == twin.w.gradient.tobytes()
-            assert layer.b.gradient.tobytes() == twin.b.gradient.tobytes()
-            layer.w.clear_gradient()
-            layer.b.clear_gradient()
+        assert_conv_equals_fresh_twins(rng, kernel, stride, ((96, 96), (50, 70), (96, 96)))
 
     @pytest.mark.parametrize("scale", [1.0, 0.5])
     @pytest.mark.parametrize("skips", [True, False])
@@ -291,3 +333,48 @@ class TestBitExactKernels:
             dx = bilinear_resize_backward(dy, cache)
             want = np.einsum("oh,cop,pw->chw", mh, dy, mw, optimize=True)
             assert dx.strides == want.strides and dx.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [3, (1, 3), (3, 1)])
+    def test_same_column_count_new_extent_equals_fresh_layer(self, rng, kernel, stride):
+        """96x96 and 48x192 give equal column counts but put the padding
+        zeros in different places, so the buffer must follow the extent."""
+        assert_conv_equals_fresh_twins(rng, kernel, stride, ((96, 96), (48, 192), (96, 96)))
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel,pad", [((3, 3), (0, 0)), ((3, 3), (1, 1)),
+                                            ((1, 3), (0, 1)), ((3, 1), (1, 0)),
+                                            ((1, 1), (0, 0))])
+    def test_im2col_col2im_equal_padded_formulation(self, rng, kernel, pad, stride):
+        kh, kw = kernel
+        ph, pw = pad
+        for h, w in ((1, 1), (2, 3), (3, 2), (5, 4), (9, 7), (13, 16)):
+            if (h + 2 * ph - kh) // stride < 0 or (w + 2 * pw - kw) // stride < 0:
+                continue
+            x = rng.standard_normal((3, h, w)).astype(np.float32)
+            x[0, 0, 0] = -0.0
+            want_cols, out_hw = im2col_padded(x, kh, kw, stride, ph, pw)
+            cols, hw = im2col(x, kh, kw, stride, ph, pw)
+            assert hw == out_hw and cols.tobytes() == want_cols.tobytes()
+            refilled, _ = im2col(x + 1, kh, kw, stride, ph, pw, cols)
+            assert refilled is cols
+            assert cols.tobytes() == im2col_padded(x + 1, kh, kw, stride, ph, pw)[0].tobytes()
+            dcols = rng.standard_normal(cols.shape).astype(np.float32)
+            dcols[:, ::2] = -0.0                 # a sum of -0.0 alone is -0.0
+            want = col2im_padded(dcols, x.shape, kh, kw, stride, ph, pw, out_hw)
+            got = col2im(dcols, x.shape, kh, kw, stride, ph, pw, out_hw)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["C", "transposed"])
+    def test_one_pass_batchnorm_equals_mean_var(self, rng, dtype, layout):
+        x = (rng.standard_normal((16, 24, 37)) * 3 + 1.5).astype(dtype)
+        if layout == "transposed":         # as a resize hands over at input_scale 0.5
+            x = np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+        gamma = rng.standard_normal(16).astype(dtype)
+        beta = rng.standard_normal(16).astype(dtype)
+        y, cache = batchnorm_forward(x, gamma, beta, 1e-5)
+        want_y, want_cache = batchnorm_mean_var(x, gamma, beta, 1e-5)
+        for got, want in zip((y, *cache), (want_y, *want_cache)):
+            assert got.dtype == want.dtype and got.strides == want.strides
+            assert got.tobytes() == want.tobytes()

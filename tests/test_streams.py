@@ -33,6 +33,35 @@ def small_config(**kw):
     return SyntheticStreamConfig(**defaults)
 
 
+def bundled_stream():
+    path = (Path(__file__).resolve().parents[1] / "src" / "jitstream" / "configs"
+            / "standard_stream.cfg")
+    return gen_synthetic_stream(load_synthetic_config(path))
+
+
+def render_digest(stream, frames) -> str:
+    """sha256 over the frames, label maps and instances of ``frames``."""
+    digest = hashlib.sha256()
+    for t in frames:
+        for a in (stream.frame(t), stream.labels(t)):
+            digest.update(f"{a.dtype}{a.shape}".encode())
+            digest.update(a.tobytes())
+        for inst in stream.instances(t):
+            digest.update(repr((inst.class_id, inst.confidence, inst.bbox,
+                                inst.mask.dtype, inst.mask.shape)).encode())
+            digest.update(inst.mask.tobytes())
+    return digest.hexdigest()
+
+
+def write_damaged_lvss(path, rng, damage: str) -> None:
+    """A 4-frame 8x8 RGB container, then cut, padded or overwritten."""
+    write_lvss(path, rng.integers(0, 256, size=(4, 8, 8, 3)).astype(np.uint8))
+    blob = path.read_bytes()
+    blob = {"truncated": blob[:-5], "over-long": blob + bytes(3),
+            "short header": blob[:11], "bad magic": b"LVSX" + blob[4:]}[damage]
+    path.write_bytes(blob)
+
+
 class TestGenerator:
     def test_deterministic_frames(self):
         a = gen_synthetic_stream(small_config())
@@ -44,20 +73,35 @@ class TestGenerator:
     def test_bundled_stream_digest_pinned(self):
         """Frames, label maps and instances of the bundled stream's first 64
         frames, bit for bit as the whole-frame renderer drew them."""
-        path = (Path(__file__).resolve().parents[1] / "src" / "jitstream" / "configs"
-                / "standard_stream.cfg")
-        stream = gen_synthetic_stream(load_synthetic_config(path))
-        digest = hashlib.sha256()
-        for t in range(64):
-            for a in (stream.frame(t), stream.labels(t)):
-                digest.update(f"{a.dtype}{a.shape}".encode())
-                digest.update(a.tobytes())
-            for inst in stream.instances(t):
-                digest.update(repr((inst.class_id, inst.confidence, inst.bbox,
-                                    inst.mask.dtype, inst.mask.shape)).encode())
-                digest.update(inst.mask.tobytes())
-        assert digest.hexdigest() == ("82127674c370f64900c87aa539ce7b0c"
-                                      "b010ee3bd8bd9004831894df626eceda")
+        digest = render_digest(bundled_stream(), range(64))
+        assert digest == ("82127674c370f64900c87aa539ce7b0c"
+                          "b010ee3bd8bd9004831894df626eceda")
+
+    def test_bundled_stream_shifts_digest_pinned(self):
+        """Frames 990-1070 of the bundled stream, across its three scene-wide
+        appearance shifts, bit for bit as drawn without memoized backgrounds
+        and styles."""
+        digest = render_digest(bundled_stream(), range(990, 1071))
+        assert digest == ("a7e319b4a05c947ac1218bef6ac77f1f"
+                          "a85106ff76f8ea4d3b20bc073544f30b")
+
+    def test_out_of_order_reads_equal_fresh_stream(self):
+        stream = bundled_stream()
+        for t in (1061, 3, 1000, 999, 1030):
+            assert render_digest(stream, [t]) == render_digest(bundled_stream(), [t])
+
+    @pytest.mark.parametrize("textured", [True, False])
+    def test_pan_and_shift_events_equal_fresh_stream(self, textured):
+        cfg = small_config(textured=textured, events=(
+            EventSpec(5, "camera_pan", dx=0.7, dy=-0.4),
+            EventSpec(9, "appearance_shift", object_index=1),
+            EventSpec(14, "appearance_shift"),
+            EventSpec(18, "camera_pan", dx=-0.5, dy=0.0),
+            EventSpec(22, "appearance_shift")))
+        stream = gen_synthetic_stream(cfg)
+        for t in [*range(30), 12, 4, 25, 13]:
+            fresh = gen_synthetic_stream(cfg)
+            assert render_digest(stream, [t]) == render_digest(fresh, [t])
 
     def test_motion_follows_velocity_until_bounce(self):
         stream = gen_synthetic_stream(small_config())
@@ -249,6 +293,30 @@ class TestContainer:
         got = read_lvss(path)
         assert got.shape == (4, 16, 16)
         assert got[2, 5, 5] == 255
+
+    def test_source_maps_frames_read_only(self, tmp_path, rng):
+        frames = rng.integers(0, 256, size=(6, 12, 20, 3)).astype(np.uint8)
+        path = tmp_path / "clip.lvss"
+        write_lvss(path, frames)
+        source = ContainerSource(path)
+        assert source.frames.tobytes() == read_lvss(path).tobytes()
+        assert source.frames.shape == read_lvss(path).shape
+        assert not source.frames.flags.writeable
+        assert not source.frame(2).flags.writeable
+        with pytest.raises(ValueError):
+            source.frame(2)[0, 0, 0] = 1
+
+    @pytest.mark.parametrize("damage,match", [("truncated", "header promises"),
+                                              ("over-long", "header promises"),
+                                              ("short header", "truncated header"),
+                                              ("bad magic", "magic")])
+    def test_source_rejects_damaged_container(self, tmp_path, rng, damage, match):
+        path = tmp_path / "clip.lvss"
+        write_damaged_lvss(path, rng, damage)
+        with pytest.raises(ContainerError, match=match):
+            ContainerSource(path)
+        with pytest.raises(ContainerError, match=match):
+            read_lvss(path)
 
     def test_iteration_order(self, tmp_path, rng):
         frames = rng.integers(0, 256, size=(5, 8, 8, 3)).astype(np.uint8)

@@ -41,6 +41,12 @@ class TestRLE:
         with pytest.raises(ValueError, match="pixels"):
             decode_rle([0, 3], (2, 2))
 
+    @pytest.mark.parametrize("runs", [[0, 6, -2], [2, -1, 3]])
+    def test_negative_run_rejected(self, runs):
+        # both sum to the mask's 4 pixels
+        with pytest.raises(ValueError, match=r"rle run \d is negative"):
+            decode_rle(runs, (2, 2))
+
 
 class TestPredictionsJsonl:
     def test_round_trip(self, tmp_path, rng):
@@ -72,6 +78,14 @@ class TestPredictionsJsonl:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"frame": 0, "instances": [{"class": 1}]}\n')
         with pytest.raises(ValueError, match="line 1"):
+            read_predictions_jsonl(path)
+
+    def test_negative_run_names_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"frame": 0, "instances": []}\n'
+                        '{"frame": 1, "instances": [{"class": 1, "conf": 0.9, '
+                        '"bbox": [0, 0, 2, 2], "rle": [0, 6, -2]}]}\n')
+        with pytest.raises(ValueError, match="line 2: rle run 2 is negative"):
             read_predictions_jsonl(path)
 
 
