@@ -5,7 +5,6 @@ from .arch import (
     ArchConfig,
     ArchError,
     JITNet,
-    count_params,
     count_params_from_config,
     estimate_flops,
 )

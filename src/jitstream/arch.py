@@ -35,6 +35,7 @@ from .nn import (
     ParamState,
     ReLU,
     SeparableConv,
+    SnapshotError,
 )
 from .nn.layers import strip_batch
 
@@ -261,24 +262,22 @@ class JITNet:
         return [(name, p.value) for name, p in self.params()]
 
     def load_state(self, named_values: list[tuple[str, np.ndarray]]) -> None:
+        """Set every parameter from ``(name, value)`` pairs, which must name
+        exactly this network's parameters with their extents; raises
+        :class:`SnapshotError` otherwise."""
         table = dict(named_values)
         for name, p in self.params():
             if name not in table:
-                raise KeyError(f"snapshot is missing parameter {name}")
+                raise SnapshotError(f"snapshot is missing parameter {name}")
             value = table.pop(name)
             if tuple(value.shape) != tuple(p.value.shape):
-                raise ValueError(f"snapshot extent mismatch for {name}: "
-                                 f"{value.shape} vs {p.value.shape}")
+                raise SnapshotError(f"snapshot extent mismatch for {name}: "
+                                    f"{value.shape} vs {p.value.shape}")
             p.value[...] = value.astype(self.dtype)
             p.momentum_buffer[...] = 0
             p.clear_gradient()
         if table:
-            raise KeyError(f"snapshot has unknown parameters: {sorted(table)}")
-
-    def clone(self) -> "JITNet":
-        twin = JITNet(self.config, seed=0, dtype=self.dtype)
-        twin.load_state(self.state_arrays())
-        return twin
+            raise SnapshotError(f"snapshot has unknown parameters: {sorted(table)}")
 
     # -- execution --------------------------------------------------------
 
@@ -341,18 +340,6 @@ class JITNet:
         ds2 = self.enc1.backward(de1)
         ds1 = self.stem2.backward(ds2)
         return self.stem1.backward(ds1)
-
-
-def count_params(net: JITNet) -> int:
-    return sum(p.value.size for _, p in net.params())
-
-
-def count_params_by_stage(net: JITNet) -> dict[str, int]:
-    totals: dict[str, int] = {}
-    for name, p in net.params():
-        stage = name.split(".", 1)[0]
-        totals[stage] = totals.get(stage, 0) + p.value.size
-    return totals
 
 
 def count_params_from_config(config: ArchConfig) -> int:

@@ -467,7 +467,7 @@ def read_predictions_jsonl(path) -> dict[int, list[TeacherInstance]]:
                 instances.append(TeacherInstance(int(inst["class"]),
                                                  float(inst["conf"]),
                                                  (x0, y0, x1, y1), mask))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from exc
         table[frame_index] = instances
     return table

@@ -6,20 +6,35 @@ stripped).  Every layer implements an explicit ``forward`` that caches
 whatever the matching ``backward`` needs; parameter gradients accumulate
 into :class:`ParamState.gradient` and are cleared by the optimizer.
 
-Each :class:`Conv2d` refills one im2col column buffer of its own and
-allocates a new one only when its input extent changes; the backward cache
-references that buffer, which holds because a layer's backward always
-follows its own latest forward.  :func:`im2col` copies each kernel tap's
-valid window straight from the input and never writes the entries that
-fall on padding: they stay zero from allocation.  So a column buffer may
-only be refilled for the input extent, kernel, stride and padding it was
-allocated for; two extents with the same column count (96x96 and 48x192)
-put their zeros in different places.  :func:`col2im` likewise scatter-adds
-only the valid windows into an unpadded gradient.  1x1 convolutions skip
-im2col and run one GEMM on the (strided) input.  Kernel rewrites here must
-stay bit-exact: the same values reach BLAS in the same layout and every
-elementwise step keeps its order, so a run's outputs do not move by a
-single bit.
+Convolutions run one of two lowerings.  A stride-1 3x3 kernel with padding
+1 whose im2col column matrix would exceed :data:`SHIFTED_MIN_COLUMN_BYTES`
+runs as nine GEMMs on shifted slices of one zero-padded copy of its input
+(:func:`shifted_conv3x3_forward`); every other convolution runs im2col and
+one GEMM, and 1x1 kernels skip im2col and run their GEMM on the (strided)
+input.  Each :class:`Conv2d` keeps the buffer its lowering builds (the
+columns or the padded input), hands it back on the next forward and
+allocates a new one only when the input extent or dtype changes; the
+backward cache references that buffer, which holds because a layer's
+backward always follows its own latest forward.
+
+Both kinds of buffer carry a zero border that is written once, at
+allocation, and never again: :func:`im2col` copies each kernel tap's valid
+window straight from the input and leaves the entries that read padding
+zero, and the shifted lowering copies the input into the interior of its
+padded buffer and leaves the border rows, the border columns and the two
+spare trailing elements zero.  So a buffer may only be refilled for the
+input extent (and kernel, stride and padding) it was allocated for: two
+extents with the same column count (96x96 and 48x192) put their zeros in
+different places.  The extent and dtype pick the lowering, so a buffer is
+never handed to the other lowering.  :func:`col2im` scatter-adds only the
+valid windows into an unpadded gradient.
+
+Kernel rewrites on the im2col side must stay bit-exact: the same values
+reach BLAS in the same layout and every elementwise step keeps its order,
+so a run's outputs do not move by a single bit.  The shifted lowering sums
+each output in another order; it agrees with im2col to about 1e-6 relative
+in float32, so runs whose layers stay below the size rule (every layer at
+96x96) keep their bits and larger runs do not.
 
 Production code runs in float32; gradient checking runs the same code in
 float64.
@@ -137,18 +152,112 @@ def col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int,
     return dx
 
 
+# A stride-1 3x3 "same" convolution whose im2col columns would exceed this
+# many bytes runs as nine shifted GEMMs instead.  Per layer, with one BLAS
+# thread: up to the 4 MiB per-core L2 im2col wins or ties (its backward by
+# up to 3x); from 4 to 16 MiB the two trade places; from 30 to 130 MiB (the
+# 360x640 layers) the shifted GEMMs win forward and backward by 10-40%; at
+# 720x1280 they win on 64 input channels and lose on 32.  They always hold
+# a ninth of the memory.  Every layer at the shipped 96x96 extent stays
+# below (at most 5.06 MiB), so those runs keep im2col's bits.
+SHIFTED_MIN_COLUMN_BYTES = 8 << 20
+
+
+def _runs_shifted(x_shape, w_shape, stride: int, ph: int, pw: int, dtype) -> bool:
+    """Whether :func:`conv2d_forward` lowers this convolution to shifted
+    GEMMs rather than im2col."""
+    c, h, w = x_shape
+    return ((w_shape[2:], stride, ph, pw) == ((3, 3), 1, 1, 1)
+            and 9 * c * h * w * np.dtype(dtype).itemsize > SHIFTED_MIN_COLUMN_BYTES)
+
+
+def _tap_offsets(wp: int) -> list[int]:
+    """Start of each 3x3 tap's slice in a padded input of row width ``wp``,
+    in the order of the taps' weights."""
+    return [i * wp + j for i in range(3) for j in range(3)]
+
+
+def shifted_conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+                            xp: np.ndarray | None = None):
+    """Stride-1 3x3 convolution with padding 1 as nine GEMMs on one padded
+    input, without a column matrix.
+
+    ``x`` is copied once into the interior of a zero buffer ``xp`` of shape
+    ``(C, (H+2)*(W+2) + 2)``: rows of width ``W+2`` with a zero border, and
+    two spare zeros that keep the last tap's slice in range.  Tap ``(i, j)``
+    reads the contiguous column range starting at ``i*(W+2) + j``, whose
+    column ``r*(W+2) + q`` is input sample ``(r+i-1, q+j-1)``; the output
+    is computed over the padded width and its two junk columns per row are
+    dropped.  ``xp`` is refilled when it has this shape and dtype, so it
+    must come from an earlier call with an input of the same extent.
+    Returns ``(y, xp)``; :func:`shifted_conv3x3_backward` takes ``xp``.
+    """
+    c, h, wd = x.shape
+    cout = w.shape[0]
+    wp = wd + 2
+    n = h * wp
+    shape = (c, (h + 2) * wp + 2)
+    if xp is None or xp.shape != shape or xp.dtype != x.dtype:
+        xp = np.zeros(shape, dtype=x.dtype)
+    xp[:, :(h + 2) * wp].reshape(c, h + 2, wp)[:, 1:h + 1, 1:wd + 1] = x
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, cout, c)
+    offsets = _tap_offsets(wp)
+    y = np.empty((cout, n), dtype=np.result_type(w, x))
+    np.matmul(taps[0], xp[:, :n], out=y)
+    part = np.empty_like(y)
+    for tap, off in zip(taps[1:], offsets[1:]):
+        np.matmul(tap, xp[:, off:off + n], out=part)
+        y += part
+    del part
+    y = np.ascontiguousarray(y.reshape(cout, h, wp)[:, :, :wd])
+    if b is not None:
+        y += b[:, None, None]
+    return y, xp
+
+
+def shifted_conv3x3_backward(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
+    """Gradients of :func:`shifted_conv3x3_forward` w.r.t. input, weights and
+    bias, from the same shifted slices of ``xp``: ``dW[:, :, i, j]`` is one
+    GEMM with the tap's slice and ``dx`` gathers nine GEMMs added at the
+    taps' offsets into a padded gradient.  ``dy`` is padded with zero junk
+    columns, so the junk columns of the forward contribute nothing."""
+    cout, h, wd = dy.shape
+    cin = w.shape[1]
+    wp = wd + 2
+    n = h * wp
+    dyp = np.zeros((cout, h, wp), dtype=dy.dtype)
+    dyp[:, :, :wd] = dy
+    dyp = dyp.reshape(cout, n)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, cout, cin)
+    dtaps = np.empty_like(taps)
+    dxp = np.zeros_like(xp)
+    part = np.empty((cin, n), dtype=dxp.dtype)
+    for tap, dtap, off in zip(taps, dtaps, _tap_offsets(wp)):
+        np.matmul(dyp, xp[:, off:off + n].T, out=dtap)
+        np.matmul(tap.T, dyp, out=part)
+        dxp[:, off:off + n] += part
+    del part, dyp
+    dxp = dxp[:, :(h + 2) * wp].reshape(cin, h + 2, wp)
+    dx = np.ascontiguousarray(dxp[:, 1:h + 1, 1:wd + 1])
+    dw = np.ascontiguousarray(dtaps.reshape(3, 3, cout, cin).transpose(2, 3, 0, 1))
+    return dx, dw, dy.sum(axis=(1, 2))
+
+
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                    stride: int = 1, pad: int | tuple[int, int] = 0,
-                   cols: np.ndarray | None = None):
+                   buf: np.ndarray | None = None):
     """Cross-correlation of a ``(C,H,W)`` frame with ``(Cout,Cin,kh,kw)`` weights.
 
-    ``cols`` is an im2col buffer to refill, from an earlier call with an
-    input of the same extent and the same kernel, stride and padding (see
-    :func:`im2col`).  An unpadded 1x1 kernel runs one GEMM on the strided
-    input instead, which is the matrix im2col would build; ``cols`` is then
-    neither read nor written.  Returns ``(y, cache)``; pass the cache to
-    :func:`conv2d_backward`.  The cache's columns may be ``cols`` or a view
-    of ``x``.
+    Two lowerings: a stride-1 3x3 kernel with padding 1 whose im2col
+    columns would exceed :data:`SHIFTED_MIN_COLUMN_BYTES` runs
+    :func:`shifted_conv3x3_forward`; everything else runs im2col and one
+    GEMM.  An unpadded 1x1 kernel skips im2col and runs its GEMM on the
+    strided input, which is the matrix im2col would build.  ``buf`` is the
+    lowering's buffer from an earlier call with an input of the same extent
+    and dtype (the padded input or the columns; the rule picks the same
+    lowering for both calls), refilled when it fits.  Returns ``(y,
+    cache)``; pass the cache to :func:`conv2d_backward`.  The cache's second
+    entry is that buffer, or a view of ``x``.
     """
     x = strip_batch(x)
     cout, cin, kh, kw = w.shape
@@ -157,12 +266,15 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"conv2d: bias extent {b.shape} != out_channels ({cout},)")
     ph, pw = _pair(pad)
+    if _runs_shifted(x.shape, w.shape, stride, ph, pw, x.dtype):
+        y, buf = shifted_conv3x3_forward(x, w, b, buf)
+        return y, (x.shape, buf, stride, ph, pw, x.shape[1:])
     if (kh, kw, ph, pw) == (1, 1, 0, 0):
         # C order, as im2col writes it: BLAS then sees the same operand
         ho, wo = _conv_out_hw(*x.shape[1:], 1, 1, stride, 0, 0)
         cols = np.ascontiguousarray(x[:, ::stride, ::stride]).reshape(cin, ho * wo)
     else:
-        cols, (ho, wo) = im2col(x, kh, kw, stride, ph, pw, cols)
+        cols, (ho, wo) = im2col(x, kh, kw, stride, ph, pw, buf)
     y = (w.reshape(cout, -1) @ cols).reshape(cout, ho, wo)
     if b is not None:
         y += b[:, None, None]
@@ -176,6 +288,8 @@ def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
     dy = strip_batch(dy)
     if dy.shape != (cout, ho, wo):
         raise ShapeError(f"conv2d backward: upstream gradient {dy.shape} != output ({cout},{ho},{wo})")
+    if _runs_shifted(x_shape, w.shape, stride, ph, pw, cols.dtype):
+        return shifted_conv3x3_backward(dy, w, cols)
     dy_mat = dy.reshape(cout, -1)
     dw = (dy_mat @ cols.T).reshape(w.shape)
     db = dy.sum(axis=(1, 2))
@@ -345,13 +459,16 @@ class Conv2d(Layer):
 
     def forward(self, x):
         x = strip_batch(x)
-        # the columns' zero border is laid out for one input extent
-        cols = None
-        if self._cache is not None and self._cache[0] == x.shape:
-            cols = self._cache[1]
+        # a buffer's zero border is laid out for one input extent, and the
+        # extent and dtype pick the lowering, so a buffer is only handed
+        # back to the lowering that built it
+        buf = None
+        if (self._cache is not None and self._cache[0] == x.shape
+                and self._cache[1].dtype == x.dtype):
+            buf = self._cache[1]
         y, self._cache = conv2d_forward(x, self.w.value,
                                         None if self.b is None else self.b.value,
-                                        self.stride, self.pad, cols)
+                                        self.stride, self.pad, buf)
         return y
 
     def backward(self, dy):

@@ -53,7 +53,12 @@ def load_weights(path) -> list[tuple[str, np.ndarray]]:
     out = []
     for i in range(count):
         (name_len,) = struct.unpack("<H", take(2, f"name length of parameter {i}"))
-        name = take(name_len, f"name of parameter {i}").decode("utf-8")
+        raw = take(name_len, f"name of parameter {i}")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(f"{path}: name of parameter {i} at offset "
+                                f"{offset - name_len} is not UTF-8 ({exc.reason})") from None
         (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, f"extents of {name}"))
         size = int(np.prod(shape)) if rank else 1

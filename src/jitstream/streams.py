@@ -58,6 +58,8 @@ class SyntheticStreamConfig:
     def __post_init__(self):
         if self.width < 8 or self.height < 8:
             raise StreamConfigError("frame extent too small")
+        if self.num_frames < 1:
+            raise StreamConfigError(f"num_frames must be >= 1, got {self.num_frames}")
         last = -1
         for ev in self.events:
             if not 0 <= ev.frame_index < self.num_frames:
@@ -482,6 +484,8 @@ def _lvss_shape(path) -> tuple[int, ...]:
         raise ContainerError(f"{path}: unsupported version {version}")
     if channels not in (1, 3):
         raise ContainerError(f"{path}: channels must be 1 or 3, got {channels}")
+    if w == 0 or h == 0:
+        raise ContainerError(f"{path}: frame extent {h}x{w} has no pixels")
     expected = n * h * w * channels
     payload = size - _HEADER.size
     if payload != expected:
@@ -508,6 +512,8 @@ class ContainerSource:
         shape = _lvss_shape(path)
         if len(shape) != 4:
             raise ContainerError(f"{path}: frame source needs a 3-channel container")
+        if shape[0] == 0:
+            raise ContainerError(f"{path}: container holds no frames")
         self.frames = np.memmap(path, dtype=np.uint8, mode="r", offset=_HEADER.size,
                                 shape=shape).view(np.ndarray)
 

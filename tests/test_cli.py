@@ -180,6 +180,69 @@ class TestContainerIngestion:
         assert "line 1: rle run 1 is negative" in capsys.readouterr().err
 
 
+def snapshot_config(small_world, tmp_path, named):
+    """The small world's run config starting from a snapshot of ``named``."""
+    root, _ = small_world
+    save_weights(tmp_path / "init.jitw", named)
+    run = tmp_path / "run.cfg"
+    run.write_text(f"stream.synthetic = {root / 'stream.cfg'}\nseed = 11\nfps = 25\n"
+                   "init_snapshot = init.jitw\n")
+    return run
+
+
+def mismatched_snapshots():
+    named = JITNet(ArchConfig(num_classes=3), seed=0).state_arrays()
+    return {"missing": named[1:],
+            "unknown": named + [("extra.weight", np.zeros(2, dtype=np.float32))],
+            "non-utf8": named}
+
+
+class TestMismatchedSnapshot:
+    @pytest.mark.parametrize("case", ["missing", "unknown", "non-utf8"])
+    def test_run_exit_2(self, small_world, tmp_path, capsys, case):
+        run = snapshot_config(small_world, tmp_path, mismatched_snapshots()[case])
+        if case == "non-utf8":                      # first byte of the first name
+            blob = (tmp_path / "init.jitw").read_bytes()
+            (tmp_path / "init.jitw").write_bytes(blob[:14] + b"\xff" + blob[15:])
+        assert main(["run", "--config", str(run), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert {"missing": "missing parameter stem1.conv.weight",
+                "unknown": "unknown parameters: ['extra.weight']",
+                "non-utf8": "name of parameter 0 at offset 14"}[case] in err
+
+    def test_sweep_marks_cell_failed(self, small_world, tmp_path):
+        run = snapshot_config(small_world, tmp_path, mismatched_snapshots()["missing"])
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(run), "--out", str(out),
+                     "--knob", "a_thresh=0.7,0.9"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        status = lines[0].split(",").index("status")
+        assert [line.split(",")[status] for line in lines[1:]] == ["failed", "failed"]
+
+
+class TestEmptyStream:
+    def test_zero_synthetic_frames_exit_2(self, tmp_path, capsys):
+        (tmp_path / "stream.cfg").write_text("width = 16\nheight = 16\nnum_frames = 0\n")
+        run = tmp_path / "run.cfg"
+        run.write_text("stream.synthetic = stream.cfg\n")
+        assert main(["run", "--config", str(run), "--out", str(tmp_path / "out")]) == 2
+        assert "num_frames must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape,message", [((0, 8, 8, 3), "no frames"),
+                                               ((2, 8, 0, 3), "no pixels")])
+    def test_empty_container_exit_2(self, tmp_path, capsys, shape, message):
+        from jitstream.distill import write_predictions_jsonl
+        from jitstream.streams import write_lvss
+
+        write_lvss(tmp_path / "frames.lvss", np.zeros(shape, dtype=np.uint8))
+        write_predictions_jsonl(tmp_path / "teacher.jsonl", {0: []})
+        run = tmp_path / "run.cfg"
+        run.write_text("stream.container = frames.lvss\n"
+                       "stream.recorded_teacher = teacher.jsonl\nnum_classes = 2\n")
+        assert main(["run", "--config", str(run), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestThreadCap:
     def test_thread_cap_env_honored(self, small_world, monkeypatch):
         monkeypatch.setenv("JITSTREAM_THREADS", "1")
@@ -245,6 +308,23 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seeds", "3"]) == 0
         out = capsys.readouterr().out
         assert "network" in out and "FAIL" not in out
+        assert any(line.startswith("Conv2d_shifted ") and line.endswith("ok")
+                   for line in out.splitlines())
+
+    def test_corrupted_shifted_backward_detected(self, capsys, monkeypatch):
+        from jitstream.nn import gradcheck
+
+        original = gradcheck.shifted_conv3x3_backward
+
+        def corrupted(dy, w, xp):
+            dx, dw, db = original(dy, w, xp)
+            return dx, dw * 1.01, db
+
+        monkeypatch.setattr(gradcheck, "shifted_conv3x3_backward", corrupted)
+        assert main(["gradcheck", "--seeds", "1"]) == 1
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if "FAIL" in line]
+        assert failed == ["Conv2d_shifted"]
 
     def test_corrupted_conv_backward_detected(self, capsys, monkeypatch):
         from jitstream.nn import layers

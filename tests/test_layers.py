@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from jitstream.nn import (
     conv2d_forward,
     layers,
 )
-from jitstream.nn.layers import col2im, im2col, resize_weights
+from jitstream.nn.layers import (
+    col2im,
+    im2col,
+    resize_weights,
+    shifted_conv3x3_backward,
+    shifted_conv3x3_forward,
+)
 
 
 def conv2d_reference(x, w, b, stride, pad):
@@ -207,16 +215,16 @@ class TestDeterminism:
         assert np.isfinite(y).all() and np.isfinite(dx).all()
 
 
-def conv1x1_via_im2col(x, w, b, stride, dy):
-    """The im2col lowering of a 1x1 convolution, forward and backward."""
-    cout, cin = w.shape[:2]
-    cols, (ho, wo) = im2col(x, 1, 1, stride, 0, 0)
+def conv_via_im2col(x, w, b, stride, pad, dy):
+    """The im2col lowering of a convolution, forward and backward."""
+    cout, cin, kh, kw = w.shape
+    cols, (ho, wo) = im2col(x, kh, kw, stride, pad, pad)
     y = (w.reshape(cout, -1) @ cols).reshape(cout, ho, wo)
     if b is not None:
         y += b[:, None, None]
     dy_mat = dy.reshape(cout, -1)
     dw = (dy_mat @ cols.T).reshape(w.shape)
-    dx = col2im(w.reshape(cout, -1).T @ dy_mat, x.shape, 1, 1, stride, 0, 0, (ho, wo))
+    dx = col2im(w.reshape(cout, -1).T @ dy_mat, x.shape, kh, kw, stride, pad, pad, (ho, wo))
     return y, dx, dw, dy.sum(axis=(1, 2))
 
 
@@ -256,13 +264,13 @@ def batchnorm_mean_var(x, gamma, beta, eps):
     return y, (xhat, inv_std, gamma)
 
 
-def assert_conv_equals_fresh_twins(rng, kernel, stride, extents):
+def assert_conv_equals_fresh_twins(rng, kernel, stride, extents, cin=8):
     """One ``Conv2d`` fed ``extents`` in turn gives, forward and backward,
     the bits of a fresh twin fed each one alone."""
-    layer = Conv2d(8, 12, kernel, stride, rng=np.random.default_rng(3))
+    layer = Conv2d(cin, 12, kernel, stride, rng=np.random.default_rng(3))
     for hw in extents:
-        twin = Conv2d(8, 12, kernel, stride, rng=np.random.default_rng(3))
-        x = rng.standard_normal((8, *hw)).astype(np.float32)
+        twin = Conv2d(cin, 12, kernel, stride, rng=np.random.default_rng(3))
+        x = rng.standard_normal((cin, *hw)).astype(np.float32)
         y, y_twin = layer.forward(x), twin.forward(x)
         assert y.tobytes() == y_twin.tobytes()
         dy = rng.standard_normal(y.shape).astype(np.float32)
@@ -305,7 +313,7 @@ class TestBitExactKernels:
         y, cache = conv2d_forward(x, w, b, stride, 0)
         dy = rng.standard_normal(y.shape).astype(np.float32)
         dx, dw, db = conv2d_backward(dy, w, cache)
-        ref = conv1x1_via_im2col(x, w, b, stride, dy)
+        ref = conv_via_im2col(x, w, b, stride, 0, dy)
         for got, want in zip((y, dx, dw, db), ref):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -378,3 +386,83 @@ class TestBitExactKernels:
         for got, want in zip((y, *cache), (want_y, *want_cache)):
             assert got.dtype == want.dtype and got.strides == want.strides
             assert got.tobytes() == want.tobytes()
+
+
+def max_relative_diff(got, want):
+    """Largest absolute difference over the largest reference magnitude."""
+    scale = np.abs(want).max()
+    diff = np.abs(got.astype(np.float64) - want).max()
+    return diff / scale if scale else diff
+
+
+class TestShiftedConv:
+    """The shifted-GEMM lowering of large stride-1 3x3 convolutions against
+    the im2col oracle: same results to a tolerance set by the dtype, the
+    only path above the size rule, and a ninth of the memory."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("cin,cout,hw", [(3, 4, (1, 1)), (3, 4, (1, 5)), (1, 4, (2, 3)),
+                                             (4, 1, (2, 3)), (5, 4, (13, 16)),
+                                             (1, 1, (13, 16)), (1, 3, (180, 320))])
+    def test_equals_im2col_oracle(self, rng, dtype, tol, bias, cin, cout, hw):
+        x = rng.standard_normal((cin, *hw)).astype(dtype)
+        w = rng.standard_normal((cout, cin, 3, 3)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype) if bias else None
+        y, xp = shifted_conv3x3_forward(x, w, b)
+        dy = rng.standard_normal(y.shape).astype(dtype)
+        got = (y, *shifted_conv3x3_backward(dy, w, xp))
+        for g, want in zip(got, conv_via_im2col(x, w, b, 1, 1, dy)):
+            assert g.shape == want.shape and g.dtype == want.dtype and g.flags.c_contiguous
+            assert max_relative_diff(g, want) <= tol
+
+    def test_rule_fires_at_360p_head(self, rng):
+        """head1 of a 360x640 frame: 64 -> 32 channels at 180x320."""
+        x = rng.standard_normal((64, 180, 320)).astype(np.float32)
+        w = rng.standard_normal((32, 64, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(32).astype(np.float32)
+        y, cache = conv2d_forward(x, w, b, 1, 1)
+        assert cache[1].shape == (64, 182 * 322 + 2)        # the padded input
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        got = (y, *conv2d_backward(dy, w, cache))
+        for g, want in zip(got, conv_via_im2col(x, w, b, 1, 1, dy)):
+            assert g.shape == want.shape and max_relative_diff(g, want) <= 1e-5
+
+    @pytest.mark.parametrize("kernel,stride,pad,hw,dtype,shifted", [
+        ((3, 3), 1, 1, (48, 48), np.float32, False),     # 5.06 MiB: head1 at 96x96
+        ((3, 3), 1, 1, (48, 64), np.float32, False),     # 6.75 MiB
+        ((3, 3), 1, 1, (48, 64), np.float64, True),      # 13.5 MiB
+        ((3, 3), 1, 1, (180, 320), np.float32, True),
+        ((3, 3), 2, 1, (180, 320), np.float32, False),
+        ((3, 3), 1, 0, (180, 320), np.float32, False),
+        ((1, 3), 1, (0, 1), (180, 320), np.float32, False),
+        ((3, 1), 1, (1, 0), (180, 320), np.float32, False),
+        ((1, 1), 1, 0, (180, 320), np.float32, False),
+    ])
+    def test_rule_picks_only_large_stride1_3x3(self, kernel, stride, pad, hw, dtype, shifted):
+        x = np.zeros((64, *hw), dtype=dtype)
+        w = np.zeros((4, 64, *kernel), dtype=dtype)
+        _, cache = conv2d_forward(x, w, None, stride, pad)
+        padded = (64, (hw[0] + 2) * (hw[1] + 2) + 2)
+        assert (cache[1].shape == padded) == shifted
+
+    def test_buffers_never_mix_between_lowerings(self, rng):
+        assert_conv_equals_fresh_twins(rng, 3, 1, ((180, 320), (48, 48), (180, 320)), cin=64)
+
+    def test_large_conv_memory_bound(self, rng):
+        """One forward plus backward of a 64 -> 32 layer at 180x320 peaks
+        below 5x its input and holds one padded input between frames; the
+        im2col lowering peaks at 19x and holds 9x."""
+        conv = Conv2d(64, 32, 3, rng=rng)
+        x = rng.standard_normal((64, 180, 320)).astype(np.float32)
+        dy = rng.standard_normal((32, 180, 320)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            conv.forward(x)
+            conv.backward(dy)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 5 * x.nbytes
+        assert held - base <= 1.5 * x.nbytes
