@@ -1,24 +1,25 @@
 """Compact encoder-decoder segmentation network.
 
-Topology (default plan): two stride-2 3x3 stem convolutions, three encoder
-blocks (stride 2), three decoder blocks (resize 2, 2, 4), two 3x3 head
-convolutions (the second followed by a 2x resize back to frame resolution)
-and a final 1x1 classifier.
+Topology: two stride-2 3x3 stem convolutions, three encoder blocks (stride
+2), three decoder blocks (resize 2, 2, 4), two 3x3 head convolutions (the
+second followed by a 2x resize back to the network input's extent) and a
+final 1x1 classifier.
 
 Each block normalizes its input, then runs two parallel paths - a 1x1
 shortcut convolution and a residual path (3x3 convolution followed by a
-separable 1x3 + 3x1 pair) - concatenates both, applies the activation and
-resizes.  A block configured with ``channels c`` gives each path ``c``
-channels, so its output carries ``2c``.  Skip connections concatenate each
-encoder block's output into the input of the matching decoder block.
+separable 1x3 + 3x1 pair) - concatenates both and applies the activation.
+A block configured with ``channels c`` gives each path ``c`` channels, so
+its output carries ``2c``.  Skip connections concatenate each encoder
+block's output into the input of the matching decoder block.
 
-Decoder resizes target the recorded extent of the mirrored encoder stage,
-which keeps skip junctions aligned for any input size (for extents
-divisible by 32 this coincides with the nominal integer factors).
+A stage resizing by ``2**k`` returns to the input extent of the ``k`` most
+recent strided stages not yet undone, which keeps skip junctions aligned for
+any input size (for extents divisible by 32 this coincides with the nominal
+integer factors).
 
-:meth:`ArchConfig.stage_plan` is the one architecture table: the network is
-built by walking its rows, and the parameter count and FLOP model are folds
-over the same rows.
+:meth:`ArchConfig.stage_plan` is the one architecture table: the network's
+layers, its forward and backward, the parameter count and the FLOP model
+all walk its rows.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from .nn import (
     ReLU,
     SeparableConv,
     SnapshotError,
+    conv_out_size,
 )
 from .nn.layers import strip_batch
 
@@ -59,6 +61,7 @@ class Stage(NamedTuple):
     resize: int             # nominal output upsampling factor
     channels: int           # per path for blocks, which output twice this
     in_channels: int        # including any skip concatenated into the input
+    skip: str | None        # the stage whose output is concatenated to the input
 
     @property
     def out_channels(self) -> int:
@@ -81,9 +84,13 @@ class Stage(NamedTuple):
         return self.channels if self.kind == "conv3x3" else 0
 
 
-# JITNet.forward resizes dec3, dec2 and dec1 to the extents of enc2, enc1
-# and stem1, and head2 to the network input: these nominal factors
-_FORWARD_RESIZES = ((2, 2, 4), 2)
+# the fixed part of the plan; widths are scaled by ``width_multiplier``
+_STEM_CHANNELS = (8, 8)
+_DECODER_CHANNELS = (64, 32, 32)        # dec3, dec2, dec1
+_DECODER_RESIZES = (2, 2, 4)
+_HEAD_CHANNELS = (32, 32)
+_HEAD_RESIZE = 2
+_BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -92,13 +99,7 @@ class ArchConfig:
     width_multiplier: float = 1.0
     input_scale: float = 1.0
     skip_connections: bool = True
-    stem_channels: tuple[int, int] = (8, 8)
     encoder_channels: tuple[int, int, int] = (64, 64, 128)
-    decoder_channels: tuple[int, int, int] = (64, 32, 32)
-    decoder_resizes: tuple[int, int, int] = (2, 2, 4)
-    head_channels: tuple[int, int] = (32, 32)
-    head_resize: int = 2
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -107,15 +108,11 @@ class ArchConfig:
             raise ArchError("width_multiplier must be > 0")
         if not 0 < self.input_scale <= 1:
             raise ArchError("input_scale must lie in (0, 1]")
-        strides = 2 ** (2 + len(self.encoder_channels))
-        resizes = int(np.prod(self.decoder_resizes)) * self.head_resize
+        strides = 2 ** (len(_STEM_CHANNELS) + len(self.encoder_channels))
+        resizes = int(np.prod(_DECODER_RESIZES)) * _HEAD_RESIZE
         if strides != resizes:
             raise ArchError(f"resolution ledger violated: stride product {strides} "
                             f"!= resize product {resizes}")
-        if (self.decoder_resizes, self.head_resize) != _FORWARD_RESIZES:
-            raise ArchError(f"decoder_resizes {self.decoder_resizes} / head_resize "
-                            f"{self.head_resize} differ from the plan JITNet.forward "
-                            f"runs, {_FORWARD_RESIZES[0]} / {_FORWARD_RESIZES[1]}")
 
     def scaled(self, base: int) -> int:
         return round_channels(base, self.width_multiplier)
@@ -123,25 +120,26 @@ class ArchConfig:
     def stage_plan(self) -> list[Stage]:
         """The stages in execution (and parameter initialization) order.
         Each takes the previous stage's output; decoder ``dec{i}`` below the
-        deepest also takes ``enc{i}``'s output when skips are on."""
+        deepest also takes ``enc{i}``'s output, named by its ``skip``, when
+        skips are on."""
         plan: list[Stage] = []
-        skips: dict[str, int] = {}
 
-        def add(name, kind, stride, resize, channels, skip=0):
-            in_ch = (plan[-1].out_channels if plan else 3) + skip
-            plan.append(Stage(name, kind, stride, resize, channels, in_ch))
+        def add(name, kind, stride, resize, channels, skip=None):
+            in_ch = plan[-1].out_channels if plan else 3
+            if skip:
+                in_ch += next(row.out_channels for row in plan if row.name == skip)
+            plan.append(Stage(name, kind, stride, resize, channels, in_ch, skip))
 
-        add("stem1", "conv3x3", 2, 1, self.scaled(self.stem_channels[0]))
-        add("stem2", "conv3x3", 2, 1, self.scaled(self.stem_channels[1]))
+        add("stem1", "conv3x3", 2, 1, self.scaled(_STEM_CHANNELS[0]))
+        add("stem2", "conv3x3", 2, 1, self.scaled(_STEM_CHANNELS[1]))
         for i, c in enumerate(self.encoder_channels, start=1):
             add(f"enc{i}", "block", 2, 1, self.scaled(c))
-            skips[f"dec{i}"] = plan[-1].out_channels if self.skip_connections else 0
-        n = len(self.decoder_channels)
-        for i, (c, r) in enumerate(zip(self.decoder_channels, self.decoder_resizes)):
-            name = f"dec{n - i}"
-            add(name, "block", 1, r, self.scaled(c), skips[name] if i else 0)
-        add("head1", "conv3x3", 1, 1, self.scaled(self.head_channels[0]))
-        add("head2", "conv3x3", 1, self.head_resize, self.scaled(self.head_channels[1]))
+        n = len(_DECODER_CHANNELS)
+        for i, (c, r) in enumerate(zip(_DECODER_CHANNELS, _DECODER_RESIZES)):
+            skip = f"enc{n - i}" if i and self.skip_connections else None
+            add(f"dec{n - i}", "block", 1, r, self.scaled(c), skip)
+        add("head1", "conv3x3", 1, 1, self.scaled(_HEAD_CHANNELS[0]))
+        add("head2", "conv3x3", 1, _HEAD_RESIZE, self.scaled(_HEAD_CHANNELS[1]))
         add("head3", "conv1x1", 1, 1, self.num_classes)
         return plan
 
@@ -157,10 +155,10 @@ class ConvStage:
     """Convolution + per-frame norm + activation (stems and head convs)."""
 
     def __init__(self, name: str, in_ch: int, out_ch: int, kernel: int, stride: int,
-                 eps: float, rng: np.random.Generator, dtype):
+                 rng: np.random.Generator, dtype):
         self.name = name
         self.conv = Conv2d(in_ch, out_ch, kernel, stride, bias=False, rng=rng, dtype=dtype)
-        self.bn = BatchNorm(out_ch, eps, dtype)
+        self.bn = BatchNorm(out_ch, _BN_EPS, dtype)
         self.relu = ReLU()
 
     def params(self):
@@ -175,19 +173,18 @@ class ConvStage:
 
 
 class EncDecBlock:
-    """Shortcut / residual twin-path block with optional output resize."""
+    """Shortcut / residual twin-path block."""
 
     def __init__(self, name: str, in_ch: int, path_ch: int, stride: int,
-                 eps: float, rng: np.random.Generator, dtype):
+                 rng: np.random.Generator, dtype):
         self.name = name
-        self.bn_in = BatchNorm(in_ch, eps, dtype)
+        self.bn_in = BatchNorm(in_ch, _BN_EPS, dtype)
         self.shortcut = Conv2d(in_ch, path_ch, 1, stride, bias=True, rng=rng, dtype=dtype)
         self.res_conv = Conv2d(in_ch, path_ch, 3, stride, bias=True, rng=rng, dtype=dtype)
         self.res_sep = SeparableConv(path_ch, path_ch, bias=True, rng=rng, dtype=dtype)
         self.relu_mid = ReLU()
         self.concat = Concat()
         self.relu_out = ReLU()
-        self.resize = BilinearResize()
 
     def params(self):
         groups = [("bn_in", self.bn_in), ("shortcut", self.shortcut),
@@ -195,62 +192,67 @@ class EncDecBlock:
         return [(f"{self.name}.{g}.{n}", p) for g, layer in groups
                 for n, p in layer.params()]
 
-    def forward(self, x, out_hw=None):
+    def forward(self, x):
         h = self.bn_in.forward(x)
         a = self.shortcut.forward(h)
         r = self.relu_mid.forward(self.res_conv.forward(h))
         r = self.res_sep.forward(r)
-        y = self.relu_out.forward(self.concat.forward(a, r))
-        if out_hw is not None:
-            y = self.resize.forward(y, out_hw)
-        else:
-            self.resize._cache = None
-        return y
+        return self.relu_out.forward(self.concat.forward(a, r))
 
     def backward(self, dy):
-        if self.resize._cache is not None:
-            dy = self.resize.backward(dy)
         da, dr = self.concat.backward(self.relu_out.backward(dy))
         dh = self.shortcut.backward(da)
         dh += self.res_conv.backward(self.relu_mid.backward(self.res_sep.backward(dr)))
         return self.bn_in.backward(dh)
 
 
+def _resize_target(resize: int, mirror: list[tuple[int, int]]) -> tuple[int, int]:
+    """The extent a stage resizing by ``2**k`` (``k >= 1``) returns to.
+    ``mirror`` holds the input extents of the strided stages run so far and
+    not yet undone; the resize undoes the last ``k``, pops them and returns
+    the input extent of the earliest."""
+    for _ in range(resize.bit_length() - 1):
+        hw = mirror.pop()
+    return hw
+
+
 class JITNet:
     """The full network graph: owns parameters, momentum state and the
-    forward/backward execution order including skip routing."""
+    forward/backward walk over the stage table, including skip routing."""
 
     def __init__(self, config: ArchConfig, seed: int = 0, dtype=np.float32):
         self.config = config
         self.dtype = dtype
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x4a49544e]))
-        eps = config.bn_eps
-        *stages, head3 = config.stage_plan()
-        # built in table order, which is also the order of the weight draws
-        self._stages = []
+        self._plan = config.stage_plan()
+        *stages, head3 = self._plan
+        # built in table order, which is also the order of the weight draws;
+        # one layer per row
+        self._layers = []
         for row in stages:
             if row.kind == "block":
                 stage = EncDecBlock(row.name, row.in_channels, row.channels, row.stride,
-                                    eps, rng, dtype)
+                                    rng, dtype)
             else:
                 stage = ConvStage(row.name, row.in_channels, row.channels, 3, row.stride,
-                                  eps, rng, dtype)
+                                  rng, dtype)
             setattr(self, row.name, stage)
-            self._stages.append(stage)
+            self._layers.append(stage)
         self.classifier = Conv2d(head3.in_channels, head3.channels, 1, 1, bias=True,
                                  rng=rng, dtype=dtype)
+        self._layers.append(self.classifier)
 
-        self._skip2 = Concat()
-        self._skip1 = Concat()
+        # one Concat per skip, keyed by the stage whose output it carries
+        self._skips = {row.skip: Concat() for row in self._plan if row.skip}
+        self._resizes = {row.name: BilinearResize() for row in self._plan if row.resize > 1}
         self._in_resize = BilinearResize()
-        self._head_resize = BilinearResize()
         self._out_resize = BilinearResize()
 
     # -- parameter bookkeeping -------------------------------------------
 
     def params(self) -> list[tuple[str, ParamState]]:
         out = []
-        for stage in self._stages:
+        for stage in self._layers[:-1]:
             out.extend(stage.params())
         out.extend((f"head3.{n}", p) for n, p in self.classifier.params())
         return out
@@ -293,53 +295,36 @@ class JITNet:
             raise ValueError(f"expected a (3, H, W) frame, got {x.shape}")
         x = x.astype(self.dtype, copy=False)
         h, w = x.shape[1:]
-        x0 = self._in_resize.forward(x, scaled_extent((h, w), self.config.input_scale))
-
-        s1 = self.stem1.forward(x0)
-        s2 = self.stem2.forward(s1)
-        e1 = self.enc1.forward(s2)
-        e2 = self.enc2.forward(e1)
-        e3 = self.enc3.forward(e2)
-
-        d3 = self.dec3.forward(e3, e2.shape[1:])
-        d2_in = self._skip2.forward(d3, e2) if self.config.skip_connections else d3
-        d2 = self.dec2.forward(d2_in, e1.shape[1:])
-        d1_in = self._skip1.forward(d2, e1) if self.config.skip_connections else d2
-        d1 = self.dec1.forward(d1_in, s1.shape[1:])
-
-        y = self.head1.forward(d1)
-        y = self.head2.forward(y)
-        y = self._head_resize.forward(y, x0.shape[1:])
-        logits = self.classifier.forward(y)
-        logits = self._out_resize.forward(logits, (h, w))
+        y = self._in_resize.forward(x, scaled_extent((h, w), self.config.input_scale))
+        mirror = []                      # see _resize_target
+        skip_outputs = {}
+        for row, layer in zip(self._plan, self._layers):
+            if row.skip:
+                y = self._skips[row.skip].forward(y, skip_outputs.pop(row.skip))
+            if row.stride > 1:
+                mirror.append(y.shape[1:])
+            y = layer.forward(y)
+            if row.resize > 1:
+                y = self._resizes[row.name].forward(y, _resize_target(row.resize, mirror))
+            if row.name in self._skips:
+                skip_outputs[row.name] = y
+        logits = self._out_resize.forward(y, (h, w))
         return logits[None] if had_batch else logits
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; returns the input gradient at the
         scaled frame extent (the pre-stem frame resize is not differentiated)."""
         dy = self._out_resize.backward(dlogits)
-        dy = self.classifier.backward(dy)
-        dy = self._head_resize.backward(dy)
-        dy = self.head2.backward(dy)
-        dd1 = self.head1.backward(dy)
-
-        dd1_in = self.dec1.backward(dd1)
-        if self.config.skip_connections:
-            dd2, de1_skip = self._skip1.backward(dd1_in)
-        else:
-            dd2, de1_skip = dd1_in, 0
-        dd2_in = self.dec2.backward(dd2)
-        if self.config.skip_connections:
-            dd3, de2_skip = self._skip2.backward(dd2_in)
-        else:
-            dd3, de2_skip = dd2_in, 0
-        de3 = self.dec3.backward(dd3)
-
-        de2 = self.enc3.backward(de3) + de2_skip
-        de1 = self.enc2.backward(de2) + de1_skip
-        ds2 = self.enc1.backward(de1)
-        ds1 = self.stem2.backward(ds2)
-        return self.stem1.backward(ds1)
+        skip_grads = {}                  # by the stage whose output was concatenated
+        for row, layer in zip(reversed(self._plan), reversed(self._layers)):
+            if row.name in skip_grads:
+                dy = dy + skip_grads.pop(row.name)
+            if row.resize > 1:
+                dy = self._resizes[row.name].backward(dy)
+            dy = layer.backward(dy)
+            if row.skip:
+                dy, skip_grads[row.skip] = self._skips[row.skip].backward(dy)
+        return dy
 
 
 def count_params_from_config(config: ArchConfig) -> int:
@@ -370,20 +355,13 @@ def _conv_flops(cin: int, cout: int, k: tuple[int, int], hw: tuple[int, int],
     return 2 * kh * kw * cin * out_elems + (out_elems if bias else 0)
 
 
-def _conv_out_hw(hw: tuple[int, int], k: int, stride: int) -> tuple[int, int]:
-    pad = k // 2
-    return ((hw[0] + 2 * pad - k) // stride + 1,
-            (hw[1] + 2 * pad - k) // stride + 1)
-
-
 def estimate_flops(config: ArchConfig, input_hw: tuple[int, int],
                    mode: str = "inference") -> int:
     """Analytic FLOP total of one forward pass (or one training step) at the
-    given frame extent.  A strided stage runs at the extent its stride
-    gives; a stage resizing by ``2**k`` then undoes the ``k`` most recent
-    strides not yet undone, returning to the extent before them, as
-    :meth:`JITNet.forward` does (:class:`ArchConfig` admits no other
-    resizes)."""
+    given frame extent, walking the stage table as :meth:`JITNet.forward`
+    does: a strided stage runs at the extent its stride gives, and a
+    resizing stage's output returns to the extent :func:`_resize_target`
+    picks."""
     if mode not in ("inference", "train_step"):
         raise ValueError(f"unknown mode {mode!r}")
     hw = scaled_extent(input_hw, config.input_scale)
@@ -392,11 +370,11 @@ def estimate_flops(config: ArchConfig, input_hw: tuple[int, int],
     for row in config.stage_plan():
         if row.stride > 1:
             mirror.append(hw)
-            hw = _conv_out_hw(hw, 3, row.stride)
+            hw = tuple(conv_out_size(n, 3, row.stride, 1) for n in hw)
         total += sum(_conv_flops(cin, cout, (kh, kw), hw, bias)
                      for kh, kw, cin, cout, bias in row.convs())
-        for _ in range(row.resize.bit_length() - 1):
-            hw = mirror.pop()
+        if row.resize > 1:
+            hw = _resize_target(row.resize, mirror)
     if mode == "train_step":
         total = 3 * total + 2 * count_params_from_config(config)
     return total

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .arch import JITNet, count_params_from_config, end_to_end_gradient_check, estimate_flops
-from .config import ConfigError, RunConfig, load_pretrain_config, load_run_config
+from .config import ConfigError, RunConfig, Section, load_pretrain_config, load_run_config
 from .distill import (
     StreamNumericError,
     process_stream,
@@ -39,14 +39,15 @@ from .streams import (
 )
 
 CSV_HEADER = "frame,teacher_invoked,updates,a_curr,mean_iou_vs_teacher,delta"
+# knob -> the typed rule of config files that parses its values
 SWEEP_KNOBS = {
-    "u_max": int,
-    "delta_min": int,
-    "lr": float,
-    "width_multiplier": float,
-    "input_scale": float,
-    "skip_connections": lambda v: v.lower() in ("true", "1", "yes", "on"),
-    "a_thresh": float,
+    "u_max": Section.int_,
+    "delta_min": Section.int_,
+    "lr": Section.float_,
+    "width_multiplier": Section.float_,
+    "input_scale": Section.float_,
+    "skip_connections": Section.bool_,
+    "a_thresh": Section.float_,
 }
 
 
@@ -202,8 +203,9 @@ def _parse_knobs(raw: list[str]) -> dict[str, list]:
         name = name.strip()
         if name not in SWEEP_KNOBS:
             raise ConfigError(f"unknown knob {name!r}; valid: {sorted(SWEEP_KNOBS)}")
-        cast = SWEEP_KNOBS[name]
-        knobs[name] = [cast(v.strip()) for v in values.split(",") if v.strip()]
+        rule = SWEEP_KNOBS[name]
+        knobs[name] = [rule(Section({name: v.strip()}, Path("--knob")), name)
+                       for v in values.split(",") if v.strip()]
         if not knobs[name]:
             raise ConfigError(f"knob {name!r} has no values")
     return knobs

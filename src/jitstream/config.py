@@ -40,7 +40,7 @@ def parse_kv_file(path) -> dict[str, str]:
     return table
 
 
-class _Section:
+class Section:
     """Typed access over a parsed table, tracking unknown keys."""
 
     def __init__(self, table: dict[str, str], origin: Path):
@@ -110,7 +110,7 @@ class _Section:
 
 def load_synthetic_config(path) -> SyntheticStreamConfig:
     origin = Path(path)
-    section = _Section(parse_kv_file(origin), origin)
+    section = Section(parse_kv_file(origin), origin)
     objects = []
     index = 1
     while section.has(f"object{index}.class_id"):
@@ -169,7 +169,7 @@ class RunConfig:
     out_dir: Path | None
 
 
-def _read_distill(section: _Section) -> DistillConfig:
+def _read_distill(section: Section) -> DistillConfig:
     try:
         return DistillConfig(
             u_max=section.int_("u_max", 8),
@@ -185,7 +185,7 @@ def _read_distill(section: _Section) -> DistillConfig:
         raise ConfigError(f"{section.origin}: {exc}") from exc
 
 
-def _read_arch(section: _Section, num_classes: int) -> ArchConfig:
+def _read_arch(section: Section, num_classes: int) -> ArchConfig:
     try:
         return ArchConfig(
             num_classes=num_classes,
@@ -198,7 +198,7 @@ def _read_arch(section: _Section, num_classes: int) -> ArchConfig:
 
 def load_run_config(path) -> RunConfig:
     origin = Path(path)
-    section = _Section(parse_kv_file(origin), origin)
+    section = Section(parse_kv_file(origin), origin)
 
     synthetic_path = section.path_("stream.synthetic")
     container = section.path_("stream.container")
@@ -272,7 +272,7 @@ class PretrainConfig:
 
 def load_pretrain_config(path) -> PretrainConfig:
     origin = Path(path)
-    section = _Section(parse_kv_file(origin), origin)
+    section = Section(parse_kv_file(origin), origin)
     class_count = section.int_("corpus.class_count", 3)
     num_classes = section.int_("num_classes", class_count + 1)
     cfg = PretrainConfig(

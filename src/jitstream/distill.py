@@ -306,31 +306,30 @@ def process_stream(source, teacher, cfg: DistillConfig, student,
     delta = cfg.delta_min
     for frame_index, frame in source:
         record = FrameRecord(frame_index, False, 0, None, delta)
-        if frame_index % delta == 0:
-            try:
-                instances = teacher.predict(frame_index, frame)
-            except TeacherError:
-                report.teacher_failures += 1
-                instances = None
-            if instances is not None:
-                labels, weights = teacher_targets(instances, cfg, frame.shape[:2])
+        try:
+            prediction = None
+            if frame_index % delta == 0:
                 try:
+                    instances = teacher.predict(frame_index, frame)
+                except TeacherError:
+                    report.teacher_failures += 1
+                    instances = None
+                if instances is not None:
+                    labels, weights = teacher_targets(instances, cfg, frame.shape[:2])
                     result = adapt_on_frame(student, frame, labels, weights, cfg)
-                except StreamNumericError:
-                    raise StreamNumericError(frame_index) from None
-                delta = update_stride(delta, result.a_curr, cfg)
-                record.teacher_invoked = True
-                record.updates_performed = result.updates
-                record.a_curr = result.a_curr
-                record.delta = delta
-                prediction = result.prediction
-                report.teacher_invocations += 1
-                report.total_updates += result.updates
-                report.numeric_events += int(result.aborted)
-            else:
-                prediction = _predict_checked(student, frame, frame_index)
-        else:
-            prediction = _predict_checked(student, frame, frame_index)
+                    delta = update_stride(delta, result.a_curr, cfg)
+                    record.teacher_invoked = True
+                    record.updates_performed = result.updates
+                    record.a_curr = result.a_curr
+                    record.delta = delta
+                    prediction = result.prediction
+                    report.teacher_invocations += 1
+                    report.total_updates += result.updates
+                    report.numeric_events += int(result.aborted)
+            if prediction is None:
+                prediction = student.predict(frame)
+        except StreamNumericError:
+            raise StreamNumericError(frame_index) from None
 
         if eval_labels is not None:
             reference = eval_labels(frame_index)
@@ -344,13 +343,6 @@ def process_stream(source, teacher, cfg: DistillConfig, student,
         if progress is not None:
             progress(record)
     return report
-
-
-def _predict_checked(student, frame, frame_index: int) -> np.ndarray:
-    try:
-        return student.predict(frame)
-    except StreamNumericError:
-        raise StreamNumericError(frame_index) from None
 
 
 # -- offline baseline ---------------------------------------------------------
@@ -452,6 +444,16 @@ def write_predictions_jsonl(path, predictions: dict[int, list[TeacherInstance]])
                                 separators=(",", ":")) + "\n")
 
 
+def _json_ints(values, key: str) -> list[int]:
+    """``values`` as a list, if every one is a JSON integer (not a bool,
+    which is an int subclass)."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise TypeError(f"{key}: expected a JSON integer, got {bad!r}")
+    return values
+
+
 def read_predictions_jsonl(path) -> dict[int, list[TeacherInstance]]:
     table: dict[int, list[TeacherInstance]] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -459,13 +461,16 @@ def read_predictions_jsonl(path) -> dict[int, list[TeacherInstance]]:
             continue
         try:
             row = json.loads(line)
-            frame_index = int(row["frame"])
+            [frame_index] = _json_ints([row["frame"]], "frame")
             instances = []
             for inst in row["instances"]:
-                x0, y0, x1, y1 = (int(v) for v in inst["bbox"])
-                mask = decode_rle(inst["rle"], (y1 - y0, x1 - x0))
-                instances.append(TeacherInstance(int(inst["class"]),
-                                                 float(inst["conf"]),
+                [class_id] = _json_ints([inst["class"]], "class")
+                x0, y0, x1, y1 = _json_ints(inst["bbox"], "bbox")
+                conf = inst["conf"]
+                if type(conf) not in (int, float):
+                    raise TypeError(f"conf must be a JSON number, got {conf!r}")
+                mask = decode_rle(_json_ints(inst["rle"], "rle"), (y1 - y0, x1 - x0))
+                instances.append(TeacherInstance(class_id, float(conf),
                                                  (x0, y0, x1, y1), mask))
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from exc

@@ -147,15 +147,4 @@ def loss_gradient_check(loss_fn, logits: np.ndarray, eps: float = 1e-5) -> float
     """Finite-difference check for a scalar loss ``loss_fn(logits) -> (loss, grad)``."""
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     _, grad = loss_fn(logits)
-    flat = logits.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + eps
-        up, _ = loss_fn(logits)
-        flat[i] = keep - eps
-        down, _ = loss_fn(logits)
-        flat[i] = keep
-        numeric = (up - down) / (2 * eps)
-        worst = max(worst, relative_error(grad.reshape(-1)[i], numeric))
-    return worst
+    return _max_rel_error(grad, logits, lambda: loss_fn(logits)[0], eps)

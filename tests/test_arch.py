@@ -8,9 +8,18 @@ from jitstream.arch import (
     count_params_from_config,
     estimate_flops,
     round_channels,
+    scaled_extent,
 )
 from jitstream.arch import _conv_flops
-from jitstream.nn import Conv2d, gradient_check, load_weights, save_weights
+from jitstream.nn import (
+    BilinearResize,
+    Concat,
+    Conv2d,
+    ShapeError,
+    gradient_check,
+    load_weights,
+    save_weights,
+)
 from jitstream.nn.loss import weighted_softmax_cross_entropy
 
 
@@ -43,14 +52,7 @@ class TestConfig:
 
     def test_resolution_ledger_enforced(self):
         with pytest.raises(ArchError, match="resolution ledger"):
-            ArchConfig(num_classes=4, decoder_resizes=(2, 2, 2))
-
-    def test_resize_plan_the_forward_does_not_run_rejected(self):
-        # balances the ledger, but the forward resizes to the mirrored extents
-        with pytest.raises(ArchError, match="JITNet.forward"):
-            ArchConfig(num_classes=3, decoder_resizes=(4, 2, 2))
-        with pytest.raises(ArchError, match="JITNet.forward"):
-            ArchConfig(num_classes=3, decoder_resizes=(2, 2, 2), head_resize=4)
+            ArchConfig(num_classes=4, encoder_channels=(64, 64))
 
     def test_width_scales_every_stage(self):
         full = {row.name: row.channels for row in ArchConfig(num_classes=8).stage_plan()}
@@ -68,6 +70,10 @@ class TestConfig:
             "dec3", "dec2", "dec1", "head1", "head2", "head3"]
         assert [row[2] for row in plan] == [2, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1]
         assert [row[3] for row in plan] == [1, 1, 1, 1, 1, 2, 2, 4, 1, 2, 1]
+        assert {row.name: row.skip for row in plan if row.skip} == {
+            "dec2": "enc2", "dec1": "enc1"}
+        skipless = ArchConfig(num_classes=8, skip_connections=False).stage_plan()
+        assert not any(row.skip for row in skipless)
 
     def test_stage_inputs_chain_and_carry_skips(self):
         cfg = ArchConfig(num_classes=8, encoder_channels=(32, 64, 128))
@@ -131,6 +137,114 @@ class TestForward:
         a = JITNet(tiny_config(), seed=9).forward(x)
         b = JITNet(tiny_config(), seed=9).forward(x)
         assert a.tobytes() == b.tobytes()
+
+
+class HandWired:
+    """Reference for the table walk: the forward and backward wired stage by
+    stage by hand, run over a network's own stages with resizes and skip
+    concats of its own."""
+
+    def __init__(self, net: JITNet):
+        self.net = net
+        self.skip_connections = net.config.skip_connections
+        self._skip2 = Concat()
+        self._skip1 = Concat()
+        self._in_resize = BilinearResize()
+        self._dec3_resize = BilinearResize()
+        self._dec2_resize = BilinearResize()
+        self._dec1_resize = BilinearResize()
+        self._head_resize = BilinearResize()
+        self._out_resize = BilinearResize()
+
+    def forward(self, x):
+        net = self.net
+        h, w = x.shape[1:]
+        x0 = self._in_resize.forward(x, scaled_extent((h, w), net.config.input_scale))
+
+        s1 = net.stem1.forward(x0)
+        s2 = net.stem2.forward(s1)
+        e1 = net.enc1.forward(s2)
+        e2 = net.enc2.forward(e1)
+        e3 = net.enc3.forward(e2)
+
+        d3 = self._dec3_resize.forward(net.dec3.forward(e3), e2.shape[1:])
+        d2_in = self._skip2.forward(d3, e2) if self.skip_connections else d3
+        d2 = self._dec2_resize.forward(net.dec2.forward(d2_in), e1.shape[1:])
+        d1_in = self._skip1.forward(d2, e1) if self.skip_connections else d2
+        d1 = self._dec1_resize.forward(net.dec1.forward(d1_in), s1.shape[1:])
+
+        y = net.head1.forward(d1)
+        y = net.head2.forward(y)
+        y = self._head_resize.forward(y, x0.shape[1:])
+        logits = net.classifier.forward(y)
+        return self._out_resize.forward(logits, (h, w))
+
+    def backward(self, dlogits):
+        net = self.net
+        dy = self._out_resize.backward(dlogits)
+        dy = net.classifier.backward(dy)
+        dy = self._head_resize.backward(dy)
+        dy = net.head2.backward(dy)
+        dd1 = net.head1.backward(dy)
+
+        dd1_in = net.dec1.backward(self._dec1_resize.backward(dd1))
+        if self.skip_connections:
+            dd2, de1_skip = self._skip1.backward(dd1_in)
+        else:
+            dd2, de1_skip = dd1_in, 0
+        dd2_in = net.dec2.backward(self._dec2_resize.backward(dd2))
+        if self.skip_connections:
+            dd3, de2_skip = self._skip2.backward(dd2_in)
+        else:
+            dd3, de2_skip = dd2_in, 0
+        de3 = net.dec3.backward(self._dec3_resize.backward(dd3))
+
+        de2 = net.enc3.backward(de3) + de2_skip
+        de1 = net.enc2.backward(de2) + de1_skip
+        ds2 = net.enc1.backward(de1)
+        ds1 = net.stem2.backward(ds2)
+        return net.stem1.backward(ds1)
+
+
+def forward_backward_bytes(model, net: JITNet, x, dlogits) -> list[bytes]:
+    """Logits, input gradient and every parameter gradient, as bytes."""
+    for _, p in net.params():
+        p.clear_gradient()
+    out = [model.forward(x).tobytes(), model.backward(dlogits).tobytes()]
+    return out + [p.gradient.tobytes() for _, p in net.params()]
+
+
+def assert_matches_hand_wired(cfg: ArchConfig, hw) -> None:
+    rng = np.random.default_rng(hw)
+    x = rng.random((3, *hw), dtype=np.float32)
+    dlogits = rng.standard_normal((cfg.num_classes, *hw), dtype=np.float32)
+    walked, wired = JITNet(cfg, seed=3), JITNet(cfg, seed=3)
+    assert (forward_backward_bytes(walked, walked, x, dlogits)
+            == forward_backward_bytes(HandWired(wired), wired, x, dlogits))
+
+
+class TestTableWalk:
+    @pytest.mark.parametrize("hw", [(96, 96), (50, 70), (72, 40)])
+    @pytest.mark.parametrize("skips", [True, False])
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("width", [1.0, 0.5])
+    def test_bit_equal_to_hand_wired(self, width, scale, skips, hw):
+        assert_matches_hand_wired(
+            ArchConfig(num_classes=5, width_multiplier=width, input_scale=scale,
+                       skip_connections=skips), hw)
+
+    # dec2's skip reads enc2: 128 channels at the extent of dec3's output.
+    # enc1 has the channels but twice the extent; dec3 has both, so the
+    # walk runs, on the wrong operand.
+    @pytest.mark.parametrize("source, failure", [("enc1", ShapeError),
+                                                 ("dec3", AssertionError)])
+    def test_misrouted_skip_is_caught(self, monkeypatch, source, failure):
+        cfg = ArchConfig(num_classes=5)
+        miswired = [row._replace(skip=source) if row.name == "dec2" else row
+                    for row in cfg.stage_plan()]
+        monkeypatch.setattr(ArchConfig, "stage_plan", lambda self: miswired)
+        with pytest.raises(failure):
+            assert_matches_hand_wired(cfg, (96, 96))
 
 
 class TestCounts:

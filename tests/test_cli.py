@@ -385,3 +385,26 @@ class TestSweep:
         root, run = small_world
         assert main(["sweep", "--config", str(run), "--knob", "banana=1"]) == 2
         assert "unknown knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knob, message", [
+        ("u_max=abc", "u_max must be an integer, got 'abc'"),
+        ("lr=0.01,fast", "lr must be a number, got 'fast'"),
+        ("skip_connections=ture", "skip_connections must be a boolean, got 'ture'"),
+    ])
+    def test_bad_knob_value_is_a_config_error(self, small_world, tmp_path, capsys,
+                                              knob, message):
+        root, run = small_world
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(run), "--out", str(out),
+                     "--knob", knob]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    def test_boolean_knob_takes_the_config_file_spellings(self, small_world, tmp_path):
+        root, run = small_world
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(run), "--out", str(out),
+                     "--knob", "skip_connections=off,Yes"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["False", "True"]

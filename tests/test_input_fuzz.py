@@ -103,14 +103,21 @@ BAD_LINES = (
         {"frame": [], "instances": []}, {"frame": 1e400, "instances": []},
         {"frame": 0, "instances": None}, {"frame": 0, "instances": 5},
         {"frame": 0, "instances": ["x"]}, {"frame": 0, "instances": [None]},
-        {"frame": 0, "instances": {"a": 1}})]
+        {"frame": 0, "instances": {"a": 1}},
+        # JSON types that would coerce to a plausible value
+        {"frame": 3.7, "instances": []}, {"frame": 3.0, "instances": []},
+        {"frame": True, "instances": []}, {"frame": "3", "instances": []},
+        {"frame": 3.7, "instances": [{"class": True, "conf": "0.9",
+                                      "bbox": [0, 0, 2.9, 2], "rle": [1, 2, 1]}]})]
     + [json.dumps({"frame": 0, "instances": [{**GOOD_INSTANCE, key: value}]})
        for key, values in (
-           ("class", [None, "x", [], 1e400]),
-           ("conf", [None, "x", [], {}]),
+           ("class", [None, "x", [], 1e400, True, 1.0, "1"]),
+           ("conf", [None, "x", [], {}, "0.9", True]),
            ("bbox", [None, 5, [0, 0, 2], [0, 0, 2, 2, 2], ["a", 0, 2, 2],
-                     [0, 0, 2, None], [0, 0, 1e400, 2]]),
-           ("rle", [None, 5, "ab", [None], [1.5, 2.5], [[1]], {}, [1, 2], [-1, 5]]))
+                     [0, 0, 2, None], [0, 0, 1e400, 2], [0, 0, 2.9, 2],
+                     [0, 0, 2.0, 2], [0, 0, True, 2], [0, 0, "2", 2]]),
+           ("rle", [None, 5, "ab", [None], [1.5, 2.5], [[1]], {}, [1, 2], [-1, 5],
+                    [1.0, 2, 1], [True, 2, 1], ["1", 2, 1]]))
        for value in values]
     + [json.dumps({"frame": 0, "instances": [{k: v for k, v in GOOD_INSTANCE.items()
                                               if k != key}]})

@@ -6,6 +6,7 @@ import pytest
 
 from jitstream.distill import (
     DistillConfig,
+    StreamNumericError,
     TeacherError,
     TeacherInstance,
     adapt_on_frame,
@@ -243,3 +244,26 @@ class TestSchedulerTraces:
         assert report.teacher_failures == 1
         failed = report.records[16]
         assert not failed.teacher_invoked and failed.delta == 16
+
+
+class FailingStudent(ScriptedStudent):
+    """Fails like a non-finite forward from frame ``fail_at`` on."""
+
+    def __init__(self, fail_at):
+        super().__init__(lambda t: True)
+        self.fail_at = fail_at
+
+    def predict(self, frame):
+        if int(frame[0, 0, 0]) >= self.fail_at:
+            raise StreamNumericError(-1)
+        return super().predict(frame)
+
+
+# with delta_min 8 and every check passing, frames 0 and 16 ask the teacher
+# and frames 5 and 17 do not
+@pytest.mark.parametrize("fail_at", [0, 5, 16, 17])
+def test_numeric_failure_names_its_frame(fail_at):
+    with pytest.raises(StreamNumericError) as info:
+        process_stream(StubSource(64), StubTeacher(), DistillConfig(delta_min=8),
+                       FailingStudent(fail_at))
+    assert info.value.frame_index == fail_at
