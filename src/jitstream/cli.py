@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .arch import JITNet, count_params_from_config, end_to_end_gradient_check, estimate_flops
-from .config import ConfigError, RunConfig, Section, load_pretrain_config, load_run_config
+from .config import (SETTINGS, ConfigError, RunConfig, Section, load_pretrain_config,
+                     load_run_config)
 from .distill import (
     StreamNumericError,
     process_stream,
@@ -39,16 +40,9 @@ from .streams import (
 )
 
 CSV_HEADER = "frame,teacher_invoked,updates,a_curr,mean_iou_vs_teacher,delta"
-# knob -> the typed rule of config files that parses its values
-SWEEP_KNOBS = {
-    "u_max": Section.int_,
-    "delta_min": Section.int_,
-    "lr": Section.float_,
-    "width_multiplier": Section.float_,
-    "input_scale": Section.float_,
-    "skip_connections": Section.bool_,
-    "a_thresh": Section.float_,
-}
+# config keys a sweep may vary; each parses and lands as ``SETTINGS`` says
+SWEEP_KNOBS = ("u_max", "delta_min", "lr", "width_multiplier", "input_scale",
+               "skip_connections", "a_thresh")
 
 
 def _fmt(value: float | None) -> str:
@@ -70,6 +64,11 @@ def build_world(cfg: RunConfig):
     else:
         source = ContainerSource(cfg.container)
         table = read_predictions_jsonl(cfg.recorded_teacher)
+        for frame_index, instances in table.items():
+            for inst in instances:
+                if not 0 <= inst.class_id < cfg.arch.num_classes:
+                    raise ValueError(f"{cfg.recorded_teacher}: frame {frame_index}: class "
+                                     f"{inst.class_id} outside [0, {cfg.arch.num_classes})")
         teacher = RecordedTeacher(table, cfg.cost.t_teacher)
         hw = source.frames.shape[1:3]
 
@@ -78,8 +77,7 @@ def build_world(cfg: RunConfig):
                 return None
             return rasterize_teacher(table[frame_index], cfg.distill.conf_thresh, hw)
 
-    if not cfg.noise.identity:
-        teacher = NoisyTeacher(teacher, cfg.noise, seed=cfg.seed)
+    teacher = NoisyTeacher(teacher, cfg.noise, seed=cfg.seed)
     net = JITNet(cfg.arch, seed=cfg.seed)
     if cfg.init_snapshot is not None:
         net.load_state(load_weights(cfg.init_snapshot))
@@ -111,7 +109,7 @@ def summarize(cfg: RunConfig, report, source) -> dict:
         "teacher_failures": report.teacher_failures,
         "total_updates": report.total_updates,
         "numeric_events": report.numeric_events,
-        "teacher_fraction": report.teacher_invocations / report.n_frames,
+        "teacher_fraction": cost.teacher_fraction,
         "mean_iou": float(np.mean(defined)) if defined else None,
         "speedup": cost.speedup,
         "total_cost_ms": cost.total_ms,
@@ -203,7 +201,7 @@ def _parse_knobs(raw: list[str]) -> dict[str, list]:
         name = name.strip()
         if name not in SWEEP_KNOBS:
             raise ConfigError(f"unknown knob {name!r}; valid: {sorted(SWEEP_KNOBS)}")
-        rule = SWEEP_KNOBS[name]
+        rule = SETTINGS[name][2]
         knobs[name] = [rule(Section({name: v.strip()}, Path("--knob")), name)
                        for v in values.split(",") if v.strip()]
         if not knobs[name]:
@@ -212,13 +210,13 @@ def _parse_knobs(raw: list[str]) -> dict[str, list]:
 
 
 def _apply_knobs(cfg: RunConfig, assignment: dict) -> RunConfig:
-    distill_fields = {k: v for k, v in assignment.items()
-                      if k in ("u_max", "delta_min", "lr", "a_thresh")}
-    arch_fields = {k: v for k, v in assignment.items()
-                   if k in ("width_multiplier", "input_scale", "skip_connections")}
-    distill = dataclasses.replace(cfg.distill, **distill_fields)
-    arch = dataclasses.replace(cfg.arch, **arch_fields)
-    return dataclasses.replace(cfg, distill=distill, arch=arch)
+    parts: dict[str, dict] = {}
+    for name, value in assignment.items():
+        part, field, _ = SETTINGS[name]
+        parts.setdefault(part, {})[field] = value
+    return dataclasses.replace(cfg, **{
+        part: dataclasses.replace(getattr(cfg, part), **fields)
+        for part, fields in parts.items()})
 
 
 def cmd_sweep(args) -> int:

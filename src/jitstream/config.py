@@ -7,6 +7,7 @@ resolved relative to the file that names them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,12 +118,12 @@ def load_synthetic_config(path) -> SyntheticStreamConfig:
         prefix = f"object{index}."
         objects.append(ObjectSpec(
             class_id=section.int_(prefix + "class_id"),
-            shape=section.str_(prefix + "shape", "disc"),
-            size_range=(section.float_(prefix + "size_min", 8.0),
-                        section.float_(prefix + "size_max", 14.0)),
-            speed_range=(section.float_(prefix + "speed_min", 0.3),
-                         section.float_(prefix + "speed_max", 1.0)),
-            texture_seed=section.int_(prefix + "texture_seed", 0)))
+            shape=section.str_(prefix + "shape", ObjectSpec.shape),
+            size_range=(section.float_(prefix + "size_min", ObjectSpec.size_range[0]),
+                        section.float_(prefix + "size_max", ObjectSpec.size_range[1])),
+            speed_range=(section.float_(prefix + "speed_min", ObjectSpec.speed_range[0]),
+                         section.float_(prefix + "speed_max", ObjectSpec.speed_range[1])),
+            texture_seed=section.int_(prefix + "texture_seed", ObjectSpec.texture_seed)))
         index += 1
     events = []
     index = 1
@@ -131,20 +132,20 @@ def load_synthetic_config(path) -> SyntheticStreamConfig:
         events.append(EventSpec(
             frame_index=section.int_(prefix + "frame"),
             kind=section.str_(prefix + "kind", ""),
-            object_index=section.int_(prefix + "object", None),
-            dx=section.float_(prefix + "dx", 0.0),
-            dy=section.float_(prefix + "dy", 0.0)))
+            object_index=section.int_(prefix + "object", EventSpec.object_index),
+            dx=section.float_(prefix + "dx", EventSpec.dx),
+            dy=section.float_(prefix + "dy", EventSpec.dy)))
         index += 1
     try:
         cfg = SyntheticStreamConfig(
-            width=section.int_("width", 96),
-            height=section.int_("height", 96),
-            num_frames=section.int_("num_frames", 1000),
-            class_count=section.int_("class_count", 3),
+            width=section.int_("width", SyntheticStreamConfig.width),
+            height=section.int_("height", SyntheticStreamConfig.height),
+            num_frames=section.int_("num_frames", SyntheticStreamConfig.num_frames),
+            class_count=section.int_("class_count", SyntheticStreamConfig.class_count),
             objects=tuple(objects),
             events=tuple(events),
-            seed=section.int_("seed", 0),
-            textured=section.bool_("textured", True))
+            seed=section.int_("seed", SyntheticStreamConfig.seed),
+            textured=section.bool_("textured", SyntheticStreamConfig.textured))
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
     leftover = section.unknown_keys(("object", "event"))
@@ -169,31 +170,51 @@ class RunConfig:
     out_dir: Path | None
 
 
-def _read_distill(section: Section) -> DistillConfig:
+# part -> its dataclass; the part names are the fields of RunConfig and
+# PretrainConfig that hold them
+PARTS = {"distill": DistillConfig, "arch": ArchConfig, "noise": TeacherNoise,
+         "cost": CostModel}
+# config key -> (part, field, the typed rule that parses its value); a key
+# the file leaves out keeps its dataclass default
+SETTINGS = {
+    "u_max": ("distill", "u_max", Section.int_),
+    "delta_min": ("distill", "delta_min", Section.int_),
+    "delta_max": ("distill", "delta_max", Section.int_),
+    "a_thresh": ("distill", "a_thresh", Section.float_),
+    "lr": ("distill", "lr", Section.float_),
+    "momentum": ("distill", "momentum", Section.float_),
+    "conf_thresh": ("distill", "conf_thresh", Section.float_),
+    "weight_factor": ("distill", "weight_factor", Section.float_),
+    "box_dilation": ("distill", "box_dilation", Section.float_),
+    "width_multiplier": ("arch", "width_multiplier", Section.float_),
+    "input_scale": ("arch", "input_scale", Section.float_),
+    "skip_connections": ("arch", "skip_connections", Section.bool_),
+    "noise.jitter_px": ("noise", "boundary_jitter_px", Section.int_),
+    "noise.conf_spread": ("noise", "confidence_spread", Section.float_),
+    "noise.drop_prob": ("noise", "drop_prob", Section.float_),
+    "cost.teacher_ms": ("cost", "t_teacher", Section.float_),
+    "cost.infer_ms": ("cost", "t_infer", Section.float_),
+    "cost.update_ms": ("cost", "t_update", Section.float_),
+}
+
+
+def _read_part(section: Section, part: str, **given):
+    """Build ``part`` from the ``SETTINGS`` keys the file sets plus the
+    ``given`` fields (such as ``num_classes``)."""
+    for key, (owner, field, rule) in SETTINGS.items():
+        if owner == part and section.has(key):
+            given[field] = rule(section, key)
     try:
-        return DistillConfig(
-            u_max=section.int_("u_max", 8),
-            delta_min=section.int_("delta_min", 8),
-            delta_max=section.int_("delta_max", 64),
-            a_thresh=section.float_("a_thresh", 0.8),
-            lr=section.float_("lr", 0.01),
-            momentum=section.float_("momentum", 0.9),
-            conf_thresh=section.float_("conf_thresh", 0.5),
-            weight_factor=section.float_("weight_factor", 5.0),
-            box_dilation=section.float_("box_dilation", 0.15))
+        return PARTS[part](**given)
     except ValueError as exc:
         raise ConfigError(f"{section.origin}: {exc}") from exc
 
 
-def _read_arch(section: Section, num_classes: int) -> ArchConfig:
-    try:
-        return ArchConfig(
-            num_classes=num_classes,
-            width_multiplier=section.float_("width_multiplier", 1.0),
-            input_scale=section.float_("input_scale", 1.0),
-            skip_connections=section.bool_("skip_connections", True))
-    except ValueError as exc:
-        raise ConfigError(f"{section.origin}: {exc}") from exc
+def _check_num_classes(origin: Path, num_classes: int, class_count: int) -> None:
+    """The network needs one output per foreground class plus background."""
+    if num_classes < class_count + 1:
+        raise ConfigError(f"{origin}: num_classes must be >= class_count + 1 = "
+                          f"{class_count + 1}, got {num_classes}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -216,32 +237,24 @@ def load_run_config(path) -> RunConfig:
     if num_classes is None:
         raise ConfigError(f"{origin}: num_classes is required for container streams")
 
-    try:
-        noise = TeacherNoise(
-            boundary_jitter_px=section.int_("noise.jitter_px", 0),
-            confidence_spread=section.float_("noise.conf_spread", 0.0),
-            drop_prob=section.float_("noise.drop_prob", 0.0))
-        cost = CostModel(
-            t_teacher=section.float_("cost.teacher_ms", 300.0),
-            t_infer=section.float_("cost.infer_ms", 7.0),
-            t_update=section.float_("cost.update_ms", 30.0))
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
-
     out_dir = section.str_("out_dir")
     cfg = RunConfig(
         origin=origin,
         seed=section.int_("seed", 0),
         fps=section.float_("fps", 25.0),
-        distill=_read_distill(section),
-        arch=_read_arch(section, num_classes),
-        cost=cost,
-        noise=noise,
+        distill=_read_part(section, "distill"),
+        arch=_read_part(section, "arch", num_classes=num_classes),
+        cost=_read_part(section, "cost"),
+        noise=_read_part(section, "noise"),
         synthetic=synthetic,
         container=container,
         recorded_teacher=recorded,
         init_snapshot=section.path_("init_snapshot"),
         out_dir=(origin.parent / out_dir).resolve() if out_dir else None)
+    if synthetic is not None:
+        _check_num_classes(origin, num_classes, synthetic.class_count)
+    if not (math.isfinite(cfg.fps) and cfg.fps > 0):
+        raise ConfigError(f"{origin}: fps must be a finite number > 0, got {cfg.fps}")
     leftover = section.unknown_keys()
     if leftover:
         raise ConfigError(f"{origin}: unknown keys {leftover}")
@@ -291,11 +304,18 @@ def load_pretrain_config(path) -> PretrainConfig:
         epochs=section.int_("epochs", 3),
         every_kth=section.int_("corpus.every_kth", 1),
         seed=section.int_("seed", 0),
-        distill=_read_distill(section),
-        arch=_read_arch(section, num_classes),
+        distill=_read_part(section, "distill"),
+        arch=_read_part(section, "arch", num_classes=num_classes),
         textured=section.bool_("corpus.textured", True))
     if cfg.scenes < 1 or cfg.frames_per_scene < 1:
         raise ConfigError(f"{origin}: corpus must contain at least one frame")
+    if cfg.every_kth < 1:
+        raise ConfigError(f"{origin}: corpus.every_kth must be >= 1, got {cfg.every_kth}")
+    try:                        # the scenes' extent must be one a stream takes
+        SyntheticStreamConfig(width=cfg.width, height=cfg.height)
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: corpus: {exc}") from exc
+    _check_num_classes(origin, num_classes, class_count)
     leftover = section.unknown_keys()
     if leftover:
         raise ConfigError(f"{origin}: unknown keys {leftover}")

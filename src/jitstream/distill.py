@@ -11,6 +11,7 @@ after a passing check and halves otherwise, clamped to
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -462,6 +463,10 @@ def read_predictions_jsonl(path) -> dict[int, list[TeacherInstance]]:
         try:
             row = json.loads(line)
             [frame_index] = _json_ints([row["frame"]], "frame")
+            if frame_index < 0:
+                raise ValueError(f"frame must be >= 0, got {frame_index}")
+            if frame_index in table:
+                raise ValueError(f"frame {frame_index} repeats an earlier line")
             instances = []
             for inst in row["instances"]:
                 [class_id] = _json_ints([inst["class"]], "class")
@@ -469,6 +474,8 @@ def read_predictions_jsonl(path) -> dict[int, list[TeacherInstance]]:
                 conf = inst["conf"]
                 if type(conf) not in (int, float):
                     raise TypeError(f"conf must be a JSON number, got {conf!r}")
+                if not math.isfinite(conf):
+                    raise ValueError(f"conf must be finite, got {conf!r}")
                 mask = decode_rle(_json_ints(inst["rle"], "rle"), (y1 - y0, x1 - x0))
                 instances.append(TeacherInstance(class_id, float(conf),
                                                  (x0, y0, x1, y1), mask))

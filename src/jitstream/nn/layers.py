@@ -410,8 +410,6 @@ def bilinear_resize_backward(dy: np.ndarray, cache):
 class Layer:
     """Minimal forward/backward protocol shared by all layers."""
 
-    name = "layer"
-
     def params(self):
         return []
 
@@ -427,24 +425,18 @@ def _he_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
 
 
 class Conv2d(Layer):
-    """Convolution with "same" padding by default (pad = kernel // 2)."""
-
-    name = "Conv2d"
+    """Convolution with "same" padding (pad = kernel // 2)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel=3, stride: int = 1,
                  bias: bool = True, rng: np.random.Generator | None = None,
-                 dtype=np.float32, pad: int | tuple[int, int] | str = "same"):
+                 dtype=np.float32):
         if in_channels < 1 or out_channels < 1:
             raise ShapeError("conv2d: channel counts must be >= 1")
         if stride < 1:
             raise ValueError("conv2d: stride must be >= 1")
         kh, kw = _pair(kernel)
-        if pad == "same":
-            pad = (kh // 2, kw // 2)
         self.stride = stride
-        self.pad = _pair(pad)
-        if min(self.pad) < 0:
-            raise ValueError("conv2d: pad must be >= 0")
+        self.pad = (kh // 2, kw // 2)
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kh * kw
         self.w = ParamState.of(_he_init(rng, (out_channels, in_channels, kh, kw), fan_in, dtype))
@@ -484,13 +476,10 @@ class Conv2d(Layer):
 class SeparableConv(Layer):
     """A 1x3 convolution followed by a 3x1 convolution (both "same"-padded)."""
 
-    name = "SeparableConv"
-
-    def __init__(self, in_channels: int, out_channels: int, stride: int = 1,
-                 bias: bool = True, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+    def __init__(self, in_channels: int, out_channels: int, bias: bool = True,
+                 rng: np.random.Generator | None = None, dtype=np.float32):
         rng = rng or np.random.default_rng(0)
-        self.conv_1x3 = Conv2d(in_channels, out_channels, (1, 3), stride, bias, rng, dtype)
+        self.conv_1x3 = Conv2d(in_channels, out_channels, (1, 3), 1, bias, rng, dtype)
         self.conv_3x1 = Conv2d(out_channels, out_channels, (3, 1), 1, bias, rng, dtype)
 
     def params(self):
@@ -507,8 +496,6 @@ class SeparableConv(Layer):
 class BatchNorm(Layer):
     """Per-frame spatial batch normalization (batch size is always 1 here, so
     no running statistics are kept)."""
-
-    name = "BatchNorm"
 
     def __init__(self, channels: int, eps: float = 1e-5, dtype=np.float32):
         self.eps = eps
@@ -533,8 +520,6 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
-    name = "ReLU"
-
     def __init__(self):
         self._mask = None
 
@@ -549,8 +534,6 @@ class ReLU(Layer):
 
 class BilinearResize(Layer):
     """Resize by an integer factor, or to an explicit target passed at call time."""
-
-    name = "BilinearResize"
 
     def __init__(self, factor: int = 1):
         if factor < 1:
@@ -573,8 +556,6 @@ class BilinearResize(Layer):
 
 class Concat(Layer):
     """Channel-axis concatenation of two feature maps with equal extents."""
-
-    name = "Concat"
 
     def __init__(self):
         self._split = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import TeacherError, TeacherInstance, read_predictions_jsonl
+from .distill import TeacherError, TeacherInstance
 from .seeding import child_rng
 
 GOLDEN = 0.61803398875
@@ -426,12 +426,12 @@ class NoisyTeacher:
 
 
 class RecordedTeacher:
-    """Replays predictions ingested from the JSON-lines wire format; frames
-    without a recorded entry raise :class:`TeacherError`."""
+    """Replays a table of predictions (as ``read_predictions_jsonl`` loads
+    them); frames without a recorded entry raise :class:`TeacherError`."""
 
-    def __init__(self, source, cost_per_invocation: float = 300.0):
-        self.table = (read_predictions_jsonl(source)
-                      if not isinstance(source, dict) else source)
+    def __init__(self, table: dict[int, list[TeacherInstance]],
+                 cost_per_invocation: float = 300.0):
+        self.table = table
         self.cost_per_invocation = cost_per_invocation
 
     def predict(self, frame_index: int, frame=None) -> list[TeacherInstance]:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from jitstream.arch import ArchConfig, JITNet
-from jitstream.cli import CSV_HEADER, _limit_threads, main
+from jitstream.cli import (CSV_HEADER, SWEEP_KNOBS, _apply_knobs, _limit_threads,
+                           _parse_knobs, main)
+from jitstream.config import load_run_config
 from jitstream.metrics import CostModel, speedup_from_counts
 from jitstream.nn import load_weights, save_weights
 from jitstream.streams import read_lvss
@@ -99,6 +102,27 @@ class TestRun:
             "stream.cfg", str(root / "stream.cfg")) + f"init_snapshot = {snap}\n")
         assert main(["run", "--config", str(bad_run)]) == 3
         assert "frame 0" in capsys.readouterr().err
+
+    def test_too_few_classes_exit_2_before_any_frame(self, small_world, tmp_path, capsys):
+        root, run = small_world
+        bad_run = tmp_path / "bad_run.cfg"
+        bad_run.write_text(f"stream.synthetic = {root / 'stream.cfg'}\nnum_classes = 2\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad_run), "--out", str(out)]) == 2
+        assert "num_classes must be >= class_count + 1 = 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fps", ["0", "-5", "nan", "inf"])
+    def test_bad_fps_exit_2_before_any_frame(self, small_world, tmp_path, capsys, fps):
+        root, run = small_world
+        bad_run = tmp_path / "bad_run.cfg"
+        bad_run.write_text(f"stream.synthetic = {root / 'stream.cfg'}\nfps = {fps}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad_run), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "fps must be a finite number > 0" in err
+        assert not out.exists()
 
 
 class TestContainerIngestion:
@@ -302,6 +326,21 @@ class TestPretrain:
         losses = [float(line.split(",")[1]) for line in log[1:]]
         assert len(losses) == 2 and losses[-1] < losses[0]
 
+    @pytest.mark.parametrize("setting, message", [
+        ("corpus.every_kth = 0", "corpus.every_kth must be >= 1"),
+        ("corpus.width = 4", "frame extent too small"),
+        ("num_classes = 2", "num_classes must be >= class_count + 1 = 3"),
+    ])
+    def test_bad_corpus_setting_exit_2(self, tmp_path, capsys, setting, message):
+        cfg = self.pretrain_cfg(tmp_path, epochs=1)
+        text = cfg.read_text().replace("corpus.width = 48\n", "")
+        cfg.write_text(text + setting + "\n")
+        out = tmp_path / "w.jitw"
+        assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_stock_build_passes(self, capsys):
@@ -401,6 +440,15 @@ class TestSweep:
         assert err.startswith("config error: ") and message in err
         assert not out.exists()
 
+    def test_rejected_knob_value_is_a_failed_cell(self, small_world, tmp_path, capsys):
+        root, run = small_world
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(run), "--out", str(out),
+                     "--knob", "delta_min=12"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[1].split(",")[:2] == ["12", "failed"]
+        assert "delta_max / delta_min must be a power of two" in capsys.readouterr().err
+
     def test_boolean_knob_takes_the_config_file_spellings(self, small_world, tmp_path):
         root, run = small_world
         out = tmp_path / "sweep"
@@ -408,3 +456,22 @@ class TestSweep:
                      "--knob", "skip_connections=off,Yes"]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["False", "True"]
+
+
+# a value for each knob that differs from the shipped default
+KNOB_VALUES = {"u_max": "4", "delta_min": "16", "lr": "0.05", "width_multiplier": "0.5",
+               "input_scale": "0.5", "skip_connections": "off", "a_thresh": "0.7"}
+
+
+@pytest.mark.parametrize("knob", SWEEP_KNOBS)
+def test_sweep_cell_equals_config_with_the_key_set(small_world, tmp_path, knob):
+    assert set(KNOB_VALUES) == set(SWEEP_KNOBS)
+    root, run = small_world
+    base = load_run_config(run)
+    [(name, [value])] = _parse_knobs([f"{knob}={KNOB_VALUES[knob]}"]).items()
+    cell = _apply_knobs(base, {name: value})
+    edited = root / f"run_{knob}.cfg"
+    edited.write_text(run.read_text() + f"{knob} = {KNOB_VALUES[knob]}\n")
+    loaded = load_run_config(edited)
+    assert loaded != dataclasses.replace(base, origin=edited)
+    assert dataclasses.replace(cell, origin=edited) == loaded

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from jitstream.arch import ArchConfig
 from jitstream.config import (
     ConfigError,
     load_pretrain_config,
@@ -9,6 +10,9 @@ from jitstream.config import (
     load_synthetic_config,
     parse_kv_file,
 )
+from jitstream.distill import DistillConfig
+from jitstream.metrics import CostModel
+from jitstream.streams import EventSpec, ObjectSpec, SyntheticStreamConfig, TeacherNoise
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "jitstream" / "configs"
 
@@ -106,6 +110,31 @@ class TestRunConfig:
                              "stream.synthetic = stream.cfg\ndelta_min = 12\n")
         with pytest.raises(ConfigError, match="power of two"):
             load_run_config(f)
+
+
+class TestDefaults:
+    """A key a file leaves out takes its dataclass default."""
+
+    def test_run_and_stream_defaults(self, tmp_path):
+        (tmp_path / "stream.cfg").write_text(
+            "object1.class_id = 1\nevent1.frame = 5\nevent1.kind = camera_pan\n")
+        f = tmp_path / "run.cfg"
+        f.write_text("stream.synthetic = stream.cfg\n")
+        cfg = load_run_config(f)
+        assert cfg.distill == DistillConfig()
+        assert cfg.noise == TeacherNoise()
+        assert cfg.cost == CostModel()
+        assert cfg.arch == ArchConfig(num_classes=SyntheticStreamConfig().class_count + 1)
+        assert cfg.synthetic == SyntheticStreamConfig(
+            objects=(ObjectSpec(class_id=1),),
+            events=(EventSpec(frame_index=5, kind="camera_pan"),))
+
+    def test_pretrain_defaults(self, tmp_path):
+        f = tmp_path / "pre.cfg"
+        f.write_text("")
+        cfg = load_pretrain_config(f)
+        assert cfg.distill == DistillConfig()
+        assert cfg.arch == ArchConfig(num_classes=cfg.class_count + 1)
 
 
 class TestPretrainConfig:

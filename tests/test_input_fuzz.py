@@ -108,11 +108,13 @@ BAD_LINES = (
         {"frame": 3.7, "instances": []}, {"frame": 3.0, "instances": []},
         {"frame": True, "instances": []}, {"frame": "3", "instances": []},
         {"frame": 3.7, "instances": [{"class": True, "conf": "0.9",
-                                      "bbox": [0, 0, 2.9, 2], "rle": [1, 2, 1]}]})]
+                                      "bbox": [0, 0, 2.9, 2], "rle": [1, 2, 1]}]},
+        {"frame": -1, "instances": []})]
     + [json.dumps({"frame": 0, "instances": [{**GOOD_INSTANCE, key: value}]})
        for key, values in (
            ("class", [None, "x", [], 1e400, True, 1.0, "1"]),
-           ("conf", [None, "x", [], {}, "0.9", True]),
+           ("conf", [None, "x", [], {}, "0.9", True, float("nan"), float("inf"),
+                     float("-inf")]),
            ("bbox", [None, 5, [0, 0, 2], [0, 0, 2, 2, 2], ["a", 0, 2, 2],
                      [0, 0, 2, None], [0, 0, 1e400, 2], [0, 0, 2.9, 2],
                      [0, 0, 2.0, 2], [0, 0, True, 2], [0, 0, "2", 2]]),
@@ -134,6 +136,14 @@ class TestTeacherJsonlFuzz:
         path = tmp_path / "t.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"line {line_no}: "):
+            read_predictions_jsonl(path)
+
+    def test_repeated_frame_names_the_second_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps({"frame": 3, "instances": [GOOD_INSTANCE]}) + "\n"
+                        + json.dumps({"frame": 4, "instances": []}) + "\n"
+                        + json.dumps({"frame": 3, "instances": []}) + "\n")
+        with pytest.raises(ValueError, match="line 3: frame 3 repeats an earlier line"):
             read_predictions_jsonl(path)
 
 
@@ -164,6 +174,14 @@ class TestRunExitCodes:
         (world / "frames.lvss").write_bytes(bytes(blob))
         assert self.run(world) == 2
         assert "frames.lvss" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("class_id", [2, 99, 300, -1])
+    def test_class_id_outside_num_classes(self, world, capsys, class_id):
+        (world / "teacher.jsonl").write_text(
+            json.dumps({"frame": 0, "instances": [{**GOOD_INSTANCE, "class": class_id}]})
+            + "\n")
+        assert self.run(world) == 2
+        assert f"frame 0: class {class_id} outside [0, 2)" in capsys.readouterr().err
 
     def test_bad_teacher_line(self, world, capsys):
         (world / "teacher.jsonl").write_text('{"frame": 0, "instances": []}\n{"frame": 1e400}\n')
