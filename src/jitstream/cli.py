@@ -22,12 +22,13 @@ from .config import (SETTINGS, ConfigError, RunConfig, Section, load_pretrain_co
                      load_run_config)
 from .distill import (
     StreamNumericError,
+    StreamReport,
     process_stream,
     rasterize_teacher,
     read_predictions_jsonl,
 )
 from .metrics import interval_series, speedup_from_counts
-from .nn import load_weights, save_weights
+from .nn import load_weights, pack_weights
 from .nn.gradcheck import run_layer_suite
 from .pretrain import pretrain
 from .streams import (
@@ -36,7 +37,7 @@ from .streams import (
     OracleTeacher,
     RecordedTeacher,
     gen_synthetic_stream,
-    write_lvss,
+    lvss_header,
 )
 
 CSV_HEADER = "frame,teacher_invoked,updates,a_curr,mean_iou_vs_teacher,delta"
@@ -84,12 +85,61 @@ def build_world(cfg: RunConfig):
     return source, teacher, eval_labels, net
 
 
-def write_run_csv(path: Path, records) -> None:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(f"{r.frame_index},{int(r.teacher_invoked)},{r.updates_performed},"
-                     f"{_fmt(r.a_curr)},{_fmt(r.eval_iou)},{r.delta}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+class OutputFiles:
+    """Output files, created and opened for writing before the work that
+    fills them, so an unusable location fails before any work starts.
+    Leaving the ``with`` block by an exception closes and removes them all."""
+
+    def __init__(self, *paths: Path):
+        self.files = []
+        try:
+            for path in paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                self.files.append(open(path, "wb"))
+        except OSError:
+            self._close(remove=True)
+            raise
+
+    def __enter__(self) -> list:
+        return self.files
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._close(remove=exc_type is not None)
+
+    def _close(self, remove: bool) -> None:
+        for fh in self.files:
+            fh.close()
+            if remove:
+                Path(fh.name).unlink(missing_ok=True)
+
+
+class RunReport(StreamReport):
+    """A :class:`StreamReport` that also writes each frame as it finishes:
+    its ``run.csv`` row and, given a container file, its label map.  The
+    container's header, which holds the frame count, is written by
+    :meth:`finish`."""
+
+    def __init__(self, csv, lvss=None):
+        super().__init__()
+        self.csv, self.lvss = csv, lvss
+        self.frame_shape: tuple[int, ...] = (0, 0)
+        csv.write(f"{CSV_HEADER}\n".encode())
+        if lvss is not None:
+            lvss.write(lvss_header((0, *self.frame_shape)))     # rewritten by finish
+
+    def add(self, record) -> None:
+        super().add(record)
+        r = record
+        self.csv.write(f"{r.frame_index},{int(r.teacher_invoked)},{r.updates_performed},"
+                       f"{_fmt(r.a_curr)},{_fmt(r.eval_iou)},{r.delta}\n".encode())
+        if self.lvss is not None:
+            self.lvss.write(np.ascontiguousarray(r.prediction, dtype=np.uint8))
+            self.frame_shape = r.prediction.shape
+
+    def finish(self) -> None:
+        if self.lvss is not None:
+            self.lvss.seek(0)
+            self.lvss.write(lvss_header((self.n_frames, *self.frame_shape)))
 
 
 def summarize(cfg: RunConfig, report, source) -> dict:
@@ -97,7 +147,7 @@ def summarize(cfg: RunConfig, report, source) -> dict:
     per-frame values the CSV carries, so the summary can be recomputed from
     the CSV exactly.  Parameter and FLOP counts come from the architecture
     table at the stream's frame extent."""
-    eval_rounded = [_csv_value(r.eval_iou) for r in report.records]
+    eval_rounded = [_csv_value(v) for v in report.eval_iou]
     defined = [v for v in eval_rounded if v is not None]
     cost = speedup_from_counts(report.n_frames, report.teacher_invocations,
                                report.total_updates, cfg.cost)
@@ -114,8 +164,7 @@ def summarize(cfg: RunConfig, report, source) -> dict:
         "speedup": cost.speedup,
         "total_cost_ms": cost.total_ms,
         "iou_intervals_30s": interval_series(eval_rounded, cfg.fps, 30.0),
-        "updates_intervals_30s": interval_series(
-            [float(r.updates_performed) for r in report.records], cfg.fps, 30.0),
+        "updates_intervals_30s": interval_series(report.updates, cfg.fps, 30.0),
         "seed": cfg.seed,
         "param_count": count_params_from_config(cfg.arch),
         "flops_inference": estimate_flops(cfg.arch, frame_hw),
@@ -127,48 +176,48 @@ def cmd_run(args) -> int:
     try:
         cfg = load_run_config(args.config)
         source, teacher, eval_labels, net = build_world(cfg)
+        out_dir = Path(args.out) if args.out else (cfg.out_dir or Path.cwd() / "runs")
+        names = ["run.csv", "summary.json"] + (["predictions.lvss"]
+                                               if args.save_predictions else [])
+        outputs = OutputFiles(*(out_dir / name for name in names))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out) if args.out else (cfg.out_dir or Path.cwd() / "runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        report = process_stream(source, teacher, cfg.distill, net,
-                                eval_labels=eval_labels,
-                                store_predictions=args.save_predictions)
+        with outputs as (csv, summary_file, *lvss):
+            report = RunReport(csv, *lvss)
+            process_stream(source, teacher, cfg.distill, net,
+                           eval_labels=eval_labels, report=report)
+            report.finish()
+            summary = summarize(cfg, report, source)
+            summary_file.write(
+                (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
     except StreamNumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    write_run_csv(out_dir / "run.csv", report.records)
-    summary = summarize(cfg, report, source)
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    if args.save_predictions:
-        stack = np.stack([r.prediction for r in report.records])
-        write_lvss(out_dir / "predictions.lvss", stack)
     print(f"run complete: {report.n_frames} frames, "
           f"mean IoU {summary['mean_iou']}, wrote {out_dir}")
     return 0
 
 
 def cmd_pretrain(args) -> int:
+    out = Path(args.out)
     try:
         cfg = load_pretrain_config(args.config)
-    except ConfigError as exc:
+        outputs = OutputFiles(out, out.with_suffix(out.suffix + ".log.csv"))
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        net, log = pretrain(cfg)
+        with outputs as (snapshot, log_file):
+            net, log = pretrain(cfg)
+            snapshot.write(pack_weights(net.state_arrays()))
+            lines = ["epoch,loss,train_mean_iou"]
+            lines += [f"{epoch},{loss:.6f},{miou:.6f}" for epoch, loss, miou in log]
+            log_file.write(("\n".join(lines) + "\n").encode())
     except StreamNumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_weights(out, net.state_arrays())
-    log_path = out.with_suffix(out.suffix + ".log.csv")
-    lines = ["epoch,loss,train_mean_iou"]
-    lines += [f"{epoch},{loss:.6f},{miou:.6f}" for epoch, loss, miou in log]
-    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"pretrained on {cfg.scenes} scenes x {cfg.frames_per_scene} frames, "
           f"{cfg.epochs} epochs; snapshot {out}")
     return 0
@@ -230,36 +279,41 @@ def cmd_sweep(args) -> int:
         print("config error: no knobs given", file=sys.stderr)
         return 2
     out_dir = Path(args.out) if args.out else (base.out_dir or Path.cwd() / "runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        outputs = OutputFiles(out_dir / "sweep.csv")
+    except OSError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     names = sorted(knobs)
     header = names + ["status", "mean_iou", "teacher_fraction", "speedup",
                       "total_updates", "flops_inference"]
-    rows = [",".join(header)]
-    for combo in itertools.product(*(knobs[n] for n in names)):
-        assignment = dict(zip(names, combo))
-        cell = [str(v) for v in combo]
-        try:
-            cfg = _apply_knobs(base, assignment)
-            source, teacher, eval_labels, net = build_world(cfg)
-            report = process_stream(source, teacher, cfg.distill, net,
-                                    eval_labels=eval_labels)
-            summary = summarize(cfg, report, source)
-            unstable = (report.numeric_events > 0
-                        or (summary["mean_iou"] is not None
-                            and summary["mean_iou"] < 0.3))
-            status = "unstable" if unstable else "ok"
-            cell += [status, _fmt(summary["mean_iou"]),
-                     f"{summary['teacher_fraction']:.6f}",
-                     f"{summary['speedup']:.4f}", str(summary["total_updates"]),
-                     str(summary["flops_inference"])]
-        except StreamNumericError:
-            cell += ["unstable", "", "", "", "", ""]
-        except (ConfigError, ValueError) as exc:
-            print(f"cell {assignment} failed: {exc}", file=sys.stderr)
-            cell += ["failed", "", "", "", "", ""]
-        rows.append(",".join(cell))
-        print(rows[-1])
-    (out_dir / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with outputs as (sweep_csv,):
+        sweep_csv.write((",".join(header) + "\n").encode())
+        for combo in itertools.product(*(knobs[n] for n in names)):
+            assignment = dict(zip(names, combo))
+            cell = [str(v) for v in combo]
+            try:
+                cfg = _apply_knobs(base, assignment)
+                source, teacher, eval_labels, net = build_world(cfg)
+                report = process_stream(source, teacher, cfg.distill, net,
+                                        eval_labels=eval_labels)
+                summary = summarize(cfg, report, source)
+                unstable = (report.numeric_events > 0
+                            or (summary["mean_iou"] is not None
+                                and summary["mean_iou"] < 0.3))
+                status = "unstable" if unstable else "ok"
+                cell += [status, _fmt(summary["mean_iou"]),
+                         f"{summary['teacher_fraction']:.6f}",
+                         f"{summary['speedup']:.4f}", str(summary["total_updates"]),
+                         str(summary["flops_inference"])]
+            except StreamNumericError:
+                cell += ["unstable", "", "", "", "", ""]
+            except (ConfigError, ValueError) as exc:
+                print(f"cell {assignment} failed: {exc}", file=sys.stderr)
+                cell += ["failed", "", "", "", "", ""]
+            row = ",".join(cell)
+            print(row)
+            sweep_csv.write((row + "\n").encode())
     return 0
 
 
@@ -283,6 +337,13 @@ def _limit_threads() -> None:
     threadpoolctl.threadpool_limits(threads)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="jitstream",
@@ -302,7 +363,7 @@ def main(argv=None) -> int:
 
     grad_p = sub.add_parser("gradcheck", help="finite-difference gradient validation")
     grad_p.add_argument("--tol", type=float, default=None)
-    grad_p.add_argument("--seeds", type=int, default=20)
+    grad_p.add_argument("--seeds", type=_positive_int, default=20)
     grad_p.set_defaults(fn=cmd_gradcheck)
 
     sweep_p = sub.add_parser("sweep", help="run a cross product of config knobs")

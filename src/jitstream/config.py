@@ -311,6 +311,13 @@ def load_pretrain_config(path) -> PretrainConfig:
         raise ConfigError(f"{origin}: corpus must contain at least one frame")
     if cfg.every_kth < 1:
         raise ConfigError(f"{origin}: corpus.every_kth must be >= 1, got {cfg.every_kth}")
+    for key in ("size_min", "size_max", "size_span", "speed_min", "speed_max"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{origin}: corpus.{key} must be finite, "
+                              f"got {getattr(cfg, key)}")
+    if not 0 < cfg.size_min <= cfg.size_max:
+        raise ConfigError(f"{origin}: need 0 < corpus.size_min <= corpus.size_max, "
+                          f"got {cfg.size_min} and {cfg.size_max}")
     try:                        # the scenes' extent must be one a stream takes
         SyntheticStreamConfig(width=cfg.width, height=cfg.height)
     except ValueError as exc:

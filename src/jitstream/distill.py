@@ -91,6 +91,9 @@ class DistillConfig:
             raise ValueError("a_thresh must lie in (0, 1)")
         if self.u_max < 1:
             raise ValueError("u_max must be >= 1")
+        if not (math.isfinite(self.box_dilation) and self.box_dilation >= 0):
+            raise ValueError(f"box_dilation must be finite and >= 0, "
+                             f"got {self.box_dilation}")
 
 
 @dataclass
@@ -101,17 +104,34 @@ class FrameRecord:
     a_curr: float | None
     delta: int                                # stride after this frame
     eval_iou: float | None = None
-    prediction: np.ndarray | None = None
+    prediction: np.ndarray | None = None      # this frame's label map
+    teacher_failed: bool = False              # the teacher raised TeacherError
+    aborted: bool = False                     # a non-finite loss ended adaptation
 
 
 @dataclass
 class StreamReport:
-    records: list[FrameRecord] = field(default_factory=list)
+    """Run totals, counted from each finished frame by :meth:`add`, plus the
+    two per-frame scalar series the run summary needs.  Frames and their
+    predictions are not kept; pass ``progress`` to ``process_stream`` to see
+    each record."""
+
     n_frames: int = 0
     teacher_invocations: int = 0
     teacher_failures: int = 0
     total_updates: int = 0
     numeric_events: int = 0                   # non-finite losses / rejected steps
+    eval_iou: list[float | None] = field(default_factory=list)
+    updates: list[int] = field(default_factory=list)
+
+    def add(self, record: FrameRecord) -> None:
+        self.n_frames += 1
+        self.teacher_invocations += int(record.teacher_invoked)
+        self.teacher_failures += int(record.teacher_failed)
+        self.total_updates += record.updates_performed
+        self.numeric_events += int(record.aborted)
+        self.eval_iou.append(record.eval_iou)
+        self.updates.append(record.updates_performed)
 
 
 # -- teacher output -> training targets --------------------------------------
@@ -291,7 +311,7 @@ def update_stride(delta: int, a_curr: float, cfg: DistillConfig) -> int:
 
 
 def process_stream(source, teacher, cfg: DistillConfig, student,
-                   eval_labels=None, store_predictions: bool = False,
+                   eval_labels=None, report: StreamReport | None = None,
                    progress=None) -> StreamReport:
     """Run the full online loop over a frame source.
 
@@ -299,21 +319,22 @@ def process_stream(source, teacher, cfg: DistillConfig, student,
     with the configured learning rate and momentum) or any object exposing
     ``predict``/``train_step``.  ``eval_labels(frame_index)`` optionally
     supplies reference label maps scored against every frame's prediction.
-    Frames are consumed strictly in order, one pass, no lookahead.
+    Each finished frame's record goes to ``report.add`` (a fresh
+    :class:`StreamReport` by default), then to ``progress``.  Frames are
+    consumed strictly in order, one pass, no lookahead.
     """
     if isinstance(student, JITNet):
         student = JITNetStudent(student, cfg.lr, cfg.momentum)
-    report = StreamReport()
+    report = StreamReport() if report is None else report
     delta = cfg.delta_min
     for frame_index, frame in source:
         record = FrameRecord(frame_index, False, 0, None, delta)
         try:
-            prediction = None
             if frame_index % delta == 0:
                 try:
                     instances = teacher.predict(frame_index, frame)
                 except TeacherError:
-                    report.teacher_failures += 1
+                    record.teacher_failed = True
                     instances = None
                 if instances is not None:
                     labels, weights = teacher_targets(instances, cfg, frame.shape[:2])
@@ -323,24 +344,19 @@ def process_stream(source, teacher, cfg: DistillConfig, student,
                     record.updates_performed = result.updates
                     record.a_curr = result.a_curr
                     record.delta = delta
-                    prediction = result.prediction
-                    report.teacher_invocations += 1
-                    report.total_updates += result.updates
-                    report.numeric_events += int(result.aborted)
-            if prediction is None:
-                prediction = student.predict(frame)
+                    record.prediction = result.prediction
+                    record.aborted = result.aborted
+            if record.prediction is None:
+                record.prediction = student.predict(frame)
         except StreamNumericError:
             raise StreamNumericError(frame_index) from None
 
         if eval_labels is not None:
             reference = eval_labels(frame_index)
             if reference is not None:
-                record.eval_iou = mean_iou(prediction, reference,
+                record.eval_iou = mean_iou(record.prediction, reference,
                                            exclude_background=True).value
-        if store_predictions:
-            record.prediction = prediction
-        report.records.append(record)
-        report.n_frames += 1
+        report.add(record)
         if progress is not None:
             progress(record)
     return report

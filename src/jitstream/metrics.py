@@ -8,6 +8,7 @@ mean, which is distinct from 0.0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +110,9 @@ class CostModel:
     t_update: float = 30.0
 
     def __post_init__(self):
-        if min(self.t_teacher, self.t_infer, self.t_update) < 0:
-            raise ValueError("unit costs must be >= 0")
+        costs = (self.t_teacher, self.t_infer, self.t_update)
+        if not all(math.isfinite(c) and c >= 0 for c in costs):
+            raise ValueError(f"unit costs must be finite and >= 0, got {costs}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .layers import (
 from .loss import IGNORE_LABEL, LossResult, weighted_softmax_cross_entropy
 from .optim import SGDMomentum, sgd_momentum_step
 from .gradcheck import gradient_check, loss_gradient_check, relative_error
-from .snapshot import SnapshotError, load_weights, save_weights
+from .snapshot import SnapshotError, load_weights, pack_weights, save_weights
 
 __all__ = [
     "BatchNorm", "BilinearResize", "Concat", "Conv2d", "Layer", "ParamState",
@@ -32,5 +32,5 @@ __all__ = [
     "IGNORE_LABEL", "LossResult", "weighted_softmax_cross_entropy",
     "SGDMomentum", "sgd_momentum_step",
     "gradient_check", "loss_gradient_check", "relative_error",
-    "SnapshotError", "load_weights", "save_weights",
+    "SnapshotError", "load_weights", "pack_weights", "save_weights",
 ]

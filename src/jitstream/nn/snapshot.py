@@ -21,7 +21,8 @@ class SnapshotError(ValueError):
     """Raised on malformed snapshot files."""
 
 
-def save_weights(path, named_values: list[tuple[str, np.ndarray]]) -> None:
+def pack_weights(named_values: list[tuple[str, np.ndarray]]) -> bytes:
+    """The snapshot of ``named_values`` as bytes."""
     chunks = [MAGIC, struct.pack("<II", VERSION, len(named_values))]
     for name, value in named_values:
         encoded = name.encode("utf-8")
@@ -30,7 +31,11 @@ def save_weights(path, named_values: list[tuple[str, np.ndarray]]) -> None:
         chunks.append(struct.pack("<B", value.ndim))
         chunks.append(struct.pack(f"<{value.ndim}I", *value.shape))
         chunks.append(np.ascontiguousarray(value, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    return b"".join(chunks)
+
+
+def save_weights(path, named_values: list[tuple[str, np.ndarray]]) -> None:
+    Path(path).write_bytes(pack_weights(named_values))
 
 
 def load_weights(path) -> list[tuple[str, np.ndarray]]:

@@ -455,17 +455,23 @@ class ContainerError(ValueError):
     """Malformed frame container."""
 
 
+def lvss_header(shape: tuple[int, ...]) -> bytes:
+    """Header of a container holding a frame stack of ``shape``: (N, H, W)
+    class-id labels, or (N, H, W, C) frames with 1 or 3 channels."""
+    if len(shape) == 3:
+        (n, h, w), channels = shape, 1
+    elif len(shape) == 4 and shape[3] in (1, 3):
+        n, h, w, channels = shape
+    else:
+        raise ContainerError(f"unsupported frame stack shape {shape}")
+    return _HEADER.pack(LVSS_MAGIC, LVSS_VERSION, w, h, channels, n)
+
+
 def write_lvss(path, frames: np.ndarray) -> None:
     frames = np.asarray(frames, dtype=np.uint8)
-    if frames.ndim == 3:
-        n, h, w = frames.shape
-        channels = 1
-    elif frames.ndim == 4 and frames.shape[3] in (1, 3):
-        n, h, w, channels = frames.shape
-    else:
-        raise ContainerError(f"unsupported frame stack shape {frames.shape}")
+    header = lvss_header(frames.shape)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(LVSS_MAGIC, LVSS_VERSION, w, h, channels, n))
+        fh.write(header)
         fh.write(np.ascontiguousarray(frames).tobytes())
 
 

@@ -64,10 +64,10 @@ def _execute(run_file: Path) -> RunResult:
     cfg = load_run_config(run_file)
     source, teacher, eval_labels, net = build_world(cfg)
     started = time.time()
+    records = []
     report = process_stream(source, teacher, cfg.distill, net,
-                            eval_labels=eval_labels)
+                            eval_labels=eval_labels, progress=records.append)
     runtime = time.time() - started
-    records = report.records
     after = [r.eval_iou for r in records[100:] if r.eval_iou is not None]
     full = [r.eval_iou for r in records if r.eval_iou is not None]
     return RunResult(
@@ -117,10 +117,11 @@ class TestCriterion1Gradients:
 class TestCriterion2Scheduler:
     def run_trace(self, n_frames, outcome, cfg=None):
         cfg = cfg or DistillConfig()
-        report = process_stream(StubSource(n_frames), StubTeacher(), cfg,
-                                ScriptedStudent(outcome))
+        records = []
+        process_stream(StubSource(n_frames), StubTeacher(), cfg,
+                       ScriptedStudent(outcome), progress=records.append)
         return [(r.frame_index, r.delta, r.updates_performed)
-                for r in report.records if r.teacher_invoked]
+                for r in records if r.teacher_invoked]
 
     def test_derived_traces(self):
         always_pass = self.run_trace(250, lambda t: True)

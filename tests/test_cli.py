@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +17,24 @@ from jitstream.streams import read_lvss
 from test_streams import write_damaged_lvss
 
 
-@pytest.fixture(scope="module")
-def small_world(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli")
-    stream = root / "stream.cfg"
-    stream.write_text(
-        "width = 56\nheight = 56\nnum_frames = 100\nclass_count = 2\nseed = 11\n"
+def stream_config(path: Path, num_frames: int, extent: int = 56) -> Path:
+    """A two-object synthetic stream of ``num_frames`` square frames."""
+    path.write_text(
+        f"width = {extent}\nheight = {extent}\nnum_frames = {num_frames}\n"
+        "class_count = 2\nseed = 11\n"
         "object1.class_id = 1\nobject1.shape = disc\n"
         "object1.size_min = 9\nobject1.size_max = 12\n"
         "object1.speed_min = 0.2\nobject1.speed_max = 0.6\n"
         "object2.class_id = 2\nobject2.shape = rectangle\n"
         "object2.size_min = 8\nobject2.size_max = 11\n"
         "object2.speed_min = 0.2\nobject2.speed_max = 0.6\n")
+    return path
+
+
+@pytest.fixture(scope="module")
+def small_world(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    stream_config(root / "stream.cfg", 100)
     run = root / "run.cfg"
     run.write_text("stream.synthetic = stream.cfg\nseed = 11\nfps = 25\n")
     return root, run
@@ -100,8 +107,12 @@ class TestRun:
         bad_run = tmp_path / "bad_run.cfg"
         bad_run.write_text((root / "run.cfg").read_text().replace(
             "stream.cfg", str(root / "stream.cfg")) + f"init_snapshot = {snap}\n")
-        assert main(["run", "--config", str(bad_run)]) == 3
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad_run), "--out", str(out),
+                     "--save-predictions"]) == 3
         assert "frame 0" in capsys.readouterr().err
+        for name in ("run.csv", "summary.json", "predictions.lvss"):
+            assert not (out / name).exists()
 
     def test_too_few_classes_exit_2_before_any_frame(self, small_world, tmp_path, capsys):
         root, run = small_world
@@ -123,6 +134,58 @@ class TestRun:
         assert err.startswith("config error: ")
         assert "fps must be a finite number > 0" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("cost.teacher_ms = nan", "unit costs must be finite and >= 0"),
+        ("cost.update_ms = inf", "unit costs must be finite and >= 0"),
+        ("box_dilation = -3", "box_dilation must be finite and >= 0, got -3.0"),
+        ("box_dilation = nan", "box_dilation must be finite and >= 0, got nan"),
+    ])
+    def test_bad_cost_or_dilation_exit_2_before_any_frame(self, small_world, tmp_path,
+                                                          capsys, setting, message):
+        root, run = small_world
+        bad_run = tmp_path / "bad_run.cfg"
+        bad_run.write_text(f"stream.synthetic = {root / 'stream.cfg'}\n{setting}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad_run), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    def test_unusable_out_exit_2_before_any_frame(self, small_world, tmp_path, capsys):
+        root, run = small_world
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        assert main(["run", "--config", str(run), "--out", str(taken),
+                     "--save-predictions"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and str(taken) in captured.err
+        assert captured.out == ""
+        assert taken.read_text() == "a file, not a directory\n"
+
+
+def test_saved_predictions_leave_peak_memory_flat(tmp_path):
+    """A run writes each label map as its frame finishes and keeps none, so
+    300 more 64x64 frames (1.2 MiB of maps) move the traced peak of a
+    ``--save-predictions`` run by far less than the maps would take."""
+    def traced_peak(num_frames: int) -> int:
+        work = tmp_path / str(num_frames)
+        work.mkdir()
+        stream_config(work / "stream.cfg", num_frames, extent=64)
+        (work / "run.cfg").write_text(
+            "stream.synthetic = stream.cfg\nseed = 11\nwidth_multiplier = 0.25\n")
+        argv = ["run", "--config", str(work / "run.cfg"), "--out", str(work / "out"),
+                "--save-predictions"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(8)          # fills the caches a first run of this extent builds
+    growth = traced_peak(400) - traced_peak(100)
+    assert growth < 512 * 1024, f"peak grew by {growth / 1024:.0f} KiB"
 
 
 class TestContainerIngestion:
@@ -330,6 +393,12 @@ class TestPretrain:
         ("corpus.every_kth = 0", "corpus.every_kth must be >= 1"),
         ("corpus.width = 4", "frame extent too small"),
         ("num_classes = 2", "num_classes must be >= class_count + 1 = 3"),
+        ("corpus.size_min = 0\ncorpus.size_max = 0\ncorpus.size_span = 0",
+         "need 0 < corpus.size_min <= corpus.size_max, got 0.0 and 0.0"),
+        ("corpus.size_min = 12\ncorpus.size_max = 4",
+         "need 0 < corpus.size_min <= corpus.size_max, got 12.0 and 4.0"),
+        ("corpus.speed_min = nan", "corpus.speed_min must be finite, got nan"),
+        ("corpus.size_span = inf", "corpus.size_span must be finite, got inf"),
     ])
     def test_bad_corpus_setting_exit_2(self, tmp_path, capsys, setting, message):
         cfg = self.pretrain_cfg(tmp_path, epochs=1)
@@ -340,6 +409,15 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not out.exists()
+
+    def test_unusable_out_exit_2_before_training(self, tmp_path, capsys):
+        cfg = self.pretrain_cfg(tmp_path, epochs=1)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        assert main(["pretrain", "--config", str(cfg), "--out", str(taken / "w.jitw")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and str(taken) in captured.err
+        assert captured.out == ""
 
 
 class TestGradcheckCommand:
@@ -378,6 +456,14 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seeds", "2"]) == 1
         out = capsys.readouterr().out
         assert any("Conv2d" in line and "FAIL" in line for line in out.splitlines())
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_is_an_argument_error(self, capsys, seeds):
+        with pytest.raises(SystemExit) as info:
+            main(["gradcheck", "--seeds", seeds])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--seeds: must be >= 1" in captured.err and captured.out == ""
 
     def test_unachievable_tolerance_fails(self):
         assert main(["gradcheck", "--seeds", "2", "--tol", "1e-12"]) == 1
@@ -439,6 +525,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not out.exists()
+
+    def test_unusable_out_exit_2_before_any_cell(self, small_world, tmp_path, capsys):
+        root, run = small_world
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        assert main(["sweep", "--config", str(run), "--out", str(taken),
+                     "--knob", "a_thresh=0.7,0.9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and str(taken) in captured.err
+        assert captured.out == ""
 
     def test_rejected_knob_value_is_a_failed_cell(self, small_world, tmp_path, capsys):
         root, run = small_world

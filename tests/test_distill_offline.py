@@ -113,9 +113,10 @@ class TestOfflineTraining:
         cfg = DistillConfig(a_thresh=0.95)
 
         online_net = JITNet(ArchConfig(num_classes=3), seed=0)
-        report = process_stream(stream, teacher, cfg, online_net,
-                                eval_labels=stream.labels)
-        online_scores = [r.eval_iou for r in report.records if r.eval_iou is not None]
+        records = []
+        process_stream(stream, teacher, cfg, online_net, eval_labels=stream.labels,
+                       progress=records.append)
+        online_scores = [r.eval_iou for r in records if r.eval_iou is not None]
         online_mean = float(np.mean(online_scores))
 
         offline_net = JITNet(ArchConfig(num_classes=3), seed=0)
@@ -141,13 +142,14 @@ class TestStreamIntegration:
                      ObjectSpec(2, "rectangle", (8, 11), (0.2, 0.6), 1)))
         stream = gen_synthetic_stream(scfg)
         net = JITNet(ArchConfig(num_classes=3), seed=0)
+        records = []
         report = process_stream(stream, OracleTeacher(stream), DistillConfig(), net,
-                                eval_labels=stream.labels, store_predictions=True)
+                                eval_labels=stream.labels, progress=records.append)
         assert report.n_frames == 120
         assert report.teacher_invocations >= 120 // 64
-        assert report.total_updates == sum(r.updates_performed for r in report.records)
+        assert report.total_updates == sum(r.updates_performed for r in records)
         assert report.numeric_events == 0
-        late = [r.eval_iou for r in report.records[80:] if r.eval_iou is not None]
+        late = [r.eval_iou for r in records[80:] if r.eval_iou is not None]
         assert float(np.mean(late)) > 0.5
-        assert report.records[7].prediction.shape == (64, 64)
-        assert report.records[7].prediction.dtype == np.uint8
+        assert records[7].prediction.shape == (64, 64)
+        assert records[7].prediction.dtype == np.uint8

@@ -102,11 +102,13 @@ class ConvergingStudent:
 
 
 def run(n_frames, outcome, cfg=None, teacher=None):
+    """(report, every frame's record, (frame, stride after) of teacher frames)."""
     cfg = cfg or DistillConfig()
+    records = []
     report = process_stream(StubSource(n_frames), teacher or StubTeacher(), cfg,
-                            ScriptedStudent(outcome))
-    teacher_rows = [(r.frame_index, r.delta) for r in report.records if r.teacher_invoked]
-    return report, teacher_rows
+                            ScriptedStudent(outcome), progress=records.append)
+    teacher_rows = [(r.frame_index, r.delta) for r in records if r.teacher_invoked]
+    return report, records, teacher_rows
 
 
 class TestUpdateStride:
@@ -161,26 +163,26 @@ class TestAdaptLoop:
 
 class TestSchedulerTraces:
     def test_always_pass_trace(self):
-        _, rows = run(250, lambda t: True)
+        _, _, rows = run(250, lambda t: True)
         assert [t for t, _ in rows] == [0, 16, 32, 64, 128, 192]
         assert [d for _, d in rows] == [16, 32, 64, 64, 64, 64]
 
     def test_always_fail_trace(self):
-        report, rows = run(100, lambda t: False)
+        report, records, rows = run(100, lambda t: False)
         assert [t for t, _ in rows] == list(range(0, 100, 8))
         assert all(d == 8 for _, d in rows)
-        assert all(r.updates_performed == 8 for r in report.records if r.teacher_invoked)
+        assert all(r.updates_performed == 8 for r in records if r.teacher_invoked)
 
     def test_mixed_trace(self):
         outcome = lambda t: t != 64
-        _, rows = run(160, outcome)
+        _, _, rows = run(160, outcome)
         assert [t for t, _ in rows] == [0, 16, 32, 64, 96, 128]
 
     def test_teacher_frames_are_stride_multiples(self):
         rng = np.random.default_rng(7)
         outcomes = rng.random(400) > 0.5
-        report, _ = run(400, lambda t: bool(outcomes[t]))
-        invoked = {r.frame_index for r in report.records if r.teacher_invoked}
+        _, records, _ = run(400, lambda t: bool(outcomes[t]))
+        invoked = {r.frame_index for r in records if r.teacher_invoked}
         ref = {t for t, _, _ in reference_schedule(400, DistillConfig(),
                                                    lambda t: bool(outcomes[t]))}
         assert invoked == ref
@@ -194,7 +196,7 @@ class TestSchedulerTraces:
         d_max = d_min * int(rng.choice([1, 2, 4, 8]))
         cfg = DistillConfig(delta_min=d_min, delta_max=d_max)
         outcome = lambda t: bool(outcomes[t])
-        report, rows = run(n, outcome, cfg)
+        _, _, rows = run(n, outcome, cfg)
         ref = reference_schedule(n, cfg, outcome)
         assert rows == [(t, d) for t, d, _ in ref]
 
@@ -202,27 +204,27 @@ class TestSchedulerTraces:
         rng = np.random.default_rng(3)
         outcomes = rng.random(600) > 0.4
         cfg = DistillConfig(delta_min=8, delta_max=64)
-        report, rows = run(600, lambda t: bool(outcomes[t]), cfg)
+        _, records, _ = run(600, lambda t: bool(outcomes[t]), cfg)
         allowed = {8, 16, 32, 64}
-        assert all(r.delta in allowed for r in report.records)
+        assert all(r.delta in allowed for r in records)
 
     def test_update_budget_respected_and_totalled(self):
         rng = np.random.default_rng(11)
         outcomes = rng.random(300) > 0.5
-        report, _ = run(300, lambda t: bool(outcomes[t]))
-        assert all(r.updates_performed <= 8 for r in report.records)
+        report, records, _ = run(300, lambda t: bool(outcomes[t]))
+        assert all(r.updates_performed <= 8 for r in records)
         assert all(r.updates_performed == 0 or r.teacher_invoked
-                   for r in report.records)
-        assert report.total_updates == sum(r.updates_performed for r in report.records)
+                   for r in records)
+        assert report.total_updates == sum(r.updates_performed for r in records)
 
     def test_always_pass_fraction_converges(self):
         cfg = DistillConfig(delta_min=8, delta_max=64)
         window = 10 * cfg.delta_max
-        report, _ = run(3 * window, lambda t: True, cfg)
+        _, records, _ = run(3 * window, lambda t: True, cfg)
         # past the ramp-up, every window of 10 * delta_max frames sees
         # window / delta_max invocations, within one
         for start in (window, 2 * window):
-            count = sum(1 for r in report.records
+            count = sum(1 for r in records
                         if r.teacher_invoked and start <= r.frame_index < start + window)
             assert abs(count - window / cfg.delta_max) <= 1
 
@@ -232,17 +234,17 @@ class TestSchedulerTraces:
             rng = np.random.default_rng(seed)
             n = 512
             outcomes = rng.random(n) > 0.5
-            report, _ = run(n, lambda t: bool(outcomes[t]), cfg)
+            report, _, _ = run(n, lambda t: bool(outcomes[t]), cfg)
             assert n / cfg.delta_max <= report.teacher_invocations <= n / cfg.delta_min + 1
 
     def test_teacher_failure_keeps_stride_and_counts(self):
         teacher = StubTeacher(fail_frames={16})
         cfg = DistillConfig()
-        report, rows = run(80, lambda t: True, cfg, teacher=teacher)
+        report, records, rows = run(80, lambda t: True, cfg, teacher=teacher)
         # pass at 0 -> delta 16; failure at 16 leaves delta untouched, so 32 is next
         assert [t for t, _ in rows] == [0, 32, 64]
         assert report.teacher_failures == 1
-        failed = report.records[16]
+        failed = records[16]
         assert not failed.teacher_invoked and failed.delta == 16
 
 
