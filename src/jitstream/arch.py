@@ -39,7 +39,6 @@ from .nn import (
     SnapshotError,
     conv_out_size,
 )
-from .nn.layers import strip_batch
 
 
 class ArchError(ValueError):
@@ -284,13 +283,7 @@ class JITNet:
     # -- execution --------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Map a ``(3, H, W)`` frame to ``(num_classes, H, W)`` logits.
-
-        A leading batch extent of 1 is accepted and mirrored on the output.
-        """
-        had_batch = x.ndim == 4
-        if had_batch:
-            x = strip_batch(x)
+        """Map a ``(3, H, W)`` frame to ``(num_classes, H, W)`` logits."""
         if x.ndim != 3 or x.shape[0] != 3:
             raise ValueError(f"expected a (3, H, W) frame, got {x.shape}")
         x = x.astype(self.dtype, copy=False)
@@ -308,8 +301,7 @@ class JITNet:
                 y = self._resizes[row.name].forward(y, _resize_target(row.resize, mirror))
             if row.name in self._skips:
                 skip_outputs[row.name] = y
-        logits = self._out_resize.forward(y, (h, w))
-        return logits[None] if had_batch else logits
+        return self._out_resize.forward(y, (h, w))
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; returns the input gradient at the

@@ -98,15 +98,11 @@ class Section:
             raise ConfigError(f"{self.origin}: {key} references missing path {resolved}")
         return resolved
 
-    def unknown_keys(self, known_prefixes: tuple[str, ...] = ()) -> list[str]:
-        leftover = []
-        for key in self.table:
-            if key in self.used:
-                continue
-            if any(key.startswith(p) for p in known_prefixes):
-                continue
-            leftover.append(key)
-        return sorted(leftover)
+    def reject_unknown_keys(self) -> None:
+        """Raise :class:`ConfigError` naming every key nothing has read."""
+        leftover = sorted(key for key in self.table if key not in self.used)
+        if leftover:
+            raise ConfigError(f"{self.origin}: unknown keys {leftover}")
 
 
 def load_synthetic_config(path) -> SyntheticStreamConfig:
@@ -148,9 +144,7 @@ def load_synthetic_config(path) -> SyntheticStreamConfig:
             textured=section.bool_("textured", SyntheticStreamConfig.textured))
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
-    leftover = section.unknown_keys(("object", "event"))
-    if leftover:
-        raise ConfigError(f"{origin}: unknown keys {leftover}")
+    section.reject_unknown_keys()
     return cfg
 
 
@@ -255,9 +249,7 @@ def load_run_config(path) -> RunConfig:
         _check_num_classes(origin, num_classes, synthetic.class_count)
     if not (math.isfinite(cfg.fps) and cfg.fps > 0):
         raise ConfigError(f"{origin}: fps must be a finite number > 0, got {cfg.fps}")
-    leftover = section.unknown_keys()
-    if leftover:
-        raise ConfigError(f"{origin}: unknown keys {leftover}")
+    section.reject_unknown_keys()
     return cfg
 
 
@@ -323,7 +315,5 @@ def load_pretrain_config(path) -> PretrainConfig:
     except ValueError as exc:
         raise ConfigError(f"{origin}: corpus: {exc}") from exc
     _check_num_classes(origin, num_classes, class_count)
-    leftover = section.unknown_keys()
-    if leftover:
-        raise ConfigError(f"{origin}: unknown keys {leftover}")
+    section.reject_unknown_keys()
     return cfg

@@ -41,12 +41,31 @@ class StreamNumericError(RuntimeError):
 @dataclass
 class TeacherInstance:
     """One predicted object: class, confidence, half-open pixel box and a
-    binary mask aligned either to the box or to the full frame."""
+    binary mask that covers exactly the box, as the JSONL wire format
+    carries it."""
 
     class_id: int
     confidence: float
     bbox: tuple[int, int, int, int]          # (x0, y0, x1, y1), half-open
-    mask: np.ndarray                          # bool, bbox-aligned or full-frame
+    mask: np.ndarray                          # bool, shape (y1 - y0, x1 - x0)
+
+    def __post_init__(self):
+        x0, y0, x1, y1 = self.bbox
+        if self.mask.shape != (y1 - y0, x1 - x0):
+            raise ValueError(f"mask extent {self.mask.shape} does not fit its box "
+                             f"{self.bbox}, which needs ({y1 - y0}, {x1 - x0})")
+
+    @classmethod
+    def from_mask(cls, class_id: int, confidence: float,
+                  frame_mask: np.ndarray) -> "TeacherInstance | None":
+        """The instance of a frame-sized mask, cropped to its tight box (the
+        crop is a view of ``frame_mask``); None if the mask is empty."""
+        rows = np.flatnonzero(frame_mask.any(axis=1))
+        if rows.size == 0:
+            return None
+        cols = np.flatnonzero(frame_mask.any(axis=0))
+        x0, y0, x1, y1 = int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1
+        return cls(class_id, confidence, (x0, y0, x1, y1), frame_mask[y0:y1, x0:x1])
 
     def clamped(self, frame_hw: tuple[int, int]) -> "TeacherInstance | None":
         """Clip to frame bounds; returns None if nothing visible remains."""
@@ -56,13 +75,7 @@ class TeacherInstance:
         cx1, cy1 = min(w, x1), min(h, y1)
         if cx0 >= cx1 or cy0 >= cy1:
             return None
-        if self.mask.shape == (h, w):
-            mask = self.mask
-        elif self.mask.shape == (y1 - y0, x1 - x0):
-            mask = self.mask[cy0 - y0:cy1 - y0, cx0 - x0:cx1 - x0]
-        else:
-            raise ValueError(f"mask extent {self.mask.shape} matches neither frame "
-                             f"({h},{w}) nor bbox ({y1 - y0},{x1 - x0})")
+        mask = self.mask[cy0 - y0:cy1 - y0, cx0 - x0:cx1 - x0]
         if not mask.any():
             return None
         return TeacherInstance(self.class_id, self.confidence, (cx0, cy0, cx1, cy1),
@@ -120,7 +133,7 @@ class StreamReport:
     teacher_invocations: int = 0
     teacher_failures: int = 0
     total_updates: int = 0
-    numeric_events: int = 0                   # non-finite losses / rejected steps
+    numeric_events: int = 0                   # adaptations a non-finite loss ended
     eval_iou: list[float | None] = field(default_factory=list)
     updates: list[int] = field(default_factory=list)
 
@@ -154,11 +167,8 @@ def _paint_labels(retained, frame_hw: tuple[int, int]) -> np.ndarray:
     """Class-id map of instances already retained, painted in order."""
     labels = np.zeros(frame_hw, dtype=np.uint8)
     for inst in retained:
-        if inst.mask.shape == labels.shape:
-            labels[inst.mask] = inst.class_id
-        else:
-            x0, y0, x1, y1 = inst.bbox
-            labels[y0:y1, x0:x1][inst.mask] = inst.class_id
+        x0, y0, x1, y1 = inst.bbox
+        labels[y0:y1, x0:x1][inst.mask] = inst.class_id
     return labels
 
 
@@ -450,13 +460,10 @@ def write_predictions_jsonl(path, predictions: dict[int, list[TeacherInstance]])
             rows = []
             for inst in predictions[frame_index]:
                 x0, y0, x1, y1 = inst.bbox
-                mask = inst.mask
-                if mask.shape != (y1 - y0, x1 - x0):
-                    mask = mask[y0:y1, x0:x1]
                 rows.append({"class": int(inst.class_id),
                              "conf": float(inst.confidence),
                              "bbox": [int(x0), int(y0), int(x1), int(y1)],
-                             "rle": encode_rle(mask)})
+                             "rle": encode_rle(inst.mask)})
             fh.write(json.dumps({"frame": int(frame_index), "instances": rows},
                                 separators=(",", ":")) + "\n")
 

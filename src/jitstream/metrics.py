@@ -103,7 +103,9 @@ def interval_series(values, fps: float, interval_seconds: float) -> list[float |
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-invocation unit costs in milliseconds."""
+    """Per-invocation unit costs in milliseconds.  Every frame pays a
+    student inference, so a positive ``t_infer`` keeps a run's modelled
+    total above zero."""
 
     t_teacher: float = 300.0
     t_infer: float = 7.0
@@ -113,6 +115,8 @@ class CostModel:
         costs = (self.t_teacher, self.t_infer, self.t_update)
         if not all(math.isfinite(c) and c >= 0 for c in costs):
             raise ValueError(f"unit costs must be finite and >= 0, got {costs}")
+        if self.t_infer <= 0:
+            raise ValueError(f"cost.infer_ms must be > 0, got {self.t_infer}")
 
 
 @dataclass(frozen=True)

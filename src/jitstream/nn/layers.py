@@ -1,10 +1,10 @@
 """Dense-tensor layer kernel.
 
 All layer math operates on single frames laid out channel-first as
-``(C, H, W)`` numpy arrays (a leading batch extent of 1 is accepted and
-stripped).  Every layer implements an explicit ``forward`` that caches
-whatever the matching ``backward`` needs; parameter gradients accumulate
-into :class:`ParamState.gradient` and are cleared by the optimizer.
+``(C, H, W)`` numpy arrays, with no batch axis.  Every layer implements an
+explicit ``forward`` that caches whatever the matching ``backward`` needs;
+parameter gradients accumulate into :class:`ParamState.gradient` and are
+cleared by the optimizer.
 
 Convolutions run one of two lowerings.  A stride-1 3x3 kernel with padding
 1 whose im2col column matrix would exceed :data:`SHIFTED_MIN_COLUMN_BYTES`
@@ -55,15 +55,6 @@ def _pair(v) -> tuple[int, int]:
     if isinstance(v, tuple):
         return v
     return (v, v)
-
-
-def strip_batch(x: np.ndarray) -> np.ndarray:
-    """Accept an optional leading batch extent of 1 and drop it."""
-    if x.ndim == 4:
-        if x.shape[0] != 1:
-            raise ShapeError(f"batch extent must be 1, got {x.shape[0]}")
-        return x[0]
-    return x
 
 
 @dataclass
@@ -259,7 +250,6 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     cache)``; pass the cache to :func:`conv2d_backward`.  The cache's second
     entry is that buffer, or a view of ``x``.
     """
-    x = strip_batch(x)
     cout, cin, kh, kw = w.shape
     if x.shape[0] != cin:
         raise ShapeError(f"conv2d: input has {x.shape[0]} channels, weights expect {cin}")
@@ -285,7 +275,6 @@ def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
     """Gradients of :func:`conv2d_forward` w.r.t. input, weights and bias."""
     x_shape, cols, stride, ph, pw, (ho, wo) = cache
     cout, cin, kh, kw = w.shape
-    dy = strip_batch(dy)
     if dy.shape != (cout, ho, wo):
         raise ShapeError(f"conv2d backward: upstream gradient {dy.shape} != output ({cout},{ho},{wo})")
     if _runs_shifted(x_shape, w.shape, stride, ph, pw, cols.dtype):
@@ -300,7 +289,6 @@ def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
 
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
     """Normalize each channel by its own spatial statistics on this frame."""
-    x = strip_batch(x)
     c, h, w = x.shape
     if h * w == 0:
         raise ShapeError("batchnorm: zero spatial extent")
@@ -327,7 +315,6 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
 def batchnorm_backward(dy: np.ndarray, cache):
     """Gradient flow through the per-frame statistics."""
     xhat, inv_std, gamma = cache
-    dy = strip_batch(dy)
     n = xhat.shape[1] * xhat.shape[2]
     dgamma = (dy * xhat).sum(axis=(1, 2))
     dbeta = dy.sum(axis=(1, 2))
@@ -384,7 +371,6 @@ def _resize_plan(x_shape: tuple[int, int, int], out_hw: tuple[int, int], dtype):
 def bilinear_resize_forward(x: np.ndarray, out_hw: tuple[int, int]):
     """Bilinear resample to an explicit target extent (a factor ``r`` maps to
     ``(H*r, W*r)``)."""
-    x = strip_batch(x)
     c, h, w = x.shape
     ho, wo = out_hw
     if ho < 1 or wo < 1:
@@ -400,7 +386,6 @@ def bilinear_resize_forward(x: np.ndarray, out_hw: tuple[int, int]):
 def bilinear_resize_backward(dy: np.ndarray, cache):
     """Scatter output gradients to the contributing input cells."""
     _, plan = cache
-    dy = strip_batch(dy)
     if plan is None:
         return dy
     mh, mw, _, backward = plan
@@ -450,7 +435,6 @@ class Conv2d(Layer):
         return out
 
     def forward(self, x):
-        x = strip_batch(x)
         # a buffer's zero border is laid out for one input extent, and the
         # extent and dtype pick the lowering, so a buffer is only handed
         # back to the lowering that built it
@@ -524,12 +508,11 @@ class ReLU(Layer):
         self._mask = None
 
     def forward(self, x):
-        x = strip_batch(x)
         self._mask = x > 0
         return x * self._mask
 
     def backward(self, dy):
-        return strip_batch(dy) * self._mask
+        return dy * self._mask
 
 
 class BilinearResize(Layer):
@@ -542,7 +525,6 @@ class BilinearResize(Layer):
         self._cache = None
 
     def forward(self, x, out_hw: tuple[int, int] | None = None):
-        x = strip_batch(x)
         if out_hw is None:
             out_hw = (x.shape[1] * self.factor, x.shape[2] * self.factor)
         y, self._cache = bilinear_resize_forward(x, out_hw)
@@ -561,12 +543,10 @@ class Concat(Layer):
         self._split = None
 
     def forward(self, a, b):
-        a, b = strip_batch(a), strip_batch(b)
         if a.shape[1:] != b.shape[1:]:
             raise ShapeError(f"concat: spatial extents differ, {a.shape[1:]} vs {b.shape[1:]}")
         self._split = a.shape[0]
         return np.concatenate([a, b], axis=0)
 
     def backward(self, dy):
-        dy = strip_batch(dy)
         return dy[:self._split], dy[self._split:]

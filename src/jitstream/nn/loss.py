@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..metrics import IGNORE_LABEL
-from .layers import ShapeError, strip_batch
+from .layers import ShapeError
 
 
 @dataclass
@@ -27,7 +27,6 @@ def weighted_softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     ignored or carries zero weight the result is flagged ``degenerate``
     with zero loss and zero gradients.
     """
-    logits = strip_batch(logits)
     c, h, w = logits.shape
     if labels.shape != (h, w):
         raise ShapeError(f"loss: labels extent {labels.shape} != ({h},{w})")

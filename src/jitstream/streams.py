@@ -71,6 +71,9 @@ class SyntheticStreamConfig:
                 raise StreamConfigError(f"unknown event kind {ev.kind!r}")
             if ev.kind in ("appear", "disappear") and ev.object_index is None:
                 raise StreamConfigError(f"{ev.kind} event needs an object index")
+            if ev.object_index is not None and not 0 <= ev.object_index < len(self.objects):
+                raise StreamConfigError(f"event at frame {ev.frame_index} names object "
+                                        f"{ev.object_index}, outside [0, {len(self.objects)})")
         for obj in self.objects:
             if not 1 <= obj.class_id <= self.class_count:
                 raise StreamConfigError(f"class id {obj.class_id} outside "
@@ -275,26 +278,25 @@ class SyntheticStream:
             cy, cx = obj.center(t, h, w)
             cy, cx = cy + oy, cx + ox
             mask = self._mask(obj, cy, cx)
-            if not mask.any():
+            inst = TeacherInstance.from_mask(obj.spec.class_id, 1.0, mask)
+            if inst is None:
                 continue
-            rows = np.flatnonzero(mask.any(axis=1))
-            cols = np.flatnonzero(mask.any(axis=0))
-            bbox = (int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1)
             style = (index, obj.shift_count(t))
             if style not in self._styles:
                 self._styles[style] = self._object_style(*style)
             color, grid = self._styles[style]
             if cfg.textured:
                 # texture and composite are per pixel, so the mask's box suffices
-                box = np.s_[bbox[1]:bbox[3], bbox[0]:bbox[2]]
+                x0, y0, x1, y1 = inst.bbox
+                box = np.s_[y0:y1, x0:x1]
                 tex = _value_noise(grid, self._ys[box] - cy, self._xs[box] - cx, 6.0)
                 shade = (0.78 + 0.4 * tex)[:, :, None]
-                frame[box] = np.where(mask[box][:, :, None], color[None, None, :] * shade,
+                frame[box] = np.where(inst.mask[:, :, None], color[None, None, :] * shade,
                                       frame[box])
             else:
                 frame[mask] = color
             labels[mask] = obj.spec.class_id
-            instances.append(TeacherInstance(obj.spec.class_id, 1.0, bbox, mask))
+            instances.append(inst)
         frame_u8 = np.clip(frame * 255.0, 0, 255).astype(np.uint8)
         result = (frame_u8, labels, instances)
         self._cache = (t, result)
@@ -391,7 +393,7 @@ class NoisyTeacher:
         self.seed = seed
         self.cost_per_invocation = base.cost_per_invocation
 
-    def predict(self, frame_index: int, frame=None) -> list[TeacherInstance]:
+    def predict(self, frame_index: int, frame: np.ndarray) -> list[TeacherInstance]:
         instances = self.base.predict(frame_index, frame)
         if self.noise.identity:
             return instances
@@ -405,23 +407,21 @@ class NoisyTeacher:
                 conf = float(np.clip(conf + rng.uniform(-self.noise.confidence_spread,
                                                         self.noise.confidence_spread),
                                      0.0, 1.0))
-            mask, bbox = inst.mask, inst.bbox
             if self.noise.boundary_jitter_px:
                 j = int(rng.integers(-self.noise.boundary_jitter_px,
                                      self.noise.boundary_jitter_px + 1))
-                frame_hw = frame.shape[:2] if frame is not None else mask.shape
-                if mask.shape != frame_hw:
-                    full = np.zeros(frame_hw, dtype=bool)
-                    x0, y0, x1, y1 = bbox
-                    full[y0:y1, x0:x1] = mask
-                    mask = full
-                mask = _morph(mask, j)
-                if not mask.any():
+                # the jitter grows or shrinks the mask within the frame
+                inst = inst.clamped(frame.shape[:2])
+                if inst is None:
                     continue
-                rows = np.flatnonzero(mask.any(axis=1))
-                cols = np.flatnonzero(mask.any(axis=0))
-                bbox = (int(cols[0]), int(rows[0]), int(cols[-1]) + 1, int(rows[-1]) + 1)
-            out.append(TeacherInstance(inst.class_id, conf, bbox, mask))
+                full = np.zeros(frame.shape[:2], dtype=bool)
+                x0, y0, x1, y1 = inst.bbox
+                full[y0:y1, x0:x1] = inst.mask
+                inst = TeacherInstance.from_mask(inst.class_id, conf, _morph(full, j))
+            else:
+                inst = TeacherInstance(inst.class_id, conf, inst.bbox, inst.mask)
+            if inst is not None:
+                out.append(inst)
         return out
 
 

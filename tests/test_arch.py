@@ -103,9 +103,9 @@ class TestConfig:
 class TestForward:
     def test_full_resolution_logits(self):
         net = JITNet(ArchConfig(num_classes=8, width_multiplier=0.25), seed=0)
-        x = np.random.default_rng(0).random((1, 3, 64, 64), dtype=np.float32)
+        x = np.random.default_rng(0).random((3, 64, 64), dtype=np.float32)
         y = net.forward(x)
-        assert y.shape == (1, 8, 64, 64)
+        assert y.shape == (8, 64, 64)
         assert np.isfinite(y).all()
 
     @pytest.mark.parametrize("hw", [(32, 32), (64, 96), (96, 96)])

@@ -138,6 +138,10 @@ class TestRun:
     @pytest.mark.parametrize("setting, message", [
         ("cost.teacher_ms = nan", "unit costs must be finite and >= 0"),
         ("cost.update_ms = inf", "unit costs must be finite and >= 0"),
+        ("cost.infer_ms = 0", "cost.infer_ms must be > 0, got 0.0"),
+        ("cost.infer_ms = -0.0", "cost.infer_ms must be > 0, got -0.0"),
+        ("cost.teacher_ms = 0\ncost.infer_ms = 0\ncost.update_ms = 0",
+         "cost.infer_ms must be > 0, got 0.0"),
         ("box_dilation = -3", "box_dilation must be finite and >= 0, got -3.0"),
         ("box_dilation = nan", "box_dilation must be finite and >= 0, got nan"),
     ])
@@ -219,6 +223,25 @@ class TestContainerIngestion:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["teacher_failures"] == 0
         assert summary["param_count"] > 0
+
+    def test_jittered_box_across_frame_edge(self, tmp_path):
+        """A recorded box that leaves the frame is clipped before the jitter
+        grows or shrinks its mask."""
+        from jitstream.streams import write_lvss
+
+        write_lvss(tmp_path / "frames.lvss", np.zeros((8, 16, 16, 3), dtype=np.uint8))
+        (tmp_path / "teacher.jsonl").write_text(
+            '{"frame": 0, "instances": [{"class": 1, "conf": 0.9, '
+            '"bbox": [12, 12, 20, 20], "rle": [0, 64]}]}\n')
+        run = tmp_path / "run.cfg"
+        run.write_text("stream.container = frames.lvss\n"
+                       "stream.recorded_teacher = teacher.jsonl\n"
+                       "num_classes = 2\nseed = 0\ndelta_min = 8\ndelta_max = 8\n"
+                       "noise.jitter_px = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["teacher_invocations"] == 1
 
     def test_missing_recorded_frames_count_as_failures(self, tmp_path):
         from jitstream.distill import write_predictions_jsonl

@@ -60,6 +60,30 @@ class TestSyntheticConfig:
         with pytest.raises(ConfigError, match="integer"):
             load_synthetic_config(f)
 
+    @pytest.mark.parametrize("extra", [
+        "object1.sise_min = 30",                       # misspelled field
+        "object3.class_id = 1",                        # no object2 before it
+        "event2.frame = 3\nevent2.kind = appearance_shift",   # no event1
+        "objectx = 5",
+        "object2.shape = disc",                        # object2 has no class_id
+    ])
+    def test_unread_object_and_event_keys_rejected(self, tmp_path, extra):
+        f = tmp_path / "s.cfg"
+        f.write_text("width = 48\nheight = 48\nnum_frames = 10\nclass_count = 1\n"
+                     f"object1.class_id = 1\n{extra}\n")
+        with pytest.raises(ConfigError, match="unknown keys") as info:
+            load_synthetic_config(f)
+        assert extra.split("\n")[0].split(" = ")[0] in str(info.value)
+
+    @pytest.mark.parametrize("index", [1, 5, -1])
+    def test_event_naming_a_missing_object_rejected(self, tmp_path, index):
+        f = tmp_path / "s.cfg"
+        f.write_text("width = 48\nheight = 48\nnum_frames = 10\nclass_count = 1\n"
+                     "object1.class_id = 1\n"
+                     f"event1.frame = 3\nevent1.kind = disappear\nevent1.object = {index}\n")
+        with pytest.raises(ConfigError, match=rf"names object {index}, outside \[0, 1\)"):
+            load_synthetic_config(f)
+
 
 def write_run_config(tmp_path, body):
     stream = tmp_path / "stream.cfg"

@@ -1,5 +1,7 @@
-"""Every name a module under ``src/jitstream`` imports is used by it.
-Package ``__init__.py`` files are exempt: their imports are re-exports."""
+"""Every name a module under ``src/jitstream`` imports is used by it, and
+every private module-level name (``_name``) it defines is referenced in it.
+Package ``__init__.py`` files are exempt from the import check: their
+imports are re-exports."""
 import ast
 from pathlib import Path
 
@@ -23,12 +25,45 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Module-level functions, classes and assignments named ``_name`` that
+    the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name):
+                defined[target.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return [f"{name} (line {line})" for name, line in defined.items()
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
 def test_detector_flags_only_unused_names():
     source = ("import os\nfrom dataclasses import dataclass, field\n\n"
               "@dataclass\nclass A:\n    x = os.sep\n")
     assert unused_imports(source) == ["field (line 2)"]
 
 
+def test_detector_flags_only_unread_private_names():
+    source = ("__all__ = ['f']\n_used = 1\n_unused: int = 2\n\n"
+              "def _dead():\n    _local = 3\n    return _local\n\n"
+              "class _Kept:\n    _attr = _used\n\n"
+              "def f():\n    return _Kept()\n")
+    assert unused_private_names(source) == ["_unused (line 3)", "_dead (line 5)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_module_reads_every_private_name(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []

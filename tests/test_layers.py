@@ -110,12 +110,6 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="channels"):
             conv2d_forward(x, w, None, 1, 1)
 
-    def test_batch_extent_of_one_accepted(self, rng):
-        x = rng.standard_normal((1, 2, 5, 5))
-        w = rng.standard_normal((4, 2, 3, 3))
-        y, _ = conv2d_forward(x, w, None, 1, 1)
-        assert y.shape == (4, 5, 5)
-
     def test_separable_is_1x3_then_3x1(self, rng):
         sep = SeparableConv(3, 4, dtype=np.float64, rng=rng)
         assert sep.conv_1x3.w.value.shape == (4, 3, 1, 3)

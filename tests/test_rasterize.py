@@ -11,11 +11,10 @@ from jitstream.distill import (
 )
 
 
-def full_mask(hw, box):
+def full_mask(box):
+    """A mask that covers all of its box."""
     x0, y0, x1, y1 = box
-    mask = np.zeros(hw, dtype=bool)
-    mask[y0:y1, x0:x1] = True
-    return mask
+    return np.ones((y1 - y0, x1 - x0), dtype=bool)
 
 
 def rasterize_reference(instances, conf_thresh, hw):
@@ -29,11 +28,8 @@ def rasterize_reference(instances, conf_thresh, hw):
                 if inst.confidence < conf_thresh:
                     continue
                 x0, y0, x1, y1 = inst.bbox
-                if inst.mask.shape == hw:
-                    covered = inst.mask[y, x]
-                else:
-                    covered = (y0 <= y < y1 and x0 <= x < x1
-                               and inst.mask[y - y0, x - x0])
+                covered = (y0 <= y < y1 and x0 <= x < x1
+                           and inst.mask[y - y0, x - x0])
                 if covered and (best is None or (inst.confidence, order) >= best[:2]):
                     best = (inst.confidence, order, inst.class_id)
             if best is not None:
@@ -47,19 +43,19 @@ class TestRasterize:
         assert not labels.any()
 
     def test_below_threshold_filtered(self):
-        inst = TeacherInstance(1, 0.4, (0, 0, 4, 4), full_mask((6, 6), (0, 0, 4, 4)))
+        inst = TeacherInstance(1, 0.4, (0, 0, 4, 4), full_mask((0, 0, 4, 4)))
         labels = rasterize_teacher([inst], conf_thresh=0.5, frame_hw=(6, 6))
         assert not labels.any()
 
     def test_threshold_is_inclusive(self):
-        inst = TeacherInstance(1, 1.0, (0, 0, 4, 4), full_mask((6, 6), (0, 0, 4, 4)))
+        inst = TeacherInstance(1, 1.0, (0, 0, 4, 4), full_mask((0, 0, 4, 4)))
         labels = rasterize_teacher([inst], conf_thresh=1.0, frame_hw=(6, 6))
         assert labels[0, 0] == 1
 
     def test_overlap_most_confident_wins(self):
         hw = (8, 8)
-        a = TeacherInstance(1, 0.6, (0, 0, 6, 6), full_mask(hw, (0, 0, 6, 6)))
-        b = TeacherInstance(2, 0.9, (3, 3, 8, 8), full_mask(hw, (3, 3, 8, 8)))
+        a = TeacherInstance(1, 0.6, (0, 0, 6, 6), full_mask((0, 0, 6, 6)))
+        b = TeacherInstance(2, 0.9, (3, 3, 8, 8), full_mask((3, 3, 8, 8)))
         labels = rasterize_teacher([b, a], conf_thresh=0.5, frame_hw=hw)
         assert labels[4, 4] == 2
         np.testing.assert_array_equal(labels, rasterize_reference([b, a], 0.5, hw))
@@ -102,7 +98,7 @@ class TestWeightMap:
     def test_dilation_arithmetic_example(self):
         assert dilate_box((10, 20, 30, 40), 0.15, (64, 64)) == (8, 18, 32, 42)
         inst = TeacherInstance(1, 1.0, (10, 20, 30, 40),
-                               full_mask((64, 64), (10, 20, 30, 40)))
+                               full_mask((10, 20, 30, 40)))
         weights = build_weight_map([inst], 0.15, 5.0, (64, 64))
         inside = np.zeros((64, 64), dtype=bool)
         inside[18:42, 8:32] = True
@@ -122,7 +118,7 @@ class TestWeightMap:
             box = (int(x0), int(y0), int(rng.integers(x0 + 2, 17)),
                    int(rng.integers(y0 + 2, 17)))
             box = (box[0], box[1], min(box[2], 16), min(box[3], 16))
-            instances.append(TeacherInstance(1, 0.9, box, full_mask(hw, box)))
+            instances.append(TeacherInstance(1, 0.9, box, full_mask(box)))
         weights = build_weight_map(instances, 0.15, 5.0, hw)
         covered = np.zeros(hw, dtype=bool)
         for inst in instances:
@@ -138,8 +134,8 @@ class TestWeightMap:
 class TestRetention:
     def test_sorted_ascending_confidence(self):
         hw = (6, 6)
-        a = TeacherInstance(1, 0.9, (0, 0, 2, 2), full_mask(hw, (0, 0, 2, 2)))
-        b = TeacherInstance(2, 0.6, (0, 0, 2, 2), full_mask(hw, (0, 0, 2, 2)))
+        a = TeacherInstance(1, 0.9, (0, 0, 2, 2), full_mask((0, 0, 2, 2)))
+        b = TeacherInstance(2, 0.6, (0, 0, 2, 2), full_mask((0, 0, 2, 2)))
         kept = retain_instances([a, b], 0.5, hw)
         assert [i.confidence for i in kept] == [0.6, 0.9]
 

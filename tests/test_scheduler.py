@@ -56,7 +56,7 @@ class StubTeacher:
 
     def __init__(self, fail_frames=()):
         self.fail_frames = set(fail_frames)
-        mask = teacher_labels() == 1
+        mask = teacher_labels()[:, :2] == 1
         self.instance = TeacherInstance(1, 1.0, (0, 0, 2, HW[0]), mask)
 
     def predict(self, frame_index, frame=None):

@@ -39,17 +39,27 @@ def bundled_stream():
     return gen_synthetic_stream(load_synthetic_config(path))
 
 
+def frame_mask(inst, hw) -> np.ndarray:
+    """An instance's box mask pasted into a frame of extent ``hw``."""
+    x0, y0, x1, y1 = inst.bbox
+    mask = np.zeros(hw, dtype=bool)
+    mask[y0:y1, x0:x1] = inst.mask
+    return mask
+
+
 def render_digest(stream, frames) -> str:
-    """sha256 over the frames, label maps and instances of ``frames``."""
+    """sha256 over the frames, label maps and instances of ``frames``, each
+    instance mask pasted into the frame."""
     digest = hashlib.sha256()
     for t in frames:
         for a in (stream.frame(t), stream.labels(t)):
             digest.update(f"{a.dtype}{a.shape}".encode())
             digest.update(a.tobytes())
         for inst in stream.instances(t):
+            mask = frame_mask(inst, stream.labels(t).shape)
             digest.update(repr((inst.class_id, inst.confidence, inst.bbox,
-                                inst.mask.dtype, inst.mask.shape)).encode())
-            digest.update(inst.mask.tobytes())
+                                mask.dtype, mask.shape)).encode())
+            digest.update(mask.tobytes())
     return digest.hexdigest()
 
 
@@ -151,6 +161,8 @@ class TestGenerator:
                                  EventSpec(10, "appearance_shift")))
         with pytest.raises(StreamConfigError, match="object index"):
             small_config(events=(EventSpec(10, "appear"),))
+        with pytest.raises(StreamConfigError, match=r"names object 2, outside \[0, 2\)"):
+            small_config(events=(EventSpec(10, "appearance_shift", object_index=2),))
 
     def test_zero_area_rejected(self):
         with pytest.raises(StreamConfigError, match="zero-area"):
@@ -187,9 +199,10 @@ class TestOracleTeacher:
         overlapped = False
         for t in range(40):
             instances = stream.instances(t)
-            if len(instances) == 2 and (instances[0].mask & instances[1].mask).any():
+            masks = [frame_mask(inst, (32, 32)) for inst in instances]
+            if len(instances) == 2 and (masks[0] & masks[1]).any():
                 overlapped = True
-                both = instances[0].mask & instances[1].mask
+                both = masks[0] & masks[1]
                 assert (stream.labels(t)[both] == 2).all()
             np.testing.assert_array_equal(
                 rasterize_teacher(instances, 1.0, (32, 32)), stream.labels(t))
@@ -244,8 +257,9 @@ class TestNoisyTeacher:
             got = noisy.predict(t, stream.frame(t))
             if not base or not got:
                 continue
-            inter = (base[0].mask & got[0].mask).sum()
-            union = (base[0].mask | got[0].mask).sum()
+            a, b = frame_mask(base[0], (48, 48)), frame_mask(got[0], (48, 48))
+            inter = (a & b).sum()
+            union = (a | b).sum()
             iou = inter / union
             assert lo - 0.05 <= iou <= 1.0
             checked += 1

@@ -65,14 +65,9 @@ class TestPredictionsJsonl:
         assert inst.bbox == (1, 2, 5, 7)
         np.testing.assert_array_equal(inst.mask, mask)
 
-    def test_full_frame_mask_cropped_to_bbox(self, tmp_path):
-        full = np.zeros((10, 10), dtype=bool)
-        full[2:5, 3:6] = True
-        table = {1: [TeacherInstance(1, 0.9, (3, 2, 6, 5), full)]}
-        path = tmp_path / "teacher.jsonl"
-        write_predictions_jsonl(path, table)
-        inst = read_predictions_jsonl(path)[1][0]
-        assert inst.mask.shape == (3, 3) and inst.mask.all()
+    def test_mask_must_fit_its_box(self):
+        with pytest.raises(ValueError, match=r"does not fit its box"):
+            TeacherInstance(1, 0.9, (3, 2, 6, 5), np.ones((10, 10), dtype=bool))
 
     def test_malformed_line_diagnostic(self, tmp_path):
         path = tmp_path / "bad.jsonl"
