@@ -23,6 +23,7 @@ all walk its rows.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,8 +104,9 @@ class ArchConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ArchError("num_classes must be >= 2")
-        if self.width_multiplier <= 0:
-            raise ArchError("width_multiplier must be > 0")
+        if not (math.isfinite(self.width_multiplier) and self.width_multiplier > 0):
+            raise ArchError(f"width_multiplier must be finite and > 0, "
+                            f"got {self.width_multiplier}")
         if not 0 < self.input_scale <= 1:
             raise ArchError("input_scale must lie in (0, 1]")
         strides = 2 ** (len(_STEM_CHANNELS) + len(self.encoder_channels))
@@ -112,6 +114,12 @@ class ArchConfig:
         if strides != resizes:
             raise ArchError(f"resolution ledger violated: stride product {strides} "
                             f"!= resize product {resizes}")
+
+    def check_covers(self, class_count: int) -> None:
+        """The network needs one output per foreground class plus background."""
+        if self.num_classes < class_count + 1:
+            raise ArchError(f"num_classes must be >= class_count + 1 = "
+                            f"{class_count + 1}, got {self.num_classes}")
 
     def scaled(self, base: int) -> int:
         return round_channels(base, self.width_multiplier)

@@ -43,7 +43,7 @@ from .streams import (
 CSV_HEADER = "frame,teacher_invoked,updates,a_curr,mean_iou_vs_teacher,delta"
 # config keys a sweep may vary; each parses and lands as ``SETTINGS`` says
 SWEEP_KNOBS = ("u_max", "delta_min", "lr", "width_multiplier", "input_scale",
-               "skip_connections", "a_thresh")
+               "skip_connections", "a_thresh", "seed")
 
 
 def _fmt(value: float | None) -> str:
@@ -218,8 +218,8 @@ def cmd_pretrain(args) -> int:
     except StreamNumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    print(f"pretrained on {cfg.scenes} scenes x {cfg.frames_per_scene} frames, "
-          f"{cfg.epochs} epochs; snapshot {out}")
+    print(f"pretrained on {cfg.corpus.scenes} scenes x {cfg.corpus.frames_per_scene} "
+          f"frames, {cfg.epochs} epochs; snapshot {out}")
     return 0
 
 
@@ -259,11 +259,12 @@ def _parse_knobs(raw: list[str]) -> dict[str, list]:
 
 
 def _apply_knobs(cfg: RunConfig, assignment: dict) -> RunConfig:
-    parts: dict[str, dict] = {}
+    parts: dict[str | None, dict] = {}
     for name, value in assignment.items():
         part, field, _ = SETTINGS[name]
         parts.setdefault(part, {})[field] = value
-    return dataclasses.replace(cfg, **{
+    top = parts.pop(None, {})
+    return dataclasses.replace(cfg, **top, **{
         part: dataclasses.replace(getattr(cfg, part), **fields)
         for part, fields in parts.items()})
 

@@ -8,12 +8,13 @@ resolved relative to the file that names them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .arch import ArchConfig
 from .distill import DistillConfig
 from .metrics import CostModel
+from .pretrain import CorpusConfig, PretrainConfig
 from .streams import EventSpec, ObjectSpec, SyntheticStreamConfig, TeacherNoise
 
 
@@ -41,6 +42,10 @@ def parse_kv_file(path) -> dict[str, str]:
     return table
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "on": True,
+             "false": False, "no": False, "0": False, "off": False}
+
+
 class Section:
     """Typed access over a parsed table, tracking unknown keys."""
 
@@ -60,34 +65,23 @@ class Section:
         value = self._get(key)
         return default if value is None else value
 
-    def int_(self, key: str, default: int | None = None) -> int | None:
+    def _typed(self, key: str, default, parse, kind: str):
         value = self._get(key)
         if value is None:
             return default
         try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{self.origin}: {key} must be an integer, got {value!r}")
+            return parse(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{self.origin}: {key} must be {kind}, got {value!r}")
+
+    def int_(self, key: str, default: int | None = None) -> int | None:
+        return self._typed(key, default, int, "an integer")
 
     def float_(self, key: str, default: float | None = None) -> float | None:
-        value = self._get(key)
-        if value is None:
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{self.origin}: {key} must be a number, got {value!r}")
+        return self._typed(key, default, float, "a number")
 
     def bool_(self, key: str, default: bool | None = None) -> bool | None:
-        value = self._get(key)
-        if value is None:
-            return default
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{self.origin}: {key} must be a boolean, got {value!r}")
+        return self._typed(key, default, lambda v: _BOOLEANS[v.lower()], "a boolean")
 
     def path_(self, key: str) -> Path | None:
         value = self._get(key)
@@ -132,18 +126,8 @@ def load_synthetic_config(path) -> SyntheticStreamConfig:
             dx=section.float_(prefix + "dx", EventSpec.dx),
             dy=section.float_(prefix + "dy", EventSpec.dy)))
         index += 1
-    try:
-        cfg = SyntheticStreamConfig(
-            width=section.int_("width", SyntheticStreamConfig.width),
-            height=section.int_("height", SyntheticStreamConfig.height),
-            num_frames=section.int_("num_frames", SyntheticStreamConfig.num_frames),
-            class_count=section.int_("class_count", SyntheticStreamConfig.class_count),
-            objects=tuple(objects),
-            events=tuple(events),
-            seed=section.int_("seed", SyntheticStreamConfig.seed),
-            textured=section.bool_("textured", SyntheticStreamConfig.textured))
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
+    cfg = _read_part(section, SyntheticStreamConfig, objects=tuple(objects),
+                     events=tuple(events))
     section.reject_unknown_keys()
     return cfg
 
@@ -151,8 +135,6 @@ def load_synthetic_config(path) -> SyntheticStreamConfig:
 @dataclass
 class RunConfig:
     origin: Path
-    seed: int
-    fps: float
     distill: DistillConfig
     arch: ArchConfig
     cost: CostModel
@@ -162,15 +144,30 @@ class RunConfig:
     recorded_teacher: Path | None
     init_snapshot: Path | None
     out_dir: Path | None
+    seed: int = 0
+    fps: float = 25.0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ValueError(f"fps must be a finite number > 0, got {self.fps}")
+        if self.synthetic is not None:
+            self.arch.check_covers(self.synthetic.class_count)
 
 
-# part -> its dataclass; the part names are the fields of RunConfig and
-# PretrainConfig that hold them
-PARTS = {"distill": DistillConfig, "arch": ArchConfig, "noise": TeacherNoise,
-         "cost": CostModel}
-# config key -> (part, field, the typed rule that parses its value); a key
-# the file leaves out keeps its dataclass default
+# config key -> (part, field, the typed rule that parses its value); the part
+# is the field of the file's own config that holds the key's dataclass, or
+# None for the file's own config.  A key left out keeps its dataclass default.
 SETTINGS = {
+    "seed": (None, "seed", Section.int_),
+    "fps": (None, "fps", Section.float_),
+    "epochs": (None, "epochs", Section.int_),
+    "width": (None, "width", Section.int_),
+    "height": (None, "height", Section.int_),
+    "num_frames": (None, "num_frames", Section.int_),
+    "class_count": (None, "class_count", Section.int_),
+    "textured": (None, "textured", Section.bool_),
     "u_max": ("distill", "u_max", Section.int_),
     "delta_min": ("distill", "delta_min", Section.int_),
     "delta_max": ("distill", "delta_max", Section.int_),
@@ -189,26 +186,33 @@ SETTINGS = {
     "cost.teacher_ms": ("cost", "t_teacher", Section.float_),
     "cost.infer_ms": ("cost", "t_infer", Section.float_),
     "cost.update_ms": ("cost", "t_update", Section.float_),
+    "corpus.scenes": ("corpus", "scenes", Section.int_),
+    "corpus.frames_per_scene": ("corpus", "frames_per_scene", Section.int_),
+    "corpus.width": ("corpus", "width", Section.int_),
+    "corpus.height": ("corpus", "height", Section.int_),
+    "corpus.class_count": ("corpus", "class_count", Section.int_),
+    "corpus.presence_prob": ("corpus", "presence_prob", Section.float_),
+    "corpus.size_min": ("corpus", "size_min", Section.float_),
+    "corpus.size_max": ("corpus", "size_max", Section.float_),
+    "corpus.size_span": ("corpus", "size_span", Section.float_),
+    "corpus.speed_min": ("corpus", "speed_min", Section.float_),
+    "corpus.speed_max": ("corpus", "speed_max", Section.float_),
+    "corpus.every_kth": ("corpus", "every_kth", Section.int_),
+    "corpus.textured": ("corpus", "textured", Section.bool_),
 }
 
 
-def _read_part(section: Section, part: str, **given):
-    """Build ``part`` from the ``SETTINGS`` keys the file sets plus the
-    ``given`` fields (such as ``num_classes``)."""
+def _read_part(section: Section, cls, part: str | None = None, **given):
+    """Build ``cls`` from the ``given`` fields plus the ``SETTINGS`` keys of
+    ``part`` that the file sets and that name a field of ``cls``."""
+    names = {f.name for f in fields(cls)}
     for key, (owner, field, rule) in SETTINGS.items():
-        if owner == part and section.has(key):
+        if owner == part and field in names and section.has(key):
             given[field] = rule(section, key)
     try:
-        return PARTS[part](**given)
+        return cls(**given)
     except ValueError as exc:
         raise ConfigError(f"{section.origin}: {exc}") from exc
-
-
-def _check_num_classes(origin: Path, num_classes: int, class_count: int) -> None:
-    """The network needs one output per foreground class plus background."""
-    if num_classes < class_count + 1:
-        raise ConfigError(f"{origin}: num_classes must be >= class_count + 1 = "
-                          f"{class_count + 1}, got {num_classes}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -232,88 +236,29 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{origin}: num_classes is required for container streams")
 
     out_dir = section.str_("out_dir")
-    cfg = RunConfig(
-        origin=origin,
-        seed=section.int_("seed", 0),
-        fps=section.float_("fps", 25.0),
-        distill=_read_part(section, "distill"),
-        arch=_read_part(section, "arch", num_classes=num_classes),
-        cost=_read_part(section, "cost"),
-        noise=_read_part(section, "noise"),
+    cfg = _read_part(
+        section, RunConfig, origin=origin,
+        distill=_read_part(section, DistillConfig, "distill"),
+        arch=_read_part(section, ArchConfig, "arch", num_classes=num_classes),
+        cost=_read_part(section, CostModel, "cost"),
+        noise=_read_part(section, TeacherNoise, "noise"),
         synthetic=synthetic,
         container=container,
         recorded_teacher=recorded,
         init_snapshot=section.path_("init_snapshot"),
         out_dir=(origin.parent / out_dir).resolve() if out_dir else None)
-    if synthetic is not None:
-        _check_num_classes(origin, num_classes, synthetic.class_count)
-    if not (math.isfinite(cfg.fps) and cfg.fps > 0):
-        raise ConfigError(f"{origin}: fps must be a finite number > 0, got {cfg.fps}")
     section.reject_unknown_keys()
     return cfg
-
-
-@dataclass
-class PretrainConfig:
-    origin: Path
-    scenes: int
-    frames_per_scene: int
-    width: int
-    height: int
-    class_count: int
-    presence_prob: float
-    size_min: float
-    size_max: float
-    size_span: float
-    speed_min: float
-    speed_max: float
-    epochs: int
-    every_kth: int
-    seed: int
-    distill: DistillConfig
-    arch: ArchConfig
-    textured: bool
 
 
 def load_pretrain_config(path) -> PretrainConfig:
     origin = Path(path)
     section = Section(parse_kv_file(origin), origin)
-    class_count = section.int_("corpus.class_count", 3)
-    num_classes = section.int_("num_classes", class_count + 1)
-    cfg = PretrainConfig(
-        origin=origin,
-        scenes=section.int_("corpus.scenes", 24),
-        frames_per_scene=section.int_("corpus.frames_per_scene", 8),
-        width=section.int_("corpus.width", 96),
-        height=section.int_("corpus.height", 96),
-        class_count=class_count,
-        presence_prob=section.float_("corpus.presence_prob", 0.8),
-        size_min=section.float_("corpus.size_min", 10.0),
-        size_max=section.float_("corpus.size_max", 16.0),
-        size_span=section.float_("corpus.size_span", 6.0),
-        speed_min=section.float_("corpus.speed_min", 0.1),
-        speed_max=section.float_("corpus.speed_max", 0.6),
-        epochs=section.int_("epochs", 3),
-        every_kth=section.int_("corpus.every_kth", 1),
-        seed=section.int_("seed", 0),
-        distill=_read_part(section, "distill"),
-        arch=_read_part(section, "arch", num_classes=num_classes),
-        textured=section.bool_("corpus.textured", True))
-    if cfg.scenes < 1 or cfg.frames_per_scene < 1:
-        raise ConfigError(f"{origin}: corpus must contain at least one frame")
-    if cfg.every_kth < 1:
-        raise ConfigError(f"{origin}: corpus.every_kth must be >= 1, got {cfg.every_kth}")
-    for key in ("size_min", "size_max", "size_span", "speed_min", "speed_max"):
-        if not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"{origin}: corpus.{key} must be finite, "
-                              f"got {getattr(cfg, key)}")
-    if not 0 < cfg.size_min <= cfg.size_max:
-        raise ConfigError(f"{origin}: need 0 < corpus.size_min <= corpus.size_max, "
-                          f"got {cfg.size_min} and {cfg.size_max}")
-    try:                        # the scenes' extent must be one a stream takes
-        SyntheticStreamConfig(width=cfg.width, height=cfg.height)
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: corpus: {exc}") from exc
-    _check_num_classes(origin, num_classes, class_count)
+    corpus = _read_part(section, CorpusConfig, "corpus")
+    num_classes = section.int_("num_classes", corpus.class_count + 1)
+    cfg = _read_part(
+        section, PretrainConfig, origin=origin, corpus=corpus,
+        distill=_read_part(section, DistillConfig, "distill"),
+        arch=_read_part(section, ArchConfig, "arch", num_classes=num_classes))
     section.reject_unknown_keys()
     return cfg

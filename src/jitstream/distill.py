@@ -104,6 +104,15 @@ class DistillConfig:
             raise ValueError("a_thresh must lie in (0, 1)")
         if self.u_max < 1:
             raise ValueError("u_max must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0 <= self.conf_thresh <= 1:
+            raise ValueError(f"conf_thresh must lie in [0, 1], got {self.conf_thresh}")
+        if not (math.isfinite(self.weight_factor) and self.weight_factor >= 0):
+            raise ValueError(f"weight_factor must be finite and >= 0, "
+                             f"got {self.weight_factor}")
         if not (math.isfinite(self.box_dilation) and self.box_dilation >= 0):
             raise ValueError(f"box_dilation must be finite and >= 0, "
                              f"got {self.box_dilation}")

@@ -5,12 +5,10 @@ from .layers import (
     BilinearResize,
     Concat,
     Conv2d,
-    Layer,
     ParamState,
     ReLU,
     SeparableConv,
     ShapeError,
-    batchnorm_backward,
     batchnorm_forward,
     bilinear_resize_backward,
     bilinear_resize_forward,
@@ -18,19 +16,19 @@ from .layers import (
     conv2d_forward,
     conv_out_size,
 )
-from .loss import IGNORE_LABEL, LossResult, weighted_softmax_cross_entropy
+from .loss import IGNORE_LABEL, weighted_softmax_cross_entropy
 from .optim import SGDMomentum, sgd_momentum_step
-from .gradcheck import gradient_check, loss_gradient_check, relative_error
+from .gradcheck import gradient_check, loss_gradient_check
 from .snapshot import SnapshotError, load_weights, pack_weights, save_weights
 
 __all__ = [
-    "BatchNorm", "BilinearResize", "Concat", "Conv2d", "Layer", "ParamState",
+    "BatchNorm", "BilinearResize", "Concat", "Conv2d", "ParamState",
     "ReLU", "SeparableConv", "ShapeError",
-    "batchnorm_backward", "batchnorm_forward",
+    "batchnorm_forward",
     "bilinear_resize_backward", "bilinear_resize_forward",
     "conv2d_backward", "conv2d_forward", "conv_out_size",
-    "IGNORE_LABEL", "LossResult", "weighted_softmax_cross_entropy",
+    "IGNORE_LABEL", "weighted_softmax_cross_entropy",
     "SGDMomentum", "sgd_momentum_step",
-    "gradient_check", "loss_gradient_check", "relative_error",
+    "gradient_check", "loss_gradient_check",
     "SnapshotError", "load_weights", "pack_weights", "save_weights",
 ]

@@ -10,6 +10,7 @@ milliseconds for the cost model.
 from __future__ import annotations
 
 import colorsys
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -372,8 +373,12 @@ class TeacherNoise:
     drop_prob: float = 0.0
 
     def __post_init__(self):
-        if self.boundary_jitter_px < 0 or self.confidence_spread < 0:
-            raise ValueError("noise parameters must be >= 0")
+        if self.boundary_jitter_px < 0:
+            raise ValueError(f"noise.jitter_px must be >= 0, "
+                             f"got {self.boundary_jitter_px}")
+        if not (math.isfinite(self.confidence_spread) and self.confidence_spread >= 0):
+            raise ValueError(f"noise.conf_spread must be finite and >= 0, "
+                             f"got {self.confidence_spread}")
         if not 0 <= self.drop_prob < 1:
             raise ValueError("drop_prob must lie in [0, 1)")
 

@@ -144,6 +144,14 @@ class TestRun:
          "cost.infer_ms must be > 0, got 0.0"),
         ("box_dilation = -3", "box_dilation must be finite and >= 0, got -3.0"),
         ("box_dilation = nan", "box_dilation must be finite and >= 0, got nan"),
+        ("weight_factor = -1", "weight_factor must be finite and >= 0, got -1.0"),
+        ("weight_factor = nan", "weight_factor must be finite and >= 0, got nan"),
+        ("lr = -5", "lr must be finite and >= 0, got -5.0"),
+        ("momentum = 7", "momentum must lie in [0, 1), got 7.0"),
+        ("conf_thresh = 3", "conf_thresh must lie in [0, 1], got 3.0"),
+        ("width_multiplier = inf", "width_multiplier must be finite and > 0, got inf"),
+        ("noise.conf_spread = nan", "noise.conf_spread must be finite and >= 0, got nan"),
+        ("seed = -1", "seed must be >= 0, got -1"),
     ])
     def test_bad_cost_or_dilation_exit_2_before_any_frame(self, small_world, tmp_path,
                                                           capsys, setting, message):
@@ -153,7 +161,7 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(bad_run), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err
+        assert err.startswith(f"config error: {bad_run}: ") and message in err
         assert not out.exists()
 
     def test_unusable_out_exit_2_before_any_frame(self, small_world, tmp_path, capsys):
@@ -422,11 +430,16 @@ class TestPretrain:
          "need 0 < corpus.size_min <= corpus.size_max, got 12.0 and 4.0"),
         ("corpus.speed_min = nan", "corpus.speed_min must be finite, got nan"),
         ("corpus.size_span = inf", "corpus.size_span must be finite, got inf"),
+        ("corpus.presence_prob = nan", "corpus.presence_prob must lie in [0, 1], got nan"),
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("epochs = -3", "epochs must be >= 0, got -3"),
     ])
     def test_bad_corpus_setting_exit_2(self, tmp_path, capsys, setting, message):
         cfg = self.pretrain_cfg(tmp_path, epochs=1)
-        text = cfg.read_text().replace("corpus.width = 48\n", "")
-        cfg.write_text(text + setting + "\n")
+        keys = {line.split(" = ")[0] for line in setting.splitlines()}
+        kept = [line for line in cfg.read_text().splitlines()
+                if line.split(" = ")[0] not in keys]
+        cfg.write_text("\n".join(kept + [setting]) + "\n")
         out = tmp_path / "w.jitw"
         assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -568,6 +581,16 @@ class TestSweep:
         assert lines[1].split(",")[:2] == ["12", "failed"]
         assert "delta_max / delta_min must be a power of two" in capsys.readouterr().err
 
+    def test_unusable_width_fails_only_its_cell(self, small_world, tmp_path, capsys):
+        root, run = small_world
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(run), "--out", str(out),
+                     "--knob", "width_multiplier=inf,0.5"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["inf", "failed"],
+                                                                ["0.5", "ok"]]
+        assert "width_multiplier must be finite and > 0, got inf" in capsys.readouterr().err
+
     def test_boolean_knob_takes_the_config_file_spellings(self, small_world, tmp_path):
         root, run = small_world
         out = tmp_path / "sweep"
@@ -579,7 +602,8 @@ class TestSweep:
 
 # a value for each knob that differs from the shipped default
 KNOB_VALUES = {"u_max": "4", "delta_min": "16", "lr": "0.05", "width_multiplier": "0.5",
-               "input_scale": "0.5", "skip_connections": "off", "a_thresh": "0.7"}
+               "input_scale": "0.5", "skip_connections": "off", "a_thresh": "0.7",
+               "seed": "3"}
 
 
 @pytest.mark.parametrize("knob", SWEEP_KNOBS)
@@ -590,7 +614,9 @@ def test_sweep_cell_equals_config_with_the_key_set(small_world, tmp_path, knob):
     [(name, [value])] = _parse_knobs([f"{knob}={KNOB_VALUES[knob]}"]).items()
     cell = _apply_knobs(base, {name: value})
     edited = root / f"run_{knob}.cfg"
-    edited.write_text(run.read_text() + f"{knob} = {KNOB_VALUES[knob]}\n")
+    kept = [line for line in run.read_text().splitlines()
+            if line.split(" = ")[0] != knob]
+    edited.write_text("\n".join(kept + [f"{knob} = {KNOB_VALUES[knob]}"]) + "\n")
     loaded = load_run_config(edited)
     assert loaded != dataclasses.replace(base, origin=edited)
     assert dataclasses.replace(cell, origin=edited) == loaded

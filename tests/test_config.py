@@ -1,9 +1,11 @@
+import re
 from pathlib import Path
 
 import pytest
 
 from jitstream.arch import ArchConfig
 from jitstream.config import (
+    SETTINGS,
     ConfigError,
     load_pretrain_config,
     load_run_config,
@@ -12,6 +14,7 @@ from jitstream.config import (
 )
 from jitstream.distill import DistillConfig
 from jitstream.metrics import CostModel
+from jitstream.pretrain import CorpusConfig
 from jitstream.streams import EventSpec, ObjectSpec, SyntheticStreamConfig, TeacherNoise
 
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "jitstream" / "configs"
@@ -157,12 +160,27 @@ class TestDefaults:
         f = tmp_path / "pre.cfg"
         f.write_text("")
         cfg = load_pretrain_config(f)
+        assert cfg.corpus == CorpusConfig()
         assert cfg.distill == DistillConfig()
-        assert cfg.arch == ArchConfig(num_classes=cfg.class_count + 1)
+        assert cfg.arch == ArchConfig(num_classes=cfg.corpus.class_count + 1)
 
 
 class TestPretrainConfig:
     def test_bundled_parses(self):
         cfg = load_pretrain_config(BUNDLED / "pretrain_default.cfg")
-        assert cfg.scenes == 24 and cfg.epochs == 3
+        assert cfg.corpus.scenes == 24 and cfg.epochs == 3
         assert cfg.arch.num_classes == 4
+
+
+# keys read outside SETTINGS: paths, the class count whose default is
+# derived from the stream or corpus, and the indexed object/event keys
+HAND_READ = {"stream.synthetic", "stream.container", "stream.recorded_teacher",
+             "init_snapshot", "out_dir", "num_classes"}
+
+
+@pytest.mark.parametrize("name", ["run_default.cfg", "pretrain_default.cfg",
+                                  "standard_stream.cfg"])
+def test_every_shipped_scalar_key_is_a_settings_row(name):
+    for key in parse_kv_file(BUNDLED / name):
+        assert (key in SETTINGS or key in HAND_READ
+                or re.fullmatch(r"(object|event)\d+\.\w+", key)), key

@@ -1,13 +1,16 @@
 """Every name a module under ``src/jitstream`` imports is used by it, and
 every private module-level name (``_name``) it defines is referenced in it.
 Package ``__init__.py`` files are exempt from the import check: their
-imports are re-exports."""
+imports are re-exports, and each of those must be read outside the module
+that defines it: in another module, a test or README's code."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jitstream"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "jitstream"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -67,3 +70,40 @@ def test_module_uses_every_import(path):
                          ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_module_reads_every_private_name(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads, looks up as attributes or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def reexports(init: Path) -> list[tuple[str, Path]]:
+    """(name, defining module) for each name a package ``__init__.py``
+    imports from its own modules."""
+    return [(alias.asname or alias.name,
+             init.parent.joinpath(*node.module.split(".")).with_suffix(".py"))
+            for node in ast.parse(init.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("init", sorted(PACKAGE.rglob("__init__.py")),
+                         ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_package_reexports_are_read_outside_their_module(init):
+    readers = {p: names_read(p.read_text(encoding="utf-8"))
+               for p in (*MODULES, *sorted((ROOT / "tests").glob("*.py")))}
+    # README counts where it shows code: the text between backticks
+    code = (ROOT / "README.md").read_text(encoding="utf-8").split("`")[1::2]
+    readme = set(re.findall(r"\w+", " ".join(code)))
+    unread = [name for name, module in reexports(init)
+              if name not in readme.union(*(names for p, names in readers.items()
+                                             if p != module))]
+    assert unread == []

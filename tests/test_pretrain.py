@@ -18,13 +18,12 @@ from pathlib import Path
 BUNDLED = Path(__file__).resolve().parents[1] / "src" / "jitstream" / "configs"
 
 
-def small_pretrain_cfg(**kw):
+def small_pretrain_cfg(epochs=2, **corpus):
     cfg = load_pretrain_config(BUNDLED / "pretrain_default.cfg")
-    small = dict(scenes=6, frames_per_scene=4, width=64, height=64,
-                 class_count=2, epochs=2, seed=7,
-                 arch=ArchConfig(num_classes=3))
-    small.update(kw)
-    return dataclasses.replace(cfg, **small)
+    small = dict(scenes=6, frames_per_scene=4, width=64, height=64, class_count=2)
+    small.update(corpus)
+    return dataclasses.replace(cfg, corpus=dataclasses.replace(cfg.corpus, **small),
+                               epochs=epochs, seed=7, arch=ArchConfig(num_classes=3))
 
 
 class TestCorpus:
