@@ -1,9 +1,9 @@
 """Compact encoder-decoder segmentation network.
 
 Topology: two stride-2 3x3 stem convolutions, three encoder blocks (stride
-2), three decoder blocks (resize 2, 2, 4), two 3x3 head convolutions (the
-second followed by a 2x resize back to the network input's extent) and a
-final 1x1 classifier.
+2), three decoder blocks (resize 2, 2, 4), two 3x3 head convolutions and a
+final 1x1 classifier, followed by a 2x resize back to the network input's
+extent.
 
 Each block normalizes its input, then runs two parallel paths - a 1x1
 shortcut convolution and a residual path (3x3 convolution followed by a
@@ -146,8 +146,11 @@ class ArchConfig:
             skip = f"enc{n - i}" if i and self.skip_connections else None
             add(f"dec{n - i}", "block", 1, r, self.scaled(c), skip)
         add("head1", "conv3x3", 1, 1, self.scaled(_HEAD_CHANNELS[0]))
-        add("head2", "conv3x3", 1, _HEAD_RESIZE, self.scaled(_HEAD_CHANNELS[1]))
-        add("head3", "conv1x1", 1, 1, self.num_classes)
+        add("head2", "conv3x3", 1, 1, self.scaled(_HEAD_CHANNELS[1]))
+        # the classifier is affine per pixel and the resize row-stochastic, so
+        # classifying before the resize equals classifying after it up to
+        # rounding, and the resize carries num_classes channels, not head2's
+        add("head3", "conv1x1", 1, _HEAD_RESIZE, self.num_classes)
         return plan
 
 

@@ -52,6 +52,11 @@ class CorpusConfig:
         if not 0 < self.size_min <= self.size_max:
             raise ValueError(f"need 0 < corpus.size_min <= corpus.size_max, "
                              f"got {self.size_min} and {self.size_max}")
+        if self.size_span < 0:
+            raise ValueError(f"corpus.size_span must be >= 0, got {self.size_span}")
+        if not 0 <= self.speed_min <= self.speed_max:
+            raise ValueError(f"need 0 <= corpus.speed_min <= corpus.speed_max, "
+                             f"got {self.speed_min} and {self.speed_max}")
         # the scenes' extent must be one a stream takes
         SyntheticStreamConfig(width=self.width, height=self.height)
 

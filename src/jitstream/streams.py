@@ -75,12 +75,22 @@ class SyntheticStreamConfig:
             if ev.object_index is not None and not 0 <= ev.object_index < len(self.objects):
                 raise StreamConfigError(f"event at frame {ev.frame_index} names object "
                                         f"{ev.object_index}, outside [0, {len(self.objects)})")
-        for obj in self.objects:
+            if not (math.isfinite(ev.dx) and math.isfinite(ev.dy)):
+                raise StreamConfigError(f"event at frame {ev.frame_index}: dx and dy must "
+                                        f"be finite, got {ev.dx} and {ev.dy}")
+        for number, obj in enumerate(self.objects, start=1):
             if not 1 <= obj.class_id <= self.class_count:
                 raise StreamConfigError(f"class id {obj.class_id} outside "
                                         f"[1, {self.class_count}]")
-            if obj.size_range[0] <= 0:
-                raise StreamConfigError("zero-area objects rejected")
+            low, high = obj.size_range
+            if not (math.isfinite(high) and 0 < low <= high):
+                raise StreamConfigError(f"object{number}: need finite 0 < size_min <= "
+                                        f"size_max (zero-area objects rejected), "
+                                        f"got {low} and {high}")
+            low, high = obj.speed_range
+            if not (math.isfinite(high) and 0 <= low <= high):
+                raise StreamConfigError(f"object{number}: need finite 0 <= speed_min <= "
+                                        f"speed_max, got {low} and {high}")
             if obj.shape not in ("disc", "rectangle", "blob"):
                 raise StreamConfigError(f"unknown shape {obj.shape!r}")
 

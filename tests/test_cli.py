@@ -136,6 +136,38 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("setting, message", [
+        ("object1.size_min = nan", "object1: need finite 0 < size_min <= size_max"),
+        ("object1.size_max = inf", "object1: need finite 0 < size_min <= size_max"),
+        ("object1.size_min = 12\nobject1.size_max = 9",
+         "object1: need finite 0 < size_min <= size_max (zero-area objects rejected), "
+         "got 12.0 and 9.0"),
+        ("object1.speed_min = nan", "object1: need finite 0 <= speed_min <= speed_max"),
+        ("object1.speed_max = inf", "object1: need finite 0 <= speed_min <= speed_max"),
+        ("object1.speed_min = -0.2",
+         "object1: need finite 0 <= speed_min <= speed_max, got -0.2 and 0.6"),
+        ("object1.speed_min = 0.6\nobject1.speed_max = 0.2",
+         "object1: need finite 0 <= speed_min <= speed_max, got 0.6 and 0.2"),
+        ("event1.frame = 3\nevent1.kind = camera_pan\nevent1.dx = nan",
+         "event at frame 3: dx and dy must be finite, got nan and 0.0"),
+        ("event1.frame = 3\nevent1.kind = camera_pan\nevent1.dy = inf",
+         "event at frame 3: dx and dy must be finite, got 0.0 and inf"),
+    ])
+    def test_bad_stream_value_exit_2_before_any_frame(self, tmp_path, capsys,
+                                                     setting, message):
+        stream = stream_config(tmp_path / "stream.cfg", 12)
+        keys = {line.split(" = ")[0] for line in setting.splitlines()}
+        kept = [line for line in stream.read_text().splitlines()
+                if line.split(" = ")[0] not in keys]
+        stream.write_text("\n".join(kept + [setting]) + "\n")
+        run = tmp_path / "run.cfg"
+        run.write_text("stream.synthetic = stream.cfg\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting, message", [
         ("cost.teacher_ms = nan", "unit costs must be finite and >= 0"),
         ("cost.update_ms = inf", "unit costs must be finite and >= 0"),
         ("cost.infer_ms = 0", "cost.infer_ms must be > 0, got 0.0"),
@@ -429,6 +461,11 @@ class TestPretrain:
         ("corpus.size_min = 12\ncorpus.size_max = 4",
          "need 0 < corpus.size_min <= corpus.size_max, got 12.0 and 4.0"),
         ("corpus.speed_min = nan", "corpus.speed_min must be finite, got nan"),
+        ("corpus.speed_min = 0.6\ncorpus.speed_max = 0.2",
+         "need 0 <= corpus.speed_min <= corpus.speed_max, got 0.6 and 0.2"),
+        ("corpus.speed_min = -0.1",
+         "need 0 <= corpus.speed_min <= corpus.speed_max, got -0.1 and 0.6"),
+        ("corpus.size_span = -2", "corpus.size_span must be >= 0, got -2.0"),
         ("corpus.size_span = inf", "corpus.size_span must be finite, got inf"),
         ("corpus.presence_prob = nan", "corpus.presence_prob must lie in [0, 1], got nan"),
         ("seed = -1", "seed must be >= 0, got -1"),
