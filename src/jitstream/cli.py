@@ -44,6 +44,10 @@ CSV_HEADER = "frame,teacher_invoked,updates,a_curr,mean_iou_vs_teacher,delta"
 # config keys a sweep may vary; each parses and lands as ``SETTINGS`` says
 SWEEP_KNOBS = ("u_max", "delta_min", "lr", "width_multiplier", "input_scale",
                "skip_connections", "a_thresh", "seed")
+# a sweep cell whose mean IoU ends below this is marked ``unstable`` even
+# without a numeric event: a knob such as lr = 3.0 can wreck the student
+# while every value stays finite
+SWEEP_UNSTABLE_IOU = 0.3
 
 
 def _fmt(value: float | None) -> str:
@@ -301,7 +305,7 @@ def cmd_sweep(args) -> int:
                 summary = summarize(cfg, report, source)
                 unstable = (report.numeric_events > 0
                             or (summary["mean_iou"] is not None
-                                and summary["mean_iou"] < 0.3))
+                                and summary["mean_iou"] < SWEEP_UNSTABLE_IOU))
                 status = "unstable" if unstable else "ok"
                 cell += [status, _fmt(summary["mean_iou"]),
                          f"{summary['teacher_fraction']:.6f}",

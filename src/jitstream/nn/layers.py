@@ -9,10 +9,12 @@ cleared by the optimizer.
 Convolutions run one of two lowerings.  A stride-1 3x3 kernel with padding
 1 whose im2col column matrix would exceed :data:`SHIFTED_MIN_COLUMN_BYTES`
 runs as nine GEMMs on shifted slices of one zero-padded copy of its input
-(:func:`shifted_conv3x3_forward`); every other convolution runs im2col and
-one GEMM, and 1x1 kernels skip im2col and run their GEMM on the (strided)
-input.  Each :class:`Conv2d` keeps the buffer its lowering builds (the
-columns or the padded input), hands it back on the next forward and
+(:func:`shifted_conv3x3_forward`), summed block by block of output rows in
+an accumulator small enough to stay in cache; its input gradient is the
+same tap sum over the padded output gradient.  Every other convolution runs
+im2col and one GEMM, and 1x1 kernels skip im2col and run their GEMM on the
+(strided) input.  Each :class:`Conv2d` keeps the buffer its lowering builds
+(the columns or the padded input), hands it back on the next forward and
 allocates a new one only when the input extent or dtype changes; the
 backward cache references that buffer, which holds because a layer's
 backward always follows its own latest forward.
@@ -22,7 +24,8 @@ allocation, and never again: :func:`im2col` copies each kernel tap's valid
 window straight from the input and leaves the entries that read padding
 zero, and the shifted lowering copies the input into the interior of its
 padded buffer and leaves the border rows, the border columns and the two
-spare trailing elements zero.  So a buffer may only be refilled for the
+spare trailing elements zero (its backward pads the output gradient the
+same way, in a buffer of its own).  So a buffer may only be refilled for the
 input extent (and kernel, stride and padding) it was allocated for: two
 extents with the same column count (96x96 and 48x192) put their zeros in
 different places.  The extent and dtype pick the lowering, so a buffer is
@@ -145,13 +148,35 @@ def col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int,
 
 # A stride-1 3x3 "same" convolution whose im2col columns would exceed this
 # many bytes runs as nine shifted GEMMs instead.  Per layer, with one BLAS
-# thread: up to the 4 MiB per-core L2 im2col wins or ties (its backward by
-# up to 3x); from 4 to 16 MiB the two trade places; from 30 to 130 MiB (the
-# 360x640 layers) the shifted GEMMs win forward and backward by 10-40%; at
-# 720x1280 they win on 64 input channels and lose on 32.  They always hold
-# a ninth of the memory.  Every layer at the shipped 96x96 extent stays
-# below (at most 5.06 MiB), so those runs keep im2col's bits.
+# thread: at 0.3 MiB im2col wins both ways; from 5 MiB up (head1 at 96x96
+# and every 360x640 and 720x1280 layer that reaches the rule) the row-blocked
+# shifted GEMMs win, the forward by 30-60% and the backward by 10-30%, and
+# they always hold a ninth of the memory.  The rule stays at 8 MiB so that
+# every layer at the shipped 96x96 extent (at most 5.06 MiB) keeps im2col's
+# bits.
 SHIFTED_MIN_COLUMN_BYTES = 8 << 20
+
+# The shifted lowering sums its nine taps over blocks of whole output rows
+# whose accumulator holds at most this many bytes (and at least one row), so
+# the eight adds stay in the per-core L2.  Forward / backward ms per layer
+# (one OpenBLAS 0.3.31 thread on a 2-core AVX-512 Xeon, numpy 2.4, the range
+# of two runs; "unblocked" adds each tap over all rows at once):
+#
+#   block      64->32 180x320  32->32 180x320  32->32 360x640   64->32 360x640
+#   64 KiB     37-51/103-107   24-31/58-69     100-104/248-250  201-209/427-533
+#   128 KiB    43-52/106-124   23-26/57-64      96-101/240-250  172-214/433-509
+#   256 KiB    48-51/107-121   24-29/60-68     113-118/250-269  177-199/476-516
+#   512 KiB    41-54/105-122   26-30/66-70     111-118/263-267  220-225/491-495
+#   1 MiB      51-59/125-128   29-34/67-73     120-128/271      223-239/509-522
+#   2 MiB      57-73/126-134   35-36/69-74     129-133/271-305  295-319/524-531
+#   unblocked  76-87/156-157   39-42/73-93     189/336          307/618
+#
+# Up to 512 KiB the sizes tie within the noise, and larger blocks lose.  At
+# 128 KiB head2 at 360x640 gets blocks of 3 rows, and OpenBLAS rounds those
+# narrower GEMMs differently from the full-width ones; at 256 KiB every
+# shifted layer at 360x640 and 720x1280 keeps the unblocked sum's bits in
+# float32.
+SHIFTED_BLOCK_BYTES = 256 << 10
 
 
 def _runs_shifted(x_shape, w_shape, stride: int, ph: int, pw: int, dtype) -> bool:
@@ -168,6 +193,60 @@ def _tap_offsets(wp: int) -> list[int]:
     return [i * wp + j for i in range(3) for j in range(3)]
 
 
+def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int) -> np.ndarray:
+    """``y[:, p] = sum_k taps[k] @ xp[:, offsets[k] + p]`` over the ``h``
+    rows of width ``w+2`` that start at column 0 of the flat ``xp``, added in
+    tap order; returns ``(Cout, h, w)`` with the two junk columns of each row
+    dropped.
+
+    The output is walked in blocks of whole rows whose accumulator holds at
+    most :data:`SHIFTED_BLOCK_BYTES`, so the eight adds stay in cache, and
+    each block's valid columns are copied straight into the output.  Every
+    element gets the same nine products added in the same order as in one
+    pass over all rows, so the result has that pass's bits wherever BLAS
+    rounds a column of a narrower GEMM as it does in the full-width one.
+    """
+    cout = taps[0].shape[0]
+    wp = w + 2
+    dtype = np.result_type(taps[0], xp)
+    rows = min(h, max(1, SHIFTED_BLOCK_BYTES // (cout * wp * dtype.itemsize)))
+    y = np.empty((cout, h, w), dtype=dtype)
+    acc = np.empty(cout * rows * wp, dtype=dtype)
+    part = np.empty_like(acc)
+    for r0 in range(0, h, rows):
+        r1 = min(h, r0 + rows)
+        n = (r1 - r0) * wp
+        block = acc[:cout * n].reshape(cout, n)
+        scratch = part[:cout * n].reshape(cout, n)
+        start = r0 * wp + offsets[0]
+        np.matmul(taps[0], xp[:, start:start + n], out=block)
+        for tap, off in zip(taps[1:], offsets[1:]):
+            start = r0 * wp + off
+            np.matmul(tap, xp[:, start:start + n], out=scratch)
+            block += scratch
+        y[:, r0:r1] = block.reshape(cout, r1 - r0, wp)[:, :, :w]
+    return y
+
+
+def _pad_flat(x: np.ndarray, xp: np.ndarray | None = None) -> np.ndarray:
+    """``x`` copied into the interior of a zero ``(C, (H+2)*(W+2) + 2)``
+    buffer; ``xp`` is refilled when it has this shape and dtype, so it must
+    come from an earlier call with an input of the same extent."""
+    c, h, wd = x.shape
+    wp = wd + 2
+    shape = (c, (h + 2) * wp + 2)
+    if xp is None or xp.shape != shape or xp.dtype != x.dtype:
+        xp = np.zeros(shape, dtype=x.dtype)
+    xp[:, :(h + 2) * wp].reshape(c, h + 2, wp)[:, 1:h + 1, 1:wd + 1] = x
+    return xp
+
+
+def _weight_taps(w: np.ndarray) -> np.ndarray:
+    """``(Cout, Cin, 3, 3)`` weights as nine ``(Cout, Cin)`` taps in the
+    order of :func:`_tap_offsets`."""
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, *w.shape[:2])
+
+
 def shifted_conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                             xp: np.ndarray | None = None):
     """Stride-1 3x3 convolution with padding 1 as nine GEMMs on one padded
@@ -178,29 +257,15 @@ def shifted_conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     two spare zeros that keep the last tap's slice in range.  Tap ``(i, j)``
     reads the contiguous column range starting at ``i*(W+2) + j``, whose
     column ``r*(W+2) + q`` is input sample ``(r+i-1, q+j-1)``; the output
-    is computed over the padded width and its two junk columns per row are
-    dropped.  ``xp`` is refilled when it has this shape and dtype, so it
-    must come from an earlier call with an input of the same extent.
-    Returns ``(y, xp)``; :func:`shifted_conv3x3_backward` takes ``xp``.
+    is summed over the padded width by :func:`_sum_taps`, which drops the
+    two junk columns per row.  ``xp`` is refilled when it has this shape and
+    dtype, so it must come from an earlier call with an input of the same
+    extent.  Returns ``(y, xp)``; :func:`shifted_conv3x3_backward` takes
+    ``xp``.
     """
-    c, h, wd = x.shape
-    cout = w.shape[0]
-    wp = wd + 2
-    n = h * wp
-    shape = (c, (h + 2) * wp + 2)
-    if xp is None or xp.shape != shape or xp.dtype != x.dtype:
-        xp = np.zeros(shape, dtype=x.dtype)
-    xp[:, :(h + 2) * wp].reshape(c, h + 2, wp)[:, 1:h + 1, 1:wd + 1] = x
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, cout, c)
-    offsets = _tap_offsets(wp)
-    y = np.empty((cout, n), dtype=np.result_type(w, x))
-    np.matmul(taps[0], xp[:, :n], out=y)
-    part = np.empty_like(y)
-    for tap, off in zip(taps[1:], offsets[1:]):
-        np.matmul(tap, xp[:, off:off + n], out=part)
-        y += part
-    del part
-    y = np.ascontiguousarray(y.reshape(cout, h, wp)[:, :, :wd])
+    _, h, wd = x.shape
+    xp = _pad_flat(x, xp)
+    y = _sum_taps(xp, _weight_taps(w), _tap_offsets(wd + 2), h, wd)
     if b is not None:
         y += b[:, None, None]
     return y, xp
@@ -208,29 +273,29 @@ def shifted_conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 
 def shifted_conv3x3_backward(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
     """Gradients of :func:`shifted_conv3x3_forward` w.r.t. input, weights and
-    bias, from the same shifted slices of ``xp``: ``dW[:, :, i, j]`` is one
-    GEMM with the tap's slice and ``dx`` gathers nine GEMMs added at the
-    taps' offsets into a padded gradient.  ``dy`` is padded with zero junk
-    columns, so the junk columns of the forward contribute nothing."""
+    bias.
+
+    ``dy`` is padded once like the input.  Its columns from ``W+3`` on are
+    ``dy`` in the forward's output layout with zero junk columns, so
+    ``dW[:, :, i, j]`` is one GEMM of them with the tap's slice of ``xp``,
+    and the forward's junk columns contribute nothing.  ``dx`` is the
+    correlation of the padded ``dy`` with the flipped, transposed kernel:
+    :func:`_sum_taps` with each tap's transpose at the mirrored offset
+    ``2*(W+3) - off``, in tap order.
+    """
     cout, h, wd = dy.shape
-    cin = w.shape[1]
     wp = wd + 2
     n = h * wp
-    dyp = np.zeros((cout, h, wp), dtype=dy.dtype)
-    dyp[:, :, :wd] = dy
-    dyp = dyp.reshape(cout, n)
-    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, cout, cin)
+    dyp = _pad_flat(dy)
+    taps = _weight_taps(w)
+    offsets = _tap_offsets(wp)
     dtaps = np.empty_like(taps)
-    dxp = np.zeros_like(xp)
-    part = np.empty((cin, n), dtype=dxp.dtype)
-    for tap, dtap, off in zip(taps, dtaps, _tap_offsets(wp)):
-        np.matmul(dyp, xp[:, off:off + n].T, out=dtap)
-        np.matmul(tap.T, dyp, out=part)
-        dxp[:, off:off + n] += part
-    del part, dyp
-    dxp = dxp[:, :(h + 2) * wp].reshape(cin, h + 2, wp)
-    dx = np.ascontiguousarray(dxp[:, 1:h + 1, 1:wd + 1])
-    dw = np.ascontiguousarray(dtaps.reshape(3, 3, cout, cin).transpose(2, 3, 0, 1))
+    inner = dyp[:, wp + 1:wp + 1 + n]
+    for dtap, off in zip(dtaps, offsets):
+        np.matmul(inner, xp[:, off:off + n].T, out=dtap)
+    mirrored = [2 * (wp + 1) - off for off in offsets]
+    dx = _sum_taps(dyp, taps.transpose(0, 2, 1), mirrored, h, wd)
+    dw = np.ascontiguousarray(dtaps.reshape(3, 3, cout, -1).transpose(2, 3, 0, 1))
     return dx, dw, dy.sum(axis=(1, 2))
 
 
@@ -272,7 +337,10 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
 
 
 def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
-    """Gradients of :func:`conv2d_forward` w.r.t. input, weights and bias."""
+    """Gradients of :func:`conv2d_forward` w.r.t. input, weights and bias,
+    by the lowering the forward ran: :func:`shifted_conv3x3_backward` on
+    the padded input, or two GEMMs on the columns and :func:`col2im` to
+    scatter the column gradient back."""
     x_shape, cols, stride, ph, pw, (ho, wo) = cache
     cout, cin, kh, kw = w.shape
     if dy.shape != (cout, ho, wo):

@@ -15,6 +15,7 @@ from jitstream.nn import (
     bilinear_resize_forward,
     conv2d_backward,
     conv2d_forward,
+    gradcheck,
     layers,
 )
 from jitstream.nn.layers import (
@@ -389,6 +390,66 @@ def max_relative_diff(got, want):
     return diff / scale if scale else diff
 
 
+def shifted_forward_unblocked(x, w, b):
+    """The shifted forward without row blocks: each tap's GEMM over all rows,
+    added into one full-size accumulator in tap order, then cropped."""
+    c, h, wd = x.shape
+    cout = w.shape[0]
+    wp = wd + 2
+    n = h * wp
+    xp = np.zeros((c, (h + 2) * wp + 2), dtype=x.dtype)
+    xp[:, :(h + 2) * wp].reshape(c, h + 2, wp)[:, 1:h + 1, 1:wd + 1] = x
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, cout, c)
+    offsets = [i * wp + j for i in range(3) for j in range(3)]
+    y = taps[0] @ xp[:, :n]
+    for tap, off in zip(taps[1:], offsets[1:]):
+        y += tap @ xp[:, off:off + n]
+    y = np.ascontiguousarray(y.reshape(cout, h, wp)[:, :, :wd])
+    if b is not None:
+        y += b[:, None, None]
+    return y, xp
+
+
+def shifted_backward_scatter(dy, w, xp):
+    """The shifted backward as a scatter: ``dy`` padded with zero junk
+    columns, one GEMM per tap for ``dW`` and nine products added at the
+    taps' offsets into a padded input gradient."""
+    cout, h, wd = dy.shape
+    cin = w.shape[1]
+    wp = wd + 2
+    n = h * wp
+    dyp = np.zeros((cout, h, wp), dtype=dy.dtype)
+    dyp[:, :, :wd] = dy
+    dyp = dyp.reshape(cout, n)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, cout, cin)
+    dtaps = np.empty_like(taps)
+    dxp = np.zeros_like(xp)
+    for tap, dtap, off in zip(taps, dtaps, [i * wp + j for i in range(3) for j in range(3)]):
+        dtap[...] = dyp @ xp[:, off:off + n].T
+        dxp[:, off:off + n] += tap.T @ dyp
+    dx = np.ascontiguousarray(dxp[:, :(h + 2) * wp].reshape(cin, h + 2, wp)[:, 1:h + 1, 1:wd + 1])
+    dw = np.ascontiguousarray(dtaps.reshape(3, 3, cout, cin).transpose(2, 3, 0, 1))
+    return dx, dw, dy.sum(axis=(1, 2))
+
+
+def shifted_weights_of(config, hw, monkeypatch):
+    """The names of the weights a network's forward at extent ``hw`` runs
+    through the shifted lowering, in execution order."""
+    seen = []
+    real = layers.shifted_conv3x3_forward
+
+    def record(x, w, b, xp=None):
+        seen.append(w)
+        return real(x, w, b, xp)
+
+    monkeypatch.setattr(layers, "shifted_conv3x3_forward", record)
+    net = JITNet(config, seed=1)
+    net.forward(np.zeros((3, *hw), dtype=np.float32))
+    monkeypatch.undo()
+    names = {id(p.value): name for name, p in net.params()}
+    return [names[id(w)] for w in seen]
+
+
 class TestShiftedConv:
     """The shifted-GEMM lowering of large stride-1 3x3 convolutions against
     the im2col oracle: same results to a tolerance set by the dtype, the
@@ -409,6 +470,64 @@ class TestShiftedConv:
         for g, want in zip(got, conv_via_im2col(x, w, b, 1, 1, dy)):
             assert g.shape == want.shape and g.dtype == want.dtype and g.flags.c_contiguous
             assert max_relative_diff(g, want) <= tol
+
+    @pytest.mark.parametrize("cin,hw", [(256, (23, 40)), (192, (45, 80)), (64, (180, 320)),
+                                        (32, (180, 320))])
+    def test_blocked_equals_unblocked_oracle(self, rng, cin, hw):
+        """dec2, dec1, head1 and head2 of a 360x640 frame in float32 at the
+        shipped block size: the forward and dW keep the unblocked bits, and
+        dx agrees with the scatter to 1e-6."""
+        x = rng.standard_normal((cin, *hw)).astype(np.float32)
+        w = rng.standard_normal((32, cin, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(32).astype(np.float32)
+        y, xp = shifted_conv3x3_forward(x, w, b)
+        want_y, want_xp = shifted_forward_unblocked(x, w, b)
+        assert np.array_equal(y, want_y) and np.array_equal(xp, want_xp)
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        dx, dw, db = shifted_conv3x3_backward(dy, w, xp)
+        want_dx, want_dw, want_db = shifted_backward_scatter(dy, w, xp)
+        assert np.array_equal(dw, want_dw) and np.array_equal(db, want_db)
+        assert dx.flags.c_contiguous and max_relative_diff(dx, want_dx) <= 1e-6
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("rows", [1, 4, 20])     # 13 rows: one per block, 4+4+4+1, one block
+    @pytest.mark.parametrize("cin,cout", [(4, 4), (5, 3)])
+    def test_block_edges(self, monkeypatch, rng, dtype, tol, rows, cin, cout):
+        """Blocks of ``rows`` rows of the forward's accumulator.  Small
+        integers sum exactly in any order, so on them every result equals
+        the oracles bit for bit whatever BLAS does per block; on normal
+        samples the forward and dx agree to the dtype's tolerance."""
+        hw = (13, 16)
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES",
+                            rows * cout * (hw[1] + 2) * np.dtype(dtype).itemsize)
+        for exact in (True, False):
+            draw = (lambda s: rng.integers(-4, 5, s)) if exact else rng.standard_normal
+            x, w, b = (draw(s).astype(dtype) for s in ((cin, *hw), (cout, cin, 3, 3), cout))
+            dy = draw((cout, *hw)).astype(dtype)
+            y, xp = shifted_conv3x3_forward(x, w, b)
+            want_y, _ = shifted_forward_unblocked(x, w, b)
+            got = (y, *shifted_conv3x3_backward(dy, w, xp))
+            want = (want_y, *shifted_backward_scatter(dy, w, xp))
+            for g, wnt in zip(got, want):
+                assert g.shape == wnt.shape and g.dtype == wnt.dtype and g.flags.c_contiguous
+                assert np.array_equal(g, wnt) if exact else max_relative_diff(g, wnt) <= tol
+
+    def test_gradcheck_one_row_per_block(self, monkeypatch):
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1)     # floors to one row
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            layer, x = gradcheck._suite_case("Conv2d_shifted", rng)
+            assert gradcheck.gradient_check(layer, x, rng=rng) < 1e-4
+
+    @pytest.mark.parametrize("hw,shifted", [
+        ((96, 96), []),
+        ((360, 640), ["dec2.res3x3.weight", "dec1.res3x3.weight",
+                      "head1.conv.weight", "head2.conv.weight"]),
+    ])
+    def test_default_net_routes(self, monkeypatch, hw, shifted):
+        """No layer of the shipped 96x96 runs shifted, so those runs keep
+        im2col's bits; at 360x640 exactly four layers do."""
+        assert shifted_weights_of(ArchConfig(num_classes=4), hw, monkeypatch) == shifted
 
     def test_rule_fires_at_360p_head(self, rng):
         """head1 of a 360x640 frame: 64 -> 32 channels at 180x320."""
