@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -254,6 +255,8 @@ def _parse_knobs(raw: list[str]) -> dict[str, list]:
         name = name.strip()
         if name not in SWEEP_KNOBS:
             raise ConfigError(f"unknown knob {name!r}; valid: {sorted(SWEEP_KNOBS)}")
+        if name in knobs:
+            raise ConfigError(f"knob {name!r} given twice; list all its values in one --knob")
         rule = SETTINGS[name][2]
         knobs[name] = [rule(Section({name: v.strip()}, Path("--knob")), name)
                        for v in values.split(",") if v.strip()]
@@ -349,6 +352,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="jitstream",
@@ -367,7 +377,7 @@ def main(argv=None) -> int:
     pre_p.set_defaults(fn=cmd_pretrain)
 
     grad_p = sub.add_parser("gradcheck", help="finite-difference gradient validation")
-    grad_p.add_argument("--tol", type=float, default=None)
+    grad_p.add_argument("--tol", type=_positive_finite, default=None)
     grad_p.add_argument("--seeds", type=_positive_int, default=20)
     grad_p.set_defaults(fn=cmd_gradcheck)
 

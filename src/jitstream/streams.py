@@ -72,6 +72,12 @@ class SyntheticStreamConfig:
                 raise StreamConfigError(f"unknown event kind {ev.kind!r}")
             if ev.kind in ("appear", "disappear") and ev.object_index is None:
                 raise StreamConfigError(f"{ev.kind} event needs an object index")
+            if ev.kind == "camera_pan" and ev.object_index is not None:
+                raise StreamConfigError(f"event at frame {ev.frame_index}: camera_pan "
+                                        f"moves every object and takes no object index")
+            if ev.kind != "camera_pan" and (ev.dx, ev.dy) != (0.0, 0.0):
+                raise StreamConfigError(f"event at frame {ev.frame_index}: dx and dy are "
+                                        f"the camera_pan drift, not read by {ev.kind}")
             if ev.object_index is not None and not 0 <= ev.object_index < len(self.objects):
                 raise StreamConfigError(f"event at frame {ev.frame_index} names object "
                                         f"{ev.object_index}, outside [0, {len(self.objects)})")

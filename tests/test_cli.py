@@ -151,6 +151,13 @@ class TestRun:
          "event at frame 3: dx and dy must be finite, got nan and 0.0"),
         ("event1.frame = 3\nevent1.kind = camera_pan\nevent1.dy = inf",
          "event at frame 3: dx and dy must be finite, got 0.0 and inf"),
+        ("event1.frame = 3\nevent1.kind = camera_pan\nevent1.object = 0\nevent1.dx = 0.5",
+         "event at frame 3: camera_pan moves every object and takes no object index"),
+        ("event1.frame = 3\nevent1.kind = appearance_shift\nevent1.dx = 0.5",
+         "event at frame 3: dx and dy are the camera_pan drift, not read by "
+         "appearance_shift"),
+        ("event1.frame = 3\nevent1.kind = disappear\nevent1.object = 1\nevent1.dy = -1",
+         "event at frame 3: dx and dy are the camera_pan drift, not read by disappear"),
     ])
     def test_bad_stream_value_exit_2_before_any_frame(self, tmp_path, capsys,
                                                      setting, message):
@@ -230,6 +237,23 @@ def test_saved_predictions_leave_peak_memory_flat(tmp_path):
     traced_peak(8)          # fills the caches a first run of this extent builds
     growth = traced_peak(400) - traced_peak(100)
     assert growth < 512 * 1024, f"peak grew by {growth / 1024:.0f} KiB"
+
+
+@pytest.mark.parametrize("command", ["run", "pretrain", "sweep"])
+@pytest.mark.parametrize("unreadable", ["not_utf8", "directory"])
+def test_unreadable_config_exit_2(tmp_path, capsys, command, unreadable):
+    cfg = tmp_path / "run.cfg"
+    if unreadable == "not_utf8":
+        cfg.write_bytes(b"seed = 1\n# caf\xe9\n")
+    else:
+        cfg.mkdir()
+    extra = {"run": ["--out", str(tmp_path / "out")],
+             "pretrain": ["--out", str(tmp_path / "out" / "w.jitw")],
+             "sweep": ["--out", str(tmp_path / "out"), "--knob", "seed=1"]}[command]
+    assert main([command, "--config", str(cfg), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {cfg}: cannot read config")
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 class TestContainerIngestion:
@@ -541,6 +565,14 @@ class TestGradcheckCommand:
     def test_unachievable_tolerance_fails(self):
         assert main(["gradcheck", "--seeds", "2", "--tol", "1e-12"]) == 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        with pytest.raises(SystemExit) as info:
+            main(["gradcheck", "--tol", tol])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--tol: must be a finite number > 0" in captured.err and captured.out == ""
+
 
 class TestSweep:
     def test_threshold_knob_rows_and_trend(self, small_world, tmp_path):
@@ -583,6 +615,15 @@ class TestSweep:
         root, run = small_world
         assert main(["sweep", "--config", str(run), "--knob", "banana=1"]) == 2
         assert "unknown knob" in capsys.readouterr().err
+
+    def test_knob_named_twice_exit_2(self, small_world, tmp_path, capsys):
+        root, run = small_world
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(run), "--out", str(out),
+                     "--knob", "u_max=1,2", "--knob", "u_max=4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "knob 'u_max' given twice" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("knob, message", [
         ("u_max=abc", "u_max must be an integer, got 'abc'"),

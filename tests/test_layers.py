@@ -450,6 +450,38 @@ def shifted_weights_of(config, hw, monkeypatch):
     return [names[id(w)] for w in seen]
 
 
+def suite_lowerings(kind, monkeypatch):
+    """The lowering of each convolution the gradcheck suite's ``kind`` case
+    runs in one forward: ``im2col``, ``shifted`` or ``direct`` (the 1x1
+    GEMM on the input)."""
+    seen = []
+
+    def spy(module, name, label):
+        real = getattr(module, name)
+
+        def record(*args, **kwargs):
+            seen.append(label)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, record)
+
+    spy(layers, "im2col", "im2col")
+    spy(layers, "shifted_conv3x3_forward", "shifted")
+    spy(gradcheck, "shifted_conv3x3_forward", "shifted")
+    real_conv = layers.conv2d_forward
+
+    def conv(*args, **kwargs):
+        before = len(seen)
+        out = real_conv(*args, **kwargs)
+        if len(seen) == before:
+            seen.append("direct")
+        return out
+    monkeypatch.setattr(layers, "conv2d_forward", conv)
+    layer, x = gradcheck._suite_case(kind, np.random.default_rng(0))
+    layer.forward(x)
+    monkeypatch.undo()
+    return seen
+
+
 class TestShiftedConv:
     """The shifted-GEMM lowering of large stride-1 3x3 convolutions against
     the im2col oracle: same results to a tolerance set by the dtype, the
@@ -459,7 +491,14 @@ class TestShiftedConv:
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("cin,cout,hw", [(3, 4, (1, 1)), (3, 4, (1, 5)), (1, 4, (2, 3)),
                                              (4, 1, (2, 3)), (5, 4, (13, 16)),
-                                             (1, 1, (13, 16)), (1, 3, (180, 320))])
+                                             (1, 1, (13, 16)), (1, 3, (180, 320)),
+                                             # dec3, dec2, dec1, head1, head2 at 96x96
+                                             (256, 64, (3, 3)), (256, 32, (6, 6)),
+                                             (192, 32, (12, 12)), (64, 32, (48, 48)),
+                                             (32, 32, (48, 48)),
+                                             # dec3, dec2, dec1 at 360x640
+                                             (256, 64, (12, 20)), (256, 32, (23, 40)),
+                                             (192, 32, (45, 80))])
     def test_equals_im2col_oracle(self, rng, dtype, tol, bias, cin, cout, hw):
         x = rng.standard_normal((cin, *hw)).astype(dtype)
         w = rng.standard_normal((cout, cin, 3, 3)).astype(dtype)
@@ -518,6 +557,13 @@ class TestShiftedConv:
             rng = np.random.default_rng(seed)
             layer, x = gradcheck._suite_case("Conv2d_shifted", rng)
             assert gradcheck.gradient_check(layer, x, rng=rng) < 1e-4
+
+    @pytest.mark.parametrize("kind,lowerings", [
+        ("Conv2d", ["im2col"]), ("Conv2d_shifted", ["shifted"]), ("Conv2d_s2", ["im2col"]),
+        ("Conv2d_1x1", ["direct"]), ("SeparableConv", ["im2col", "im2col"]),
+    ])
+    def test_gradcheck_suite_covers_every_lowering(self, monkeypatch, kind, lowerings):
+        assert suite_lowerings(kind, monkeypatch) == lowerings
 
     @pytest.mark.parametrize("hw,shifted", [
         ((96, 96), []),
