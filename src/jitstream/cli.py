@@ -316,7 +316,7 @@ def cmd_sweep(args) -> int:
                          str(summary["flops_inference"])]
             except StreamNumericError:
                 cell += ["unstable", "", "", "", "", ""]
-            except (ConfigError, ValueError) as exc:
+            except (ConfigError, ValueError, OSError) as exc:
                 print(f"cell {assignment} failed: {exc}", file=sys.stderr)
                 cell += ["failed", "", "", "", "", ""]
             row = ",".join(cell)

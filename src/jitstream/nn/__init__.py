@@ -17,7 +17,7 @@ from .layers import (
     conv_out_size,
 )
 from .loss import IGNORE_LABEL, weighted_softmax_cross_entropy
-from .optim import SGDMomentum, sgd_momentum_step
+from .optim import SGDMomentum
 from .gradcheck import gradient_check, loss_gradient_check
 from .snapshot import SnapshotError, load_weights, pack_weights, save_weights
 
@@ -28,7 +28,7 @@ __all__ = [
     "bilinear_resize_backward", "bilinear_resize_forward",
     "conv2d_backward", "conv2d_forward", "conv_out_size",
     "IGNORE_LABEL", "weighted_softmax_cross_entropy",
-    "SGDMomentum", "sgd_momentum_step",
+    "SGDMomentum",
     "gradient_check", "loss_gradient_check",
     "SnapshotError", "load_weights", "pack_weights", "save_weights",
 ]

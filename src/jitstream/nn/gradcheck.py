@@ -16,8 +16,6 @@ from .layers import (
     Conv2d,
     ReLU,
     SeparableConv,
-    shifted_conv3x3_backward,
-    shifted_conv3x3_forward,
 )
 
 
@@ -76,39 +74,14 @@ def gradient_check(layer, x: np.ndarray, eps: float = 1e-5,
     return worst
 
 
-LAYER_KINDS = ("Conv2d", "Conv2d_shifted", "Conv2d_s2", "Conv2d_1x1", "SeparableConv",
-               "BatchNorm", "ReLU", "BilinearResize")
-
-
-class _ShiftedConv:
-    """A 3x3 :class:`Conv2d`'s parameters run through the shifted-GEMM
-    lowering, which ``conv2d_forward`` picks only for inputs far larger
-    than the suite's."""
-
-    def __init__(self, conv):
-        self.conv = conv
-        self._xp = None
-
-    def params(self):
-        return self.conv.params()
-
-    def forward(self, x):
-        y, self._xp = shifted_conv3x3_forward(x, self.conv.w.value, self.conv.b.value)
-        return y
-
-    def backward(self, dy):
-        dx, dw, db = shifted_conv3x3_backward(dy, self.conv.w.value, self._xp)
-        self.conv.w.gradient += dw
-        self.conv.b.gradient += db
-        return dx
+LAYER_KINDS = ("Conv2d", "Conv2d_s2", "Conv2d_1x1", "SeparableConv", "BatchNorm", "ReLU",
+               "BilinearResize")
 
 
 def _suite_case(kind: str, rng: np.random.Generator):
     x = rng.standard_normal((2, 4, 4))
     if kind == "Conv2d":
         return Conv2d(2, 3, 3, rng=rng, dtype=np.float64), x
-    if kind == "Conv2d_shifted":
-        return _ShiftedConv(Conv2d(2, 3, 3, rng=rng, dtype=np.float64)), x
     if kind == "Conv2d_s2":
         return Conv2d(2, 3, 3, stride=2, rng=rng, dtype=np.float64), x
     if kind == "Conv2d_1x1":

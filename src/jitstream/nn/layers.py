@@ -6,18 +6,18 @@ explicit ``forward`` that caches whatever the matching ``backward`` needs;
 parameter gradients accumulate into :class:`ParamState.gradient` and are
 cleared by the optimizer.
 
-Convolutions run one of two lowerings.  A stride-1 3x3 kernel with padding
-1 whose im2col column matrix would exceed :data:`SHIFTED_MIN_COLUMN_BYTES`
-runs as nine GEMMs on shifted slices of one zero-padded copy of its input
-(:func:`shifted_conv3x3_forward`), summed block by block of output rows in
-an accumulator small enough to stay in cache; its input gradient is the
-same tap sum over the padded output gradient.  Every other convolution runs
-im2col and one GEMM, and 1x1 kernels skip im2col and run their GEMM on the
-(strided) input.  Each :class:`Conv2d` keeps the buffer its lowering builds
-(the columns or the padded input), hands it back on the next forward and
-allocates a new one only when the input extent or dtype changes; the
-backward cache references that buffer, which holds because a layer's
-backward always follows its own latest forward.
+The kernel alone picks a convolution's lowering.  A stride-1 3x3 kernel
+with padding 1 runs as nine GEMMs on shifted slices of one zero-padded copy
+of its input (:func:`shifted_conv3x3_forward`), summed block by block of
+output rows in an accumulator small enough to stay in cache; its input
+gradient is the same tap sum over the padded output gradient.  Every other
+convolution runs im2col and one GEMM, and 1x1 kernels skip im2col and run
+their GEMM on the (strided) input.  Each :class:`Conv2d` keeps the buffer
+its lowering builds (the columns or the padded input), hands it back on the
+next forward and allocates a new one only when the input extent changes
+(or the dtype, which the buffer builders check themselves); the backward
+cache references that buffer, which holds because a layer's backward always
+follows its own latest forward.
 
 Both kinds of buffer carry a zero border that is written once, at
 allocation, and never again: :func:`im2col` copies each kernel tap's valid
@@ -28,16 +28,14 @@ spare trailing elements zero (its backward pads the output gradient the
 same way, in a buffer of its own).  So a buffer may only be refilled for the
 input extent (and kernel, stride and padding) it was allocated for: two
 extents with the same column count (96x96 and 48x192) put their zeros in
-different places.  The extent and dtype pick the lowering, so a buffer is
-never handed to the other lowering.  :func:`col2im` scatter-adds only the
-valid windows into an unpadded gradient.
+different places.  :func:`col2im` scatter-adds only the valid windows into
+an unpadded gradient.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
 so a run's outputs do not move by a single bit.  The shifted lowering sums
-each output in another order; it agrees with im2col to about 1e-6 relative
-in float32, so runs whose layers stay below the size rule (every layer at
-96x96) keep their bits and larger runs do not.
+each output in another order than im2col; the two agree to about 1e-6
+relative in float32, and im2col stays the shifted form's test oracle.
 
 Production code runs in float32; gradient checking runs the same code in
 float64.
@@ -146,16 +144,6 @@ def col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int,
     return dx
 
 
-# A stride-1 3x3 "same" convolution whose im2col columns would exceed this
-# many bytes runs as nine shifted GEMMs instead.  Per layer, with one BLAS
-# thread: at 0.3 MiB im2col wins both ways; from 5 MiB up (head1 at 96x96
-# and every 360x640 and 720x1280 layer that reaches the rule) the row-blocked
-# shifted GEMMs win, the forward by 30-60% and the backward by 10-30%, and
-# they always hold a ninth of the memory.  The rule stays at 8 MiB so that
-# every layer at the shipped 96x96 extent (at most 5.06 MiB) keeps im2col's
-# bits.
-SHIFTED_MIN_COLUMN_BYTES = 8 << 20
-
 # The shifted lowering sums its nine taps over blocks of whole output rows
 # whose accumulator holds at most this many bytes (and at least one row), so
 # the eight adds stay in the per-core L2.  Forward / backward ms per layer
@@ -179,12 +167,10 @@ SHIFTED_MIN_COLUMN_BYTES = 8 << 20
 SHIFTED_BLOCK_BYTES = 256 << 10
 
 
-def _runs_shifted(x_shape, w_shape, stride: int, ph: int, pw: int, dtype) -> bool:
+def _runs_shifted(w_shape, stride: int, ph: int, pw: int) -> bool:
     """Whether :func:`conv2d_forward` lowers this convolution to shifted
-    GEMMs rather than im2col."""
-    c, h, w = x_shape
-    return ((w_shape[2:], stride, ph, pw) == ((3, 3), 1, 1, 1)
-            and 9 * c * h * w * np.dtype(dtype).itemsize > SHIFTED_MIN_COLUMN_BYTES)
+    GEMMs rather than im2col: a stride-1 3x3 kernel with padding 1."""
+    return (w_shape[2:], stride, ph, pw) == ((3, 3), 1, 1, 1)
 
 
 def _tap_offsets(wp: int) -> list[int]:
@@ -304,16 +290,16 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                    buf: np.ndarray | None = None):
     """Cross-correlation of a ``(C,H,W)`` frame with ``(Cout,Cin,kh,kw)`` weights.
 
-    Two lowerings: a stride-1 3x3 kernel with padding 1 whose im2col
-    columns would exceed :data:`SHIFTED_MIN_COLUMN_BYTES` runs
-    :func:`shifted_conv3x3_forward`; everything else runs im2col and one
-    GEMM.  An unpadded 1x1 kernel skips im2col and runs its GEMM on the
-    strided input, which is the matrix im2col would build.  ``buf`` is the
-    lowering's buffer from an earlier call with an input of the same extent
-    and dtype (the padded input or the columns; the rule picks the same
-    lowering for both calls), refilled when it fits.  Returns ``(y,
-    cache)``; pass the cache to :func:`conv2d_backward`.  The cache's second
-    entry is that buffer, or a view of ``x``.
+    The kernel picks the lowering: a stride-1 3x3 kernel with padding 1
+    runs :func:`shifted_conv3x3_forward` at every extent and dtype;
+    everything else runs im2col and one GEMM.  An unpadded 1x1 kernel skips
+    im2col and runs its GEMM on the strided input, which is the matrix
+    im2col would build.  ``buf`` is the lowering's buffer (the padded input
+    or the columns) from an earlier call with the same kernel, stride and
+    padding and an input of the same extent, refilled when it has the
+    input's dtype.
+    Returns ``(y, cache)``; pass the cache to :func:`conv2d_backward`.  The
+    cache's second entry is that buffer, or a view of ``x``.
     """
     cout, cin, kh, kw = w.shape
     if x.shape[0] != cin:
@@ -321,7 +307,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"conv2d: bias extent {b.shape} != out_channels ({cout},)")
     ph, pw = _pair(pad)
-    if _runs_shifted(x.shape, w.shape, stride, ph, pw, x.dtype):
+    if _runs_shifted(w.shape, stride, ph, pw):
         y, buf = shifted_conv3x3_forward(x, w, b, buf)
         return y, (x.shape, buf, stride, ph, pw, x.shape[1:])
     if (kh, kw, ph, pw) == (1, 1, 0, 0):
@@ -345,7 +331,7 @@ def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
     cout, cin, kh, kw = w.shape
     if dy.shape != (cout, ho, wo):
         raise ShapeError(f"conv2d backward: upstream gradient {dy.shape} != output ({cout},{ho},{wo})")
-    if _runs_shifted(x_shape, w.shape, stride, ph, pw, cols.dtype):
+    if _runs_shifted(w.shape, stride, ph, pw):
         return shifted_conv3x3_backward(dy, w, cols)
     dy_mat = dy.reshape(cout, -1)
     dw = (dy_mat @ cols.T).reshape(w.shape)
@@ -460,24 +446,11 @@ def bilinear_resize_backward(dy: np.ndarray, cache):
     return np.einsum(_RESIZE_BACKWARD, mh, dy, mw, optimize=backward)
 
 
-class Layer:
-    """Minimal forward/backward protocol shared by all layers."""
-
-    def params(self):
-        return []
-
-    def forward(self, x):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def backward(self, dy):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 def _he_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
 
-class Conv2d(Layer):
+class Conv2d:
     """Convolution with "same" padding (pad = kernel // 2)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel=3, stride: int = 1,
@@ -503,12 +476,9 @@ class Conv2d(Layer):
         return out
 
     def forward(self, x):
-        # a buffer's zero border is laid out for one input extent, and the
-        # extent and dtype pick the lowering, so a buffer is only handed
-        # back to the lowering that built it
+        # a buffer's zero border is laid out for one input extent
         buf = None
-        if (self._cache is not None and self._cache[0] == x.shape
-                and self._cache[1].dtype == x.dtype):
+        if self._cache is not None and self._cache[0] == x.shape:
             buf = self._cache[1]
         y, self._cache = conv2d_forward(x, self.w.value,
                                         None if self.b is None else self.b.value,
@@ -525,7 +495,7 @@ class Conv2d(Layer):
         return dx
 
 
-class SeparableConv(Layer):
+class SeparableConv:
     """A 1x3 convolution followed by a 3x1 convolution (both "same"-padded)."""
 
     def __init__(self, in_channels: int, out_channels: int, bias: bool = True,
@@ -545,7 +515,7 @@ class SeparableConv(Layer):
         return self.conv_1x3.backward(self.conv_3x1.backward(dy))
 
 
-class BatchNorm(Layer):
+class BatchNorm:
     """Per-frame spatial batch normalization (batch size is always 1 here, so
     no running statistics are kept)."""
 
@@ -571,9 +541,12 @@ class BatchNorm(Layer):
         return dx
 
 
-class ReLU(Layer):
+class ReLU:
     def __init__(self):
         self._mask = None
+
+    def params(self):
+        return []
 
     def forward(self, x):
         self._mask = x > 0
@@ -583,7 +556,7 @@ class ReLU(Layer):
         return dy * self._mask
 
 
-class BilinearResize(Layer):
+class BilinearResize:
     """Resize by an integer factor, or to an explicit target passed at call time."""
 
     def __init__(self, factor: int = 1):
@@ -591,6 +564,9 @@ class BilinearResize(Layer):
             raise ValueError("bilinear_resize: factor must be >= 1")
         self.factor = factor
         self._cache = None
+
+    def params(self):
+        return []
 
     def forward(self, x, out_hw: tuple[int, int] | None = None):
         if out_hw is None:
@@ -604,7 +580,7 @@ class BilinearResize(Layer):
         return bilinear_resize_backward(dy, self._cache)
 
 
-class Concat(Layer):
+class Concat:
     """Channel-axis concatenation of two feature maps with equal extents."""
 
     def __init__(self):

@@ -6,30 +6,9 @@ import numpy as np
 from .layers import ParamState
 
 
-def sgd_momentum_step(params, lr: float, momentum: float) -> int:
-    """Apply one momentum step to every parameter group and clear gradients.
-
-    ``buffer <- momentum * buffer + gradient; value <- value - lr * buffer``.
-    A group whose gradient contains non-finite values is skipped (its buffer
-    and value stay untouched, the stale gradient is still cleared); the
-    number of skipped groups is returned.
-    """
-    rejected = 0
-    for p in params:
-        g = p.gradient
-        if not np.isfinite(g).all():
-            rejected += 1
-            p.clear_gradient()
-            continue
-        p.momentum_buffer *= momentum
-        p.momentum_buffer += g
-        p.value -= lr * p.momentum_buffer
-        p.clear_gradient()
-    return rejected
-
-
 class SGDMomentum:
-    """Stateful wrapper keeping the running count of rejected updates."""
+    """SGD with momentum over parameter groups, keeping the running count of
+    rejected updates."""
 
     def __init__(self, params: list[ParamState], lr: float = 0.01, momentum: float = 0.9):
         self.params = list(params)
@@ -38,7 +17,24 @@ class SGDMomentum:
         self.rejected_total = 0
 
     def step(self) -> int:
-        rejected = sgd_momentum_step(self.params, self.lr, self.momentum)
+        """Apply one momentum step to every parameter group and clear gradients.
+
+        ``buffer <- momentum * buffer + gradient; value <- value - lr * buffer``.
+        A group whose gradient contains non-finite values is skipped (its
+        buffer and value stay untouched, the stale gradient is still
+        cleared); the number of skipped groups is returned.
+        """
+        rejected = 0
+        for p in self.params:
+            g = p.gradient
+            if not np.isfinite(g).all():
+                rejected += 1
+                p.clear_gradient()
+                continue
+            p.momentum_buffer *= self.momentum
+            p.momentum_buffer += g
+            p.value -= self.lr * p.momentum_buffer
+            p.clear_gradient()
         self.rejected_total += rejected
         return rejected
 

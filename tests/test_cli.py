@@ -522,23 +522,24 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seeds", "3"]) == 0
         out = capsys.readouterr().out
         assert "network" in out and "FAIL" not in out
-        assert any(line.startswith("Conv2d_shifted ") and line.endswith("ok")
+        assert any(line.startswith("Conv2d ") and line.endswith("ok")
                    for line in out.splitlines())
 
     def test_corrupted_shifted_backward_detected(self, capsys, monkeypatch):
-        from jitstream.nn import gradcheck
+        from jitstream.nn import layers
 
-        original = gradcheck.shifted_conv3x3_backward
+        original = layers.shifted_conv3x3_backward
 
         def corrupted(dy, w, xp):
             dx, dw, db = original(dy, w, xp)
             return dx, dw * 1.01, db
 
-        monkeypatch.setattr(gradcheck, "shifted_conv3x3_backward", corrupted)
+        monkeypatch.setattr(layers, "shifted_conv3x3_backward", corrupted)
         assert main(["gradcheck", "--seeds", "1"]) == 1
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                   if "FAIL" in line]
-        assert failed == ["Conv2d_shifted"]
+        # the network's stride-1 3x3 layers run the shifted form too
+        assert failed == ["Conv2d", "network"]
 
     def test_corrupted_conv_backward_detected(self, capsys, monkeypatch):
         from jitstream.nn import layers
@@ -668,6 +669,31 @@ class TestSweep:
         assert [line.split(",")[:2] for line in lines[1:]] == [["inf", "failed"],
                                                                 ["0.5", "ok"]]
         assert "width_multiplier must be finite and > 0, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["init_snapshot", "stream.container",
+                                     "stream.recorded_teacher"])
+    def test_directory_input_fails_its_cell(self, tmp_path, capsys, key):
+        """A directory where an input file belongs: ``run`` exits 2, and
+        ``sweep`` marks every cell failed instead of ending in a traceback."""
+        from jitstream.distill import write_predictions_jsonl
+        from jitstream.streams import write_lvss
+
+        write_lvss(tmp_path / "frames.lvss", np.zeros((3, 16, 16, 3), dtype=np.uint8))
+        write_predictions_jsonl(tmp_path / "teacher.jsonl", {0: []})
+        (tmp_path / "folder").mkdir()
+        inputs = {"stream.container": "frames.lvss",
+                  "stream.recorded_teacher": "teacher.jsonl", key: "folder"}
+        run = tmp_path / "run.cfg"
+        run.write_text("".join(f"{k} = {v}\n" for k, v in inputs.items())
+                       + "num_classes = 2\n")
+        assert main(["run", "--config", str(run), "--out", str(tmp_path / "run")]) == 2
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(run), "--out", str(out),
+                     "--knob", "seed=1,2"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1", "failed"],
+                                                                ["2", "failed"]]
+        assert str(tmp_path / "folder") in capsys.readouterr().err
 
     def test_boolean_knob_takes_the_config_file_spellings(self, small_world, tmp_path):
         root, run = small_world

@@ -450,6 +450,11 @@ def shifted_weights_of(config, hw, monkeypatch):
     return [names[id(w)] for w in seen]
 
 
+# the stride-1 3x3 layers of a default network, in execution order
+STRIDE1_3X3 = ["dec3.res3x3.weight", "dec2.res3x3.weight", "dec1.res3x3.weight",
+               "head1.conv.weight", "head2.conv.weight"]
+
+
 def suite_lowerings(kind, monkeypatch):
     """The lowering of each convolution the gradcheck suite's ``kind`` case
     runs in one forward: ``im2col``, ``shifted`` or ``direct`` (the 1x1
@@ -466,7 +471,6 @@ def suite_lowerings(kind, monkeypatch):
 
     spy(layers, "im2col", "im2col")
     spy(layers, "shifted_conv3x3_forward", "shifted")
-    spy(gradcheck, "shifted_conv3x3_forward", "shifted")
     real_conv = layers.conv2d_forward
 
     def conv(*args, **kwargs):
@@ -483,9 +487,9 @@ def suite_lowerings(kind, monkeypatch):
 
 
 class TestShiftedConv:
-    """The shifted-GEMM lowering of large stride-1 3x3 convolutions against
-    the im2col oracle: same results to a tolerance set by the dtype, the
-    only path above the size rule, and a ninth of the memory."""
+    """The shifted-GEMM lowering of stride-1 3x3 convolutions against the
+    im2col oracle: same results to a tolerance set by the dtype, the only
+    path such a kernel takes at any extent, and a ninth of the memory."""
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @pytest.mark.parametrize("bias", [True, False])
@@ -555,24 +559,20 @@ class TestShiftedConv:
         monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1)     # floors to one row
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            layer, x = gradcheck._suite_case("Conv2d_shifted", rng)
+            layer, x = gradcheck._suite_case("Conv2d", rng)
             assert gradcheck.gradient_check(layer, x, rng=rng) < 1e-4
 
     @pytest.mark.parametrize("kind,lowerings", [
-        ("Conv2d", ["im2col"]), ("Conv2d_shifted", ["shifted"]), ("Conv2d_s2", ["im2col"]),
-        ("Conv2d_1x1", ["direct"]), ("SeparableConv", ["im2col", "im2col"]),
+        ("Conv2d", ["shifted"]), ("SeparableConv", ["im2col", "im2col"]),
+        ("Conv2d_s2", ["im2col"]), ("Conv2d_1x1", ["direct"]),
     ])
     def test_gradcheck_suite_covers_every_lowering(self, monkeypatch, kind, lowerings):
         assert suite_lowerings(kind, monkeypatch) == lowerings
 
-    @pytest.mark.parametrize("hw,shifted", [
-        ((96, 96), []),
-        ((360, 640), ["dec2.res3x3.weight", "dec1.res3x3.weight",
-                      "head1.conv.weight", "head2.conv.weight"]),
-    ])
+    @pytest.mark.parametrize("hw,shifted", [((96, 96), STRIDE1_3X3), ((360, 640), STRIDE1_3X3)])
     def test_default_net_routes(self, monkeypatch, hw, shifted):
-        """No layer of the shipped 96x96 runs shifted, so those runs keep
-        im2col's bits; at 360x640 exactly four layers do."""
+        """The same five layers run shifted at the shipped 96x96 and at
+        360x640: the extent does not pick the lowering."""
         assert shifted_weights_of(ArchConfig(num_classes=4), hw, monkeypatch) == shifted
 
     def test_rule_fires_at_360p_head(self, rng):
@@ -588,9 +588,9 @@ class TestShiftedConv:
             assert g.shape == want.shape and max_relative_diff(g, want) <= 1e-5
 
     @pytest.mark.parametrize("kernel,stride,pad,hw,dtype,shifted", [
-        ((3, 3), 1, 1, (48, 48), np.float32, False),     # 5.06 MiB: head1 at 96x96
-        ((3, 3), 1, 1, (48, 64), np.float32, False),     # 6.75 MiB
-        ((3, 3), 1, 1, (48, 64), np.float64, True),      # 13.5 MiB
+        ((3, 3), 1, 1, (48, 48), np.float32, True),      # head1 at 96x96
+        ((3, 3), 1, 1, (48, 64), np.float32, True),
+        ((3, 3), 1, 1, (48, 64), np.float64, True),
         ((3, 3), 1, 1, (180, 320), np.float32, True),
         ((3, 3), 2, 1, (180, 320), np.float32, False),
         ((3, 3), 1, 0, (180, 320), np.float32, False),
@@ -599,6 +599,9 @@ class TestShiftedConv:
         ((1, 1), 1, 0, (180, 320), np.float32, False),
     ])
     def test_rule_picks_only_large_stride1_3x3(self, kernel, stride, pad, hw, dtype, shifted):
+        """Only the kernel's shape, stride and padding pick the lowering: a
+        stride-1 3x3 kernel with padding 1 runs shifted at every extent and
+        dtype, and no other kernel does."""
         x = np.zeros((64, *hw), dtype=dtype)
         w = np.zeros((4, 64, *kernel), dtype=dtype)
         _, cache = conv2d_forward(x, w, None, stride, pad)
@@ -606,6 +609,8 @@ class TestShiftedConv:
         assert (cache[1].shape == padded) == shifted
 
     def test_buffers_never_mix_between_lowerings(self, rng):
+        """A 3x3 layer fed three extents runs shifted at each and matches a
+        fresh twin, so its padded buffer follows the extent."""
         assert_conv_equals_fresh_twins(rng, 3, 1, ((180, 320), (48, 48), (180, 320)), cin=64)
 
     def test_large_conv_memory_bound(self, rng):

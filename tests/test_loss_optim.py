@@ -6,7 +6,6 @@ import pytest
 from jitstream.nn import (
     ParamState,
     SGDMomentum,
-    sgd_momentum_step,
     weighted_softmax_cross_entropy,
 )
 from jitstream.nn.gradcheck import loss_gradient_check
@@ -119,7 +118,7 @@ class TestSGDMomentum:
     def test_zero_gradient_no_change(self, rng):
         p = ParamState.of(rng.standard_normal((3, 3)))
         before = p.value.copy()
-        sgd_momentum_step([p], lr=0.5, momentum=0.9)
+        SGDMomentum([p], lr=0.5, momentum=0.9).step()
         np.testing.assert_array_equal(p.value, before)
 
     def test_momentum_zero_plain_step(self, rng):
@@ -127,22 +126,23 @@ class TestSGDMomentum:
         g = rng.standard_normal(4)
         p.gradient += g
         before = p.value.copy()
-        sgd_momentum_step([p], lr=0.1, momentum=0.0)
+        SGDMomentum([p], lr=0.1, momentum=0.0).step()
         np.testing.assert_allclose(p.value, before - 0.1 * g, rtol=1e-7)
 
     def test_two_step_recurrence(self):
         p = ParamState.of(np.array([1.0]))
         g = np.array([0.4])
+        opt = SGDMomentum([p], lr=0.01, momentum=0.9)
         for _ in range(2):
             p.gradient += g
-            sgd_momentum_step([p], lr=0.01, momentum=0.9)
+            opt.step()
         # step 1 buffer g, step 2 buffer 1.9 g
         assert p.value[0] == pytest.approx(1.0 - 0.01 * (0.4 + 1.9 * 0.4), rel=1e-12)
 
     def test_gradients_cleared(self, rng):
         p = ParamState.of(rng.standard_normal(3))
         p.gradient += 1.0
-        sgd_momentum_step([p], lr=0.01, momentum=0.9)
+        SGDMomentum([p], lr=0.01, momentum=0.9).step()
         assert not p.gradient.any()
 
     def test_non_finite_gradient_rejected_and_counted(self, rng):
