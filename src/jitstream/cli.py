@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .distill import (
 from .metrics import interval_series, speedup_from_counts
 from .nn import load_weights, pack_weights
 from .nn.gradcheck import run_layer_suite
+from .nn.layers import thread_cap
 from .pretrain import pretrain
 from .streams import (
     ContainerSource,
@@ -327,22 +327,23 @@ def cmd_sweep(args) -> int:
 
 def _limit_threads() -> None:
     """Apply ``JITSTREAM_THREADS`` as a BLAS thread cap, or say on stderr why
-    it has no effect."""
-    cap = os.environ.get("JITSTREAM_THREADS")
-    if not cap:
+    it does not cap BLAS threads.  The same value caps the threads the
+    shifted convolutions split across (``nn.layers``)."""
+    try:
+        cap = thread_cap()
+    except ValueError as exc:
+        print(f"warning: {exc}", file=sys.stderr)
+        return
+    if cap is None:
         return
     try:
-        threads = int(cap)
         import threadpoolctl
-    except ValueError:
-        print(f"warning: JITSTREAM_THREADS={cap!r} ignored: not an integer",
-              file=sys.stderr)
-        return
     except ImportError:
-        print("warning: JITSTREAM_THREADS ignored: capping BLAS threads needs "
-              "threadpoolctl, which is not installed", file=sys.stderr)
+        print(f"warning: JITSTREAM_THREADS={cap} caps only the convolution split; "
+              "BLAS threads are not capped: that needs threadpoolctl, which is not "
+              "installed", file=sys.stderr)
         return
-    threadpoolctl.threadpool_limits(threads)
+    threadpoolctl.threadpool_limits(cap)
 
 
 def _positive_int(text: str) -> int:

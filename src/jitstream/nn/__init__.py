@@ -18,7 +18,7 @@ from .layers import (
 )
 from .loss import IGNORE_LABEL, weighted_softmax_cross_entropy
 from .optim import SGDMomentum
-from .gradcheck import gradient_check, loss_gradient_check
+from .gradcheck import gradient_check
 from .snapshot import SnapshotError, load_weights, pack_weights, save_weights
 
 __all__ = [
@@ -29,6 +29,6 @@ __all__ = [
     "conv2d_backward", "conv2d_forward", "conv_out_size",
     "IGNORE_LABEL", "weighted_softmax_cross_entropy",
     "SGDMomentum",
-    "gradient_check", "loss_gradient_check",
+    "gradient_check",
     "SnapshotError", "load_weights", "pack_weights", "save_weights",
 ]

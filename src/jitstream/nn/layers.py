@@ -31,6 +31,15 @@ extents with the same column count (96x96 and 48x192) put their zeros in
 different places.  :func:`col2im` scatter-adds only the valid windows into
 an unpadded gradient.
 
+A shifted layer whose output holds at least one whole row block per thread
+deals its blocks, forward and ``dx`` alike, and its nine ``dW`` GEMMs
+round-robin to persistent worker threads, one per core beyond the caller's.
+The number of threads is the CPUs this process may run on over the BLAS
+threads each GEMM already uses (asked of OpenBLAS; 1 for another BLAS),
+capped by ``JITSTREAM_THREADS``.  Every GEMM, block edge and add is
+the one the serial pass makes, so the split keeps every bit.  Worker threads
+run only private code and numpy.
+
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
 so a run's outputs do not move by a single bit.  The shifted lowering sums
@@ -42,7 +51,11 @@ float64.
 """
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +192,148 @@ def _tap_offsets(wp: int) -> list[int]:
     return [i * wp + j for i in range(3) for j in range(3)]
 
 
-def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int) -> np.ndarray:
+def thread_cap() -> int | None:
+    """``JITSTREAM_THREADS`` as a positive integer, or None when it is unset
+    or empty; raises ValueError, with the warning to give, for any other
+    value."""
+    text = os.environ.get("JITSTREAM_THREADS")
+    if not text:
+        return None
+    try:
+        cap = int(text)
+    except ValueError:
+        raise ValueError(f"JITSTREAM_THREADS={text!r} ignored: not an integer") from None
+    if cap < 1:
+        raise ValueError(f"JITSTREAM_THREADS={text!r} ignored: not a positive integer")
+    return cap
+
+
+def _blas_threads() -> int | None:
+    """The threads each GEMM runs on, asked of the OpenBLAS that numpy's
+    core extension links; None for another BLAS."""
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath   # numpy 2, 1
+    core = ctypes.CDLL(umath.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        getter = getattr(core, name, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter()
+    return None
+
+
+def _process_width() -> int:
+    """Threads a shifted layer may split its work across: the CPUs this
+    process may run on over the threads each GEMM already uses, capped by
+    ``JITSTREAM_THREADS``; 1 where the BLAS thread count cannot be read."""
+    blas = _blas_threads()
+    if blas is None:
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)       # Linux only
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    width = max(1, cpus // blas)
+    try:
+        cap = thread_cap()
+    except ValueError:      # the command line has warned about it
+        cap = None
+    return min(width, cap or width)
+
+
+def _attempt(share, k: int) -> BaseException | None:
+    """``share(k)``; returns what it raised, for the caller to raise."""
+    try:
+        share(k)
+    except BaseException as exc:
+        return exc
+    return None
+
+
+class _Workers:
+    """Up to ``width - 1`` persistent daemon threads, each fed through a
+    queue of its own, for the shares of a split beyond the caller's; they
+    start on the first split, so a process whose layers never split stays
+    single-threaded.  A round trip through the queues costs about 18 µs,
+    through a ``ThreadPoolExecutor`` 42 µs (2-core Xeon, CPython 3.11)."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self._busy = threading.Lock()
+        self._jobs: list[queue.SimpleQueue] = []
+
+    def _serve(self, jobs) -> None:
+        while (job := jobs.get()) is not None:
+            share, k, done = job
+            error = _attempt(share, k)
+            # hold nothing of a share between calls, so that its arrays are
+            # freed as soon as the caller lets go of them
+            del job, share
+            done.put(error)
+            del error
+
+    def run(self, share, width: int) -> None:
+        """``share(k)`` for every ``k < width``, share 0 on the calling
+        thread; returns once every share has finished and raises the first
+        exception one of them raised.  A call made while another thread's
+        split runs does every share itself."""
+        if width == 1 or not self._busy.acquire(blocking=False):
+            for k in range(width):
+                share(k)
+            return
+        try:
+            while len(self._jobs) < width - 1:
+                self._jobs.append(queue.SimpleQueue())
+                threading.Thread(target=self._serve, args=(self._jobs[-1],),
+                                 daemon=True).start()
+            # a queue per call: a call cut short by an interrupt leaves its
+            # late results where the next call does not read them
+            done = queue.SimpleQueue()
+            for k, jobs in enumerate(self._jobs[:width - 1], start=1):
+                jobs.put((share, k, done))
+            errors = [_attempt(share, 0)] + [done.get() for _ in range(width - 1)]
+        finally:
+            self._busy.release()
+        error = next((e for e in errors if e is not None), None)
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        while self._jobs:
+            self._jobs.pop().put(None)
+
+
+# created on the first shifted layer, after the command line has applied
+# JITSTREAM_THREADS; a forked child starts without the parent's threads
+_workers: _Workers | None = None
+
+
+def _forget_workers() -> None:
+    global _workers
+    _workers = None
+
+
+os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _layer_width(channels: int, h: int, w: int, itemsize: int) -> int:
+    """Threads a shifted layer with ``channels`` outputs at ``h`` x ``w``
+    splits across: all the process may use when each of them gets at least
+    one whole row block of the output, else 1."""
+    global _workers
+    if _workers is None:
+        _workers = _Workers(_process_width())
+    width = _workers.width
+    return width if h // _block_rows(channels, h, w, itemsize) >= width else 1
+
+
+def _block_rows(channels: int, h: int, w: int, itemsize: int) -> int:
+    """Rows per block of a tap sum with ``channels`` output channels over
+    ``h`` rows of width ``w+2``: as many as fit :data:`SHIFTED_BLOCK_BYTES`,
+    at least one."""
+    return min(h, max(1, SHIFTED_BLOCK_BYTES // (channels * (w + 2) * itemsize)))
+
+
+def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int, width: int) -> np.ndarray:
     """``y[:, p] = sum_k taps[k] @ xp[:, offsets[k] + p]`` over the ``h``
     rows of width ``w+2`` that start at column 0 of the flat ``xp``, added in
     tap order; returns ``(Cout, h, w)`` with the two junk columns of each row
@@ -191,26 +345,33 @@ def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int) -> np.ndarray:
     element gets the same nine products added in the same order as in one
     pass over all rows, so the result has that pass's bits wherever BLAS
     rounds a column of a narrower GEMM as it does in the full-width one.
+    The blocks are dealt round-robin to ``width`` threads (:data:`_workers`),
+    each with an accumulator of its own; a block's GEMMs and adds are the
+    same on any thread, so the bits do not depend on ``width``.
     """
     cout = taps[0].shape[0]
     wp = w + 2
     dtype = np.result_type(taps[0], xp)
-    rows = min(h, max(1, SHIFTED_BLOCK_BYTES // (cout * wp * dtype.itemsize)))
+    rows = _block_rows(cout, h, w, dtype.itemsize)
     y = np.empty((cout, h, w), dtype=dtype)
-    acc = np.empty(cout * rows * wp, dtype=dtype)
-    part = np.empty_like(acc)
-    for r0 in range(0, h, rows):
-        r1 = min(h, r0 + rows)
-        n = (r1 - r0) * wp
-        block = acc[:cout * n].reshape(cout, n)
-        scratch = part[:cout * n].reshape(cout, n)
-        start = r0 * wp + offsets[0]
-        np.matmul(taps[0], xp[:, start:start + n], out=block)
-        for tap, off in zip(taps[1:], offsets[1:]):
-            start = r0 * wp + off
-            np.matmul(tap, xp[:, start:start + n], out=scratch)
-            block += scratch
-        y[:, r0:r1] = block.reshape(cout, r1 - r0, wp)[:, :, :w]
+
+    def _share(k):
+        acc = np.empty(cout * rows * wp, dtype=dtype)
+        part = np.empty_like(acc)
+        for r0 in range(k * rows, h, width * rows):
+            r1 = min(h, r0 + rows)
+            n = (r1 - r0) * wp
+            block = acc[:cout * n].reshape(cout, n)
+            scratch = part[:cout * n].reshape(cout, n)
+            start = r0 * wp + offsets[0]
+            np.matmul(taps[0], xp[:, start:start + n], out=block)
+            for tap, off in zip(taps[1:], offsets[1:]):
+                start = r0 * wp + off
+                np.matmul(tap, xp[:, start:start + n], out=scratch)
+                block += scratch
+            y[:, r0:r1] = block.reshape(cout, r1 - r0, wp)[:, :, :w]
+
+    _workers.run(_share, width)
     return y
 
 
@@ -251,7 +412,8 @@ def shifted_conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     """
     _, h, wd = x.shape
     xp = _pad_flat(x, xp)
-    y = _sum_taps(xp, _weight_taps(w), _tap_offsets(wd + 2), h, wd)
+    width = _layer_width(w.shape[0], h, wd, np.result_type(w, xp).itemsize)
+    y = _sum_taps(xp, _weight_taps(w), _tap_offsets(wd + 2), h, wd, width)
     if b is not None:
         y += b[:, None, None]
     return y, xp
@@ -267,7 +429,8 @@ def shifted_conv3x3_backward(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
     and the forward's junk columns contribute nothing.  ``dx`` is the
     correlation of the padded ``dy`` with the flipped, transposed kernel:
     :func:`_sum_taps` with each tap's transpose at the mirrored offset
-    ``2*(W+3) - off``, in tap order.
+    ``2*(W+3) - off``, in tap order.  The nine ``dW`` GEMMs are dealt
+    round-robin to the threads the forward splits across.
     """
     cout, h, wd = dy.shape
     wp = wd + 2
@@ -277,10 +440,15 @@ def shifted_conv3x3_backward(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
     offsets = _tap_offsets(wp)
     dtaps = np.empty_like(taps)
     inner = dyp[:, wp + 1:wp + 1 + n]
-    for dtap, off in zip(dtaps, offsets):
-        np.matmul(inner, xp[:, off:off + n].T, out=dtap)
+    width = _layer_width(cout, h, wd, np.result_type(w, dy).itemsize)
+
+    def _share(k):
+        for t in range(k, 9, width):
+            np.matmul(inner, xp[:, offsets[t]:offsets[t] + n].T, out=dtaps[t])
+
+    _workers.run(_share, width)
     mirrored = [2 * (wp + 1) - off for off in offsets]
-    dx = _sum_taps(dyp, taps.transpose(0, 2, 1), mirrored, h, wd)
+    dx = _sum_taps(dyp, taps.transpose(0, 2, 1), mirrored, h, wd, width)
     dw = np.ascontiguousarray(dtaps.reshape(3, 3, cout, -1).transpose(2, 3, 0, 1))
     return dx, dw, dy.sum(axis=(1, 2))
 

@@ -427,7 +427,8 @@ class TestThreadCap:
         _limit_threads()
         err = capsys.readouterr().err
         if importlib.util.find_spec("threadpoolctl") is None:
-            assert "JITSTREAM_THREADS ignored" in err and "threadpoolctl" in err
+            # the value still caps the convolution split, but not BLAS
+            assert "BLAS threads are not capped" in err and "threadpoolctl" in err
         else:
             assert err == ""
 
@@ -435,6 +436,14 @@ class TestThreadCap:
         monkeypatch.setenv("JITSTREAM_THREADS", "two")
         _limit_threads()
         assert "JITSTREAM_THREADS='two' ignored: not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_cap_is_reported(self, monkeypatch, capsys, cap):
+        monkeypatch.setenv("JITSTREAM_THREADS", cap)
+        _limit_threads()
+        err = capsys.readouterr().err
+        assert f"JITSTREAM_THREADS='{cap}' ignored: not a positive integer" in err
+        assert "threadpoolctl" not in err
 
 
 class TestBundledConfig:

@@ -1,4 +1,10 @@
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,16 +623,295 @@ class TestShiftedConv:
         """One forward plus backward of a 64 -> 32 layer at 180x320 peaks
         below 5x its input and holds one padded input between frames; the
         im2col lowering peaks at 19x and holds 9x."""
-        conv = Conv2d(64, 32, 3, rng=rng)
-        x = rng.standard_normal((64, 180, 320)).astype(np.float32)
-        dy = rng.standard_normal((32, 180, 320)).astype(np.float32)
-        tracemalloc.start()
+        assert_large_conv_memory_bound(rng)
+
+
+def assert_large_conv_memory_bound(rng):
+    conv = Conv2d(64, 32, 3, rng=rng)
+    x = rng.standard_normal((64, 180, 320)).astype(np.float32)
+    dy = rng.standard_normal((32, 180, 320)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        conv.forward(x)
+        conv.backward(dy)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 5 * x.nbytes
+    assert held - base <= 1.5 * x.nbytes
+
+
+@pytest.fixture
+def split_width(monkeypatch):
+    """``split_width(n)`` puts ``n``-wide workers in place of the process's
+    for the rest of the test, whatever BLAS thread count is in effect; the
+    workers stop at teardown."""
+    pools = []
+
+    def force(width):
+        pool = layers._Workers(width)
+        pools.append(pool)
+        monkeypatch.setattr(layers, "_workers", pool)
+        return pool
+    yield force
+    for pool in pools:
+        pool.close()
+
+
+def run_in_thread(fn, timeout=60.0):
+    """``fn()`` on a helper thread; fails instead of hanging on a deadlock."""
+    outcome = []
+
+    def target():
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            conv.forward(x)
-            conv.backward(dy)
-            held, peak = tracemalloc.get_traced_memory()
+            outcome.append(("ok", fn()))
+        except BaseException as exc:        # handed back to the test
+            outcome.append(("raised", exc))
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "split call deadlocked"
+    return outcome[0]
+
+
+class TestSplit:
+    """The shifted lowering's row blocks and dW taps dealt across threads:
+    the same GEMMs, block edges and add order on any thread, so every
+    output keeps its bits."""
+
+    def shifted_pass(self, cin, cout, hw, dtype):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((cin, *hw)).astype(dtype)
+        w = rng.standard_normal((cout, cin, 3, 3)).astype(dtype)
+        b = rng.standard_normal(cout).astype(dtype)
+        dy = rng.standard_normal((cout, *hw)).astype(dtype)
+        y, xp = shifted_conv3x3_forward(x, w, b)
+        return (y, *shifted_conv3x3_backward(dy, w, xp))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin,cout,hw", [
+        (64, 32, (180, 320)),       # head1 at 360x640: many blocks
+        (32, 32, (47, 100)),        # blocks of 20 (float32) or 10 rows, ragged last
+        (32, 32, (24, 24)),         # one block: the second thread gets none
+    ])
+    def test_split_equals_serial_bits(self, split_width, monkeypatch, dtype, cin, cout, hw):
+        """Forced to split whatever the size rule says, y, dx, dW and db
+        equal the serial pass bit for bit."""
+        monkeypatch.setattr(layers, "_layer_width", lambda *shape: layers._workers.width)
+        split_width(1)
+        serial = self.shifted_pass(cin, cout, hw, dtype)
+        split_width(2)
+        split = self.shifted_pass(cin, cout, hw, dtype)
+        for s, p in zip(serial, split):
+            assert p.dtype == s.dtype and p.flags.c_contiguous and np.array_equal(p, s)
+
+    def test_jitnet_split_equals_serial_bits(self, split_width):
+        """A default network's forward and backward at 64x640, where head1
+        and head2 split by the size rule: logits, input gradient and every
+        parameter gradient keep their bits at width 2."""
+        x = np.random.default_rng(3).standard_normal((3, 64, 640)).astype(np.float32)
+        results = []
+        for width in (1, 2):
+            pool = split_width(width)
+            calls = []
+            run = pool.run
+            pool.run = lambda share, n: calls.append(n) or run(share, n)
+            net = JITNet(ArchConfig(num_classes=4), seed=1)
+            logits = net.forward(x)
+            dx = net.backward(np.random.default_rng(4).standard_normal(logits.shape)
+                              .astype(np.float32))
+            results.append([logits, dx] + [p.gradient.copy() for _, p in net.params()])
+            # head1 and head2 split y, dW and dx
+            assert sum(n > 1 for n in calls) == (0 if width == 1 else 6)
+        for s, p in zip(*results):
+            assert np.array_equal(p, s)
+
+    @pytest.mark.parametrize("channels,hw,dtype,splits", [
+        (32, (48, 48), np.float32, False),      # head1, head2 at 96x96
+        (64, (6, 6), np.float32, False),        # dec3 at 96x96
+        (32, (45, 80), np.float32, False),      # dec1 at 360x640: one whole block
+        (32, (180, 320), np.float32, True),     # head1, head2 at 360x640
+        (32, (48, 48), np.float64, True),       # 96x96 heads under gradcheck
+    ])
+    def test_split_needs_a_whole_block_per_thread(self, split_width, channels, hw, dtype,
+                                                  splits):
+        split_width(2)
+        width = layers._layer_width(channels, *hw, np.dtype(dtype).itemsize)
+        assert width == (2 if splits else 1)
+
+    def test_unsplit_network_starts_no_thread(self, split_width):
+        """At 96x96 no layer splits, so the process stays single-threaded
+        even where it may split across two threads."""
+        split_width(2)
+        threads = threading.active_count()
+        net = JITNet(ArchConfig(num_classes=4), seed=1)
+        logits = net.forward(np.ones((3, 96, 96), dtype=np.float32))
+        net.backward(np.ones_like(logits))
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("blas,cpus,cap,width", [
+        (1, 2, None, 2), (2, 2, None, 1), (1, 4, None, 4), (2, 4, None, 2),
+        (3, 2, None, 1),            # more BLAS threads than CPUs
+        (None, 4, None, 1),         # BLAS thread count unreadable
+        (1, 4, "2", 2), (1, 2, "8", 2), (1, 2, "1", 1),
+        (1, 2, "0", 2), (1, 2, "two", 2),      # ignored, with a warning from the CLI
+    ])
+    def test_process_width(self, monkeypatch, blas, cpus, cap, width):
+        """Usable CPUs over BLAS threads, capped by JITSTREAM_THREADS."""
+        monkeypatch.setattr(layers, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        if cap is None:
+            monkeypatch.delenv("JITSTREAM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("JITSTREAM_THREADS", cap)
+        assert layers._process_width() == width
+
+    def test_process_width_without_affinity(self, monkeypatch):
+        """Where the OS has no affinity call, every CPU counts."""
+        monkeypatch.setattr(layers, "_blas_threads", lambda: 1)
+        monkeypatch.delattr(layers.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(layers.os, "cpu_count", lambda: 3)
+        monkeypatch.delenv("JITSTREAM_THREADS", raising=False)
+        assert layers._process_width() == 3
+
+    def test_blas_threads_read_from_library(self):
+        blas = layers._blas_threads()
+        if os.environ.get("OPENBLAS_NUM_THREADS") == "1":
+            assert blas == 1
+        else:
+            assert blas is None or blas >= 1
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_share_exception_reaches_caller(self, split_width, failing):
+        """An exception in the caller's share or a worker's is raised by the
+        call once every share has finished, and the next call works."""
+        pool = split_width(2)
+        done = []
+
+        def share(k):
+            if k == failing:
+                raise ZeroDivisionError(f"share {k}")
+            done.append(k)
+
+        status, exc = run_in_thread(lambda: pool.run(share, 2))
+        assert status == "raised" and isinstance(exc, ZeroDivisionError)
+        assert str(exc) == f"share {failing}" and done == [1 - failing]
+        done.clear()
+        assert run_in_thread(lambda: pool.run(done.append, 2)) == ("ok", None)
+        assert sorted(done) == [0, 1]
+
+    def test_interrupted_call_leaves_the_next_one_whole(self, split_width):
+        """A call interrupted while it waits for a worker returns at once;
+        the worker's late result does not end the next call early."""
+        pool = split_width(2)
+        release = threading.Event()
+
+        def interrupt(signum, frame):
+            raise TimeoutError
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(TimeoutError):
+                pool.run(lambda k: k == 1 and release.wait(30), 2)
         finally:
-            tracemalloc.stop()
-        assert peak - base < 5 * x.nbytes
-        assert held - base <= 1.5 * x.nbytes
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        release.set()
+        hits = []
+
+        def share(k):
+            if k == 1:
+                time.sleep(0.05)
+            hits.append(k)
+        assert run_in_thread(lambda: pool.run(share, 2)) == ("ok", None)
+        assert sorted(hits) == [0, 1]
+
+    def test_busy_workers_leave_a_second_caller_serial(self, split_width):
+        """A split called while another thread's split runs does every share
+        on its own thread instead of waiting for the workers."""
+        pool = split_width(2)
+        inner = []
+
+        def share(k):
+            if k == 0:
+                pool.run(lambda j: inner.append((j, threading.current_thread())), 2)
+        assert run_in_thread(lambda: pool.run(share, 2))[0] == "ok"
+        assert [j for j, _ in inner] == [0, 1]
+        assert len({t for _, t in inner}) == 1
+
+    def test_stress_callers_and_workers(self, split_width):
+        """Four callers at once on a four-wide split, with the interpreter
+        switching threads every microsecond: every call sees each of its
+        shares run exactly once, and none hangs."""
+        pool = split_width(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def caller():
+                for _ in range(200):
+                    hits = np.zeros(4, dtype=np.int64)
+
+                    def share(k):
+                        hits[k] += 1
+                    pool.run(share, 4)
+                    assert hits.tolist() == [1, 1, 1, 1]
+            outcomes = []
+            threads = [threading.Thread(target=lambda: outcomes.append(run_in_thread(caller)))
+                       for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == [("ok", None)] * 4
+
+    def test_forked_child_splits_on_its_own_workers(self, split_width):
+        """A child forked after a split has none of the parent's threads; its
+        first shifted layer makes workers of its own instead of waiting on
+        the parent's."""
+        split_width(2)
+        x = np.ones((32, 180, 320), dtype=np.float32)
+        w = np.ones((32, 32, 3, 3), dtype=np.float32)
+        want, _ = shifted_conv3x3_forward(x, w, None)
+        pid = os.fork()
+        if pid == 0:                                        # the child
+            y, _ = shifted_conv3x3_forward(x, w, None)
+            os._exit(0 if np.array_equal(y, want) else 1)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_split_memory_bound(self, split_width, rng):
+        """The 180x320 layer of TestShiftedConv's memory bound, split: the
+        workers hold nothing of a call once it has returned."""
+        split_width(2)
+        assert_large_conv_memory_bound(rng)
+
+    def test_workers_run_no_public_function(self, split_width):
+        """Worker threads run only private code and numpy: perfbench wraps
+        the public functions and methods of jitstream in spans, and its
+        tracer keeps one stack of open spans for the whole process."""
+        package = str(Path(layers.__file__).resolve().parents[1])
+        seen = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                seen.add(frame.f_code.co_name)
+        split_width(2)
+        rng = np.random.default_rng(0)
+        conv = Conv2d(64, 32, 3, rng=rng)
+        threading.setprofile(profile)       # for the threads the split starts
+        try:
+            conv.forward(rng.standard_normal((64, 180, 320)).astype(np.float32))
+            conv.backward(rng.standard_normal((32, 180, 320)).astype(np.float32))
+        finally:
+            threading.setprofile(None)
+        assert {"_serve", "_attempt", "_share"} <= seen
+        assert [name for name in seen if not name.startswith("_")] == []
