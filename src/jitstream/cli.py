@@ -327,8 +327,9 @@ def cmd_sweep(args) -> int:
 
 def _limit_threads() -> None:
     """Apply ``JITSTREAM_THREADS`` as a BLAS thread cap, or say on stderr why
-    it does not cap BLAS threads.  The same value caps the threads the
-    shifted convolutions split across (``nn.layers``)."""
+    it does not cap BLAS threads.  The same value caps the threads every
+    split layer (shifted convolution, BatchNorm, ReLU) splits across
+    (``nn.layers``)."""
     try:
         cap = thread_cap()
     except ValueError as exc:
@@ -339,7 +340,8 @@ def _limit_threads() -> None:
     try:
         import threadpoolctl
     except ImportError:
-        print(f"warning: JITSTREAM_THREADS={cap} caps only the convolution split; "
+        print(f"warning: JITSTREAM_THREADS={cap} caps only the layer splits "
+              "(convolutions, BatchNorm, ReLU); "
               "BLAS threads are not capped: that needs threadpoolctl, which is not "
               "installed", file=sys.stderr)
         return

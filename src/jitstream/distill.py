@@ -240,6 +240,22 @@ def control_iou(teacher_labels: np.ndarray, prediction: np.ndarray) -> float:
 
 # -- students -----------------------------------------------------------------
 
+def _label_map(logits: np.ndarray) -> np.ndarray:
+    """``logits.argmax(axis=0).astype(np.uint8)`` for finite logits, in one
+    pass per class: a strict ``>`` lets the first maximum win, as in argmax,
+    and ``putmask`` with a running maximum beats argmax's reduction over the
+    class axis (4x360x640 7.4 -> 4.4 ms, 11x96x96 0.38 -> 0.29 ms).  The
+    label map is C-contiguous, as argmax's is."""
+    best = logits[0].copy()
+    labels = np.zeros_like(best, dtype=np.uint8)
+    better = np.empty_like(best, dtype=bool)
+    for k in range(1, len(logits)):
+        np.greater(logits[k], best, out=better)
+        np.putmask(labels, better, k % 256)         # astype(np.uint8) wraps
+        np.maximum(best, logits[k], out=best)
+    return np.ascontiguousarray(labels)
+
+
 class JITNetStudent:
     """Wraps a network with prediction and single-step training.
 
@@ -267,7 +283,7 @@ class JITNetStudent:
         if not np.isfinite(logits).all():
             raise StreamNumericError(-1)
         self._cached = (frame, logits)
-        return logits.argmax(axis=0).astype(np.uint8)
+        return _label_map(logits)
 
     def train_step(self, frame: np.ndarray, labels: np.ndarray,
                    weights: np.ndarray) -> float:

@@ -34,11 +34,15 @@ an unpadded gradient.
 A shifted layer whose output holds at least one whole row block per thread
 deals its blocks, forward and ``dx`` alike, and its nine ``dW`` GEMMs
 round-robin to persistent worker threads, one per core beyond the caller's.
-The number of threads is the CPUs this process may run on over the BLAS
+BatchNorm and ReLU split a pass by channel on the same threads when each
+thread gets at least two channels and :data:`SHIFTED_BLOCK_BYTES` of the
+input: each share runs the serial pass's steps, in the same order, on its
+own channel range of arrays laid out as the serial pass's results.  The
+number of threads is the CPUs this process may run on over the BLAS
 threads each GEMM already uses (asked of OpenBLAS; 1 for another BLAS),
-capped by ``JITSTREAM_THREADS``.  Every GEMM, block edge and add is
-the one the serial pass makes, so the split keeps every bit.  Worker threads
-run only private code and numpy.
+capped by ``JITSTREAM_THREADS``.  Every GEMM, block edge, add and
+per-channel sum is the one the serial pass makes, so the splits keep every
+bit.  Worker threads run only private code and numpy.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
@@ -224,8 +228,8 @@ def _blas_threads() -> int | None:
 
 
 def _process_width() -> int:
-    """Threads a shifted layer may split its work across: the CPUs this
-    process may run on over the threads each GEMM already uses, capped by
+    """Threads a layer may split its work across: the CPUs this process may
+    run on over the threads each GEMM already uses, capped by
     ``JITSTREAM_THREADS``; 1 where the BLAS thread count cannot be read."""
     blas = _blas_threads()
     if blas is None:
@@ -302,8 +306,9 @@ class _Workers:
             self._jobs.pop().put(None)
 
 
-# created on the first shifted layer, after the command line has applied
-# JITSTREAM_THREADS; a forked child starts without the parent's threads
+# created on the first layer that asks for a width, after the command line
+# has applied JITSTREAM_THREADS; a forked child starts without the parent's
+# threads
 _workers: _Workers | None = None
 
 
@@ -315,15 +320,48 @@ def _forget_workers() -> None:
 os.register_at_fork(after_in_child=_forget_workers)
 
 
+def _pool_width() -> int:
+    """The width of :data:`_workers`, which this creates on first use."""
+    global _workers
+    if _workers is None:
+        _workers = _Workers(_process_width())
+    return _workers.width
+
+
 def _layer_width(channels: int, h: int, w: int, itemsize: int) -> int:
     """Threads a shifted layer with ``channels`` outputs at ``h`` x ``w``
     splits across: all the process may use when each of them gets at least
     one whole row block of the output, else 1."""
-    global _workers
-    if _workers is None:
-        _workers = _Workers(_process_width())
-    width = _workers.width
+    width = _pool_width()
     return width if h // _block_rows(channels, h, w, itemsize) >= width else 1
+
+
+def _channel_width(x: np.ndarray) -> int:
+    """Threads a per-channel pass over ``(C, H, W)`` ``x`` splits across:
+    all the process may use when each of them gets at least two channels and
+    :data:`SHIFTED_BLOCK_BYTES` of ``x``, else 1.  A share of one channel
+    would break the bits of a channels-last ``x``: numpy sums one channel
+    pairwise along a row, and several in memory order."""
+    width = _pool_width()
+    c = x.shape[0]
+    if c < 2 * width or c // width * (x.nbytes // c) < SHIFTED_BLOCK_BYTES:
+        return 1
+    return width
+
+
+def _split_channels(width: int, c: int, share) -> None:
+    """``share(slice)`` for ``width`` contiguous ranges of ``c`` channels,
+    on :data:`_workers`."""
+    def _share(k):
+        share(slice(c * k // width, c * (k + 1) // width))
+    _workers.run(_share, width)
+
+
+def _empty_result(*operands, dtype=None) -> np.ndarray:
+    """An uninitialised array with the extent, dtype (unless given) and
+    memory layout numpy gives the result of an elementwise operation on
+    ``operands``."""
+    return np.nditer([*operands, None], op_dtypes=[None] * len(operands) + [dtype]).operands[-1]
 
 
 def _block_rows(channels: int, h: int, w: int, itemsize: int) -> int:
@@ -510,7 +548,12 @@ def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
 
 
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
-    """Normalize each channel by its own spatial statistics on this frame."""
+    """Normalize each channel by its own spatial statistics on this frame.
+
+    A large ``x`` is split by channel across threads (:func:`_channel_width`):
+    each share runs the serial pass's steps on its own channels, in place in
+    arrays laid out as the serial pass's results, so every output keeps its
+    bits."""
     c, h, w = x.shape
     if h * w == 0:
         raise ShapeError("batchnorm: zero spatial extent")
@@ -522,28 +565,79 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
     # one pass for the statistics, with the sums and divisions numpy's
     # x.mean and x.var make (their divisor is an intp), so the bits match
     n = np.intp(h * w)
-    mean = np.add.reduce(x, axis=(1, 2), keepdims=True)
-    mean /= n
-    xhat = x - mean
-    var = np.add.reduce(xhat * xhat, axis=(1, 2), keepdims=True)
-    var /= n
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std
-    y = xhat * gamma[:, None, None]
-    y += beta[:, None, None]
+    width = _channel_width(x)
+    # a share reuses one buffer for several steps, which keeps the serial
+    # bits only when no step promotes
+    if width == 1 or len({x.dtype, gamma.dtype, beta.dtype, np.result_type(x, eps)}) > 1:
+        mean = np.add.reduce(x, axis=(1, 2), keepdims=True)
+        mean /= n
+        xhat = x - mean
+        var = np.add.reduce(xhat * xhat, axis=(1, 2), keepdims=True)
+        var /= n
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat *= inv_std
+        y = xhat * gamma[:, None, None]
+        y += beta[:, None, None]
+        return y, (xhat, inv_std, gamma)
+
+    mean = np.empty((c, 1, 1), x.dtype)
+    inv_std = np.empty_like(mean)
+    xhat = _empty_result(x, mean)
+    y = _empty_result(xhat, gamma[:, None, None])
+
+    def _share(s):
+        xs, xh, ys, m, v = x[s], xhat[s], y[s], mean[s], inv_std[s]
+        np.add.reduce(xs, axis=(1, 2), keepdims=True, out=m)
+        m /= n
+        np.subtract(xs, m, out=xh)
+        np.multiply(xh, xh, out=ys)                 # xhat * xhat
+        np.add.reduce(ys, axis=(1, 2), keepdims=True, out=v)
+        v /= n
+        v += eps
+        np.sqrt(v, out=v)
+        np.divide(1.0, v, out=v)
+        xh *= v
+        np.multiply(xh, gamma[s, None, None], out=ys)
+        ys += beta[s, None, None]
+    _split_channels(width, c, _share)
     return y, (xhat, inv_std, gamma)
 
 
 def batchnorm_backward(dy: np.ndarray, cache):
-    """Gradient flow through the per-frame statistics."""
+    """Gradient flow through the per-frame statistics, split by channel as
+    the forward is."""
     xhat, inv_std, gamma = cache
     n = xhat.shape[1] * xhat.shape[2]
-    dgamma = (dy * xhat).sum(axis=(1, 2))
-    dbeta = dy.sum(axis=(1, 2))
-    dxhat = dy * gamma[:, None, None]
-    s1 = dxhat.sum(axis=(1, 2), keepdims=True)
-    s2 = (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
-    dx = inv_std * (dxhat - s1 / n - xhat * s2 / n)
+    width = _channel_width(dy)
+    if width == 1 or len({dy.dtype, xhat.dtype, inv_std.dtype, gamma.dtype}) > 1:
+        dgamma = (dy * xhat).sum(axis=(1, 2))
+        dbeta = dy.sum(axis=(1, 2))
+        dxhat = dy * gamma[:, None, None]
+        s1 = dxhat.sum(axis=(1, 2), keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
+        dx = inv_std * (dxhat - s1 / n - xhat * s2 / n)
+        return dx, dgamma, dbeta
+
+    dxhat = _empty_result(dy, gamma[:, None, None])
+    dx = _empty_result(dxhat, xhat)         # the layout of dy * xhat too
+    dgamma = np.empty_like(gamma)
+    dbeta = np.empty_like(gamma)
+
+    def _share(s):
+        d, xh, dxh, out = dy[s], xhat[s], dxhat[s], dx[s]
+        np.multiply(d, xh, out=out)                 # dy * xhat
+        np.add.reduce(out, axis=(1, 2), out=dgamma[s])
+        np.add.reduce(d, axis=(1, 2), out=dbeta[s])
+        np.multiply(d, gamma[s, None, None], out=dxh)
+        s1 = np.add.reduce(dxh, axis=(1, 2), keepdims=True)
+        np.multiply(dxh, xh, out=out)               # dxhat * xhat
+        s2 = np.add.reduce(out, axis=(1, 2), keepdims=True)
+        dxh -= s1 / n
+        np.multiply(xh, s2, out=out)
+        out /= n
+        np.subtract(dxh, out, out=out)
+        out *= inv_std[s]
+    _split_channels(width, len(gamma), _share)
     return dx, dgamma, dbeta
 
 
@@ -710,6 +804,11 @@ class BatchNorm:
 
 
 class ReLU:
+    """``max(x, 0)`` as ``x * (x > 0)``, which keeps NaN and gives -0.0 for a
+    negative input.  ``forward`` works in place and returns ``x``: every
+    caller hands it a fresh array that nothing else holds.  A large pass is
+    split by channel across threads (:func:`_channel_width`)."""
+
     def __init__(self):
         self._mask = None
 
@@ -717,11 +816,29 @@ class ReLU:
         return []
 
     def forward(self, x):
-        self._mask = x > 0
-        return x * self._mask
+        width = _channel_width(x)
+        if width == 1:
+            self._mask = mask = x > 0
+            return np.multiply(x, mask, out=x)
+        self._mask = mask = _empty_result(x, dtype=bool)
+
+        def _share(s):
+            np.greater(x[s], 0, out=mask[s])
+            np.multiply(x[s], mask[s], out=x[s])
+        _split_channels(width, x.shape[0], _share)
+        return x
 
     def backward(self, dy):
-        return dy * self._mask
+        width = _channel_width(dy)
+        mask = self._mask
+        if width == 1:
+            return dy * mask
+        dx = _empty_result(dy, mask)
+
+        def _share(s):
+            np.multiply(dy[s], mask[s], out=dx[s])
+        _split_channels(width, dy.shape[0], _share)
+        return dx
 
 
 class BilinearResize:

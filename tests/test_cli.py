@@ -427,7 +427,8 @@ class TestThreadCap:
         _limit_threads()
         err = capsys.readouterr().err
         if importlib.util.find_spec("threadpoolctl") is None:
-            # the value still caps the convolution split, but not BLAS
+            # the value still caps every layer split, but not BLAS
+            assert "caps only the layer splits (convolutions, BatchNorm, ReLU)" in err
             assert "BLAS threads are not capped" in err and "threadpoolctl" in err
         else:
             assert err == ""

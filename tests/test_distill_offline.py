@@ -5,6 +5,7 @@ from jitstream.arch import ArchConfig, JITNet
 from jitstream.distill import (
     DistillConfig,
     JITNetStudent,
+    _label_map,
     materialize_dataset,
     offline_oracle_train,
     process_stream,
@@ -60,6 +61,32 @@ class TestStudentCache:
             fresh = weighted_softmax_cross_entropy(
                 net.forward(JITNetStudent.prepare(frame)), labels, weights).loss
             assert student.train_step(frame, labels, weights) == pytest.approx(fresh, rel=1e-6)
+
+
+class TestLabelMap:
+    """The per-class label map equals ``argmax(axis=0)`` as uint8."""
+
+    @pytest.mark.parametrize("layout", ["C", "resize"])
+    @pytest.mark.parametrize("classes", [2, 4, 11])
+    def test_equals_argmax(self, layout, classes):
+        rng = np.random.default_rng(classes)
+        # few distinct values, so most pixels tie between several classes
+        logits = rng.integers(-2, 3, size=(classes, 23, 37)).astype(np.float32)
+        logits[:, 0, :4] = [[-0.0], [0.0]] * (classes // 2) + [[0.0]] * (classes % 2)
+        logits[:, 1, :4] = [[0.0], [-0.0]] * (classes // 2) + [[-0.0]] * (classes % 2)
+        logits[:, 2, 0] = 7.0                   # all classes tie at the maximum
+        if layout == "resize":                  # (C, W, H) memory, as the head resize gives
+            logits = np.ascontiguousarray(logits.transpose(0, 2, 1)).transpose(0, 2, 1)
+        want = logits.argmax(axis=0).astype(np.uint8)
+        got = _label_map(logits)
+        assert got.dtype == want.dtype and got.strides == want.strides
+        assert np.array_equal(got, want)
+        assert got[2, 0] == 0 and got[0, 0] == 0 and got[1, 0] == 0
+
+    def test_equals_argmax_on_network_logits(self):
+        net = JITNet(ArchConfig(num_classes=4), seed=1)
+        logits = net.forward(np.random.default_rng(0).random((3, 64, 96), dtype=np.float32))
+        assert np.array_equal(_label_map(logits), logits.argmax(axis=0).astype(np.uint8))
 
 
 class TestOfflineTraining:

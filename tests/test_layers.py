@@ -11,9 +11,11 @@ import pytest
 
 from jitstream.arch import ArchConfig, JITNet
 from jitstream.nn import (
+    BatchNorm,
     BilinearResize,
     Concat,
     Conv2d,
+    ReLU,
     SeparableConv,
     ShapeError,
     batchnorm_forward,
@@ -25,6 +27,7 @@ from jitstream.nn import (
     layers,
 )
 from jitstream.nn.layers import (
+    batchnorm_backward,
     col2im,
     im2col,
     resize_weights,
@@ -708,7 +711,7 @@ class TestSplit:
 
     def test_jitnet_split_equals_serial_bits(self, split_width):
         """A default network's forward and backward at 64x640, where head1
-        and head2 split by the size rule: logits, input gradient and every
+        and head2 split by the size rules: logits, input gradient and every
         parameter gradient keep their bits at width 2."""
         x = np.random.default_rng(3).standard_normal((3, 64, 640)).astype(np.float32)
         results = []
@@ -722,8 +725,9 @@ class TestSplit:
             dx = net.backward(np.random.default_rng(4).standard_normal(logits.shape)
                               .astype(np.float32))
             results.append([logits, dx] + [p.gradient.copy() for _, p in net.params()])
-            # head1 and head2 split y, dW and dx
-            assert sum(n > 1 for n in calls) == (0 if width == 1 else 6)
+            # head1 and head2 split the convolution's y, dW and dx, and the
+            # forward and backward of their BatchNorm and ReLU
+            assert sum(n > 1 for n in calls) == (0 if width == 1 else 6 + 8)
         for s, p in zip(*results):
             assert np.array_equal(p, s)
 
@@ -907,11 +911,104 @@ class TestSplit:
         split_width(2)
         rng = np.random.default_rng(0)
         conv = Conv2d(64, 32, 3, rng=rng)
+        norm = BatchNorm(32)
+        relu = ReLU()
         threading.setprofile(profile)       # for the threads the split starts
         try:
-            conv.forward(rng.standard_normal((64, 180, 320)).astype(np.float32))
-            conv.backward(rng.standard_normal((32, 180, 320)).astype(np.float32))
+            y = relu.forward(norm.forward(conv.forward(
+                rng.standard_normal((64, 180, 320)).astype(np.float32))))
+            conv.backward(norm.backward(relu.backward(
+                rng.standard_normal(y.shape).astype(np.float32))))
         finally:
             threading.setprofile(None)
         assert {"_serve", "_attempt", "_share"} <= seen
         assert [name for name in seen if not name.startswith("_")] == []
+
+
+def channel_layout(x, layout):
+    """``x`` with the same values in another memory layout: channels last, as
+    a resize hands over at input_scale 0.5, or rows innermost, as the head
+    resize's backward gives."""
+    if layout == "channels-last":
+        return np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+    if layout == "rows-inner":
+        return np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return x
+
+
+class TestChannelSplit:
+    """BatchNorm and ReLU split by channel across threads: every share runs
+    the serial steps on its own channels, so values, dtypes and memory
+    layouts keep their bits."""
+
+    def norm_relu_pass(self, x, dy):
+        rng = np.random.default_rng(5)
+        gamma = rng.standard_normal(len(x)).astype(x.dtype)
+        beta = rng.standard_normal(len(x)).astype(x.dtype)
+        y, cache = batchnorm_forward(x, gamma, beta, 1e-5)
+        relu = ReLU()
+        r = relu.forward(x.copy(order="K"))
+        return (y, *cache, *batchnorm_backward(dy, cache), r, relu.backward(dy))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_layout", ["C", "channels-last"])
+    @pytest.mark.parametrize("dy_layout", ["C", "channels-last", "rows-inner"])
+    @pytest.mark.parametrize("channels,splits", [
+        (1, False),         # fewer channels than threads
+        (3, False),         # a share would hold one channel
+        (5, True),          # ragged: 2 and 3 channels
+        (16, True),
+    ])
+    def test_split_equals_serial_bits(self, split_width, monkeypatch, dtype, x_layout,
+                                      dy_layout, channels, splits):
+        """Forced to widths 1 and 2 whatever the byte rule says."""
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1)
+        rng = np.random.default_rng(channels)
+        x = (rng.standard_normal((channels, 24, 37)) * 3 + 1.5).astype(dtype)
+        x[0, 0, :3] = [-0.0, 0.0, -1.0]
+        x = channel_layout(x, x_layout)
+        dy = channel_layout(rng.standard_normal(x.shape).astype(dtype), dy_layout)
+        results = []
+        for width in (1, 2):
+            pool = split_width(width)
+            calls = []
+            run = pool.run
+            pool.run = lambda share, n: calls.append(n) or run(share, n)
+            results.append(self.norm_relu_pass(x, dy))
+            assert sum(n > 1 for n in calls) == (4 if splits and width == 2 else 0)
+        for s, p in zip(*results):
+            assert p.dtype == s.dtype and p.strides == s.strides
+            assert p.tobytes() == s.tobytes()
+
+    def test_mixed_dtypes_stay_serial(self, split_width, monkeypatch):
+        """A float64 gamma promotes the float32 pass, which one buffer per
+        share cannot follow, so the pass runs serially with numpy's types."""
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1)
+        x = np.random.default_rng(0).standard_normal((8, 6, 7)).astype(np.float32)
+        gamma, beta = np.ones(8), np.zeros(8)
+        want, _ = batchnorm_forward(x, gamma, beta, 1e-5)
+        split_width(2)
+        y, _ = batchnorm_forward(x, gamma, beta, 1e-5)
+        assert y.dtype == np.float64 and y.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,dtype,splits", [
+        ((32, 48, 48), np.float32, False),      # head1, head2 at 96x96: 288 KiB
+        ((8, 48, 48), np.float32, False),       # stem1 at 96x96
+        ((128, 12, 12), np.float32, False),     # enc2's input at 96x96
+        ((32, 48, 48), np.float64, True),       # 96x96 heads under gradcheck
+        ((8, 180, 320), np.float32, True),      # stem1 at 360p
+        ((8, 90, 160), np.float32, False),      # stem2 at 360p: 450 KiB
+        ((128, 45, 80), np.float32, True),      # enc2's input at 360p
+        ((128, 23, 40), np.float32, False),     # enc3's input at 360p: 460 KiB
+        ((256, 12, 20), np.float32, False),     # dec3 at 360p
+        ((256, 23, 40), np.float32, True),      # dec2 at 360p
+        ((192, 45, 80), np.float32, True),      # dec1 at 360p
+        ((64, 45, 80), np.float32, True),       # enc1's ReLUs at 360p: 900 KiB
+        ((32, 180, 320), np.float32, True),     # head1, head2 at 360p
+        ((3, 360, 640), np.float32, False),     # fewer than two channels per thread
+    ])
+    def test_split_needs_two_channels_and_a_block_per_thread(self, split_width, shape,
+                                                              dtype, splits):
+        split_width(2)
+        x = np.broadcast_to(np.zeros((), dtype), shape)
+        assert layers._channel_width(x) == (2 if splits else 1)
