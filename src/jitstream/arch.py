@@ -34,12 +34,14 @@ from .nn import (
     BilinearResize,
     Concat,
     Conv2d,
+    IGNORE_LABEL,
     ParamState,
     ReLU,
     SeparableConv,
     SnapshotError,
     conv_out_size,
 )
+from .nn.layers import deferred_weight_gradients
 
 
 class ArchError(ValueError):
@@ -104,6 +106,10 @@ class ArchConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ArchError("num_classes must be >= 2")
+        if self.num_classes > IGNORE_LABEL:
+            raise ArchError(f"num_classes must be <= {IGNORE_LABEL}: label maps hold class "
+                            f"ids as uint8 and {IGNORE_LABEL} is the ignore label, "
+                            f"got {self.num_classes}")
         if not (math.isfinite(self.width_multiplier) and self.width_multiplier > 0):
             raise ArchError(f"width_multiplier must be finite and > 0, "
                             f"got {self.width_multiplier}")
@@ -316,17 +322,20 @@ class JITNet:
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; returns the input gradient at the
-        scaled frame extent (the pre-stem frame resize is not differentiated)."""
-        dy = self._out_resize.backward(dlogits)
-        skip_grads = {}                  # by the stage whose output was concatenated
-        for row, layer in zip(reversed(self._plan), reversed(self._layers)):
-            if row.name in skip_grads:
-                dy = dy + skip_grads.pop(row.name)
-            if row.resize > 1:
-                dy = self._resizes[row.name].backward(dy)
-            dy = layer.backward(dy)
-            if row.skip:
-                dy, skip_grads[row.skip] = self._skips[row.skip].backward(dy)
+        scaled frame extent (the pre-stem frame resize is not differentiated).
+        The convolutions' weight gradients may be computed on a second thread
+        (:func:`deferred_weight_gradients`); all are complete on return."""
+        with deferred_weight_gradients():
+            dy = self._out_resize.backward(dlogits)
+            skip_grads = {}              # by the stage whose output was concatenated
+            for row, layer in zip(reversed(self._plan), reversed(self._layers)):
+                if row.name in skip_grads:
+                    dy = dy + skip_grads.pop(row.name)
+                if row.resize > 1:
+                    dy = self._resizes[row.name].backward(dy)
+                dy = layer.backward(dy)
+                if row.skip:
+                    dy, skip_grads[row.skip] = self._skips[row.skip].backward(dy)
         return dy
 
 

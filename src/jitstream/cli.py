@@ -328,8 +328,9 @@ def cmd_sweep(args) -> int:
 def _limit_threads() -> None:
     """Apply ``JITSTREAM_THREADS`` as a BLAS thread cap, or say on stderr why
     it does not cap BLAS threads.  The same value caps the threads every
-    split layer (shifted convolution, BatchNorm, ReLU) splits across
-    (``nn.layers``)."""
+    split layer (shifted convolution, BatchNorm, ReLU) splits across, and
+    at 1 a network's backward computes its weight gradients inline instead
+    of on the gradient thread (``nn.layers``)."""
     try:
         cap = thread_cap()
     except ValueError as exc:
@@ -340,10 +341,10 @@ def _limit_threads() -> None:
     try:
         import threadpoolctl
     except ImportError:
-        print(f"warning: JITSTREAM_THREADS={cap} caps only the layer splits "
-              "(convolutions, BatchNorm, ReLU); "
-              "BLAS threads are not capped: that needs threadpoolctl, which is not "
-              "installed", file=sys.stderr)
+        print(f"warning: JITSTREAM_THREADS={cap} caps only the threads jitstream starts "
+              "itself (the layer splits of convolutions, BatchNorm and ReLU, and the "
+              "gradient thread; 1 starts none); BLAS threads are not capped: that needs "
+              "threadpoolctl, which is not installed", file=sys.stderr)
         return
     threadpoolctl.threadpool_limits(cap)
 

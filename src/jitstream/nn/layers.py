@@ -32,17 +32,21 @@ different places.  :func:`col2im` scatter-adds only the valid windows into
 an unpadded gradient.
 
 A shifted layer whose output holds at least one whole row block per thread
-deals its blocks, forward and ``dx`` alike, and its nine ``dW`` GEMMs
-round-robin to persistent worker threads, one per core beyond the caller's.
-BatchNorm and ReLU split a pass by channel on the same threads when each
-thread gets at least two channels and :data:`SHIFTED_BLOCK_BYTES` of the
-input: each share runs the serial pass's steps, in the same order, on its
-own channel range of arrays laid out as the serial pass's results.  The
-number of threads is the CPUs this process may run on over the BLAS
-threads each GEMM already uses (asked of OpenBLAS; 1 for another BLAS),
-capped by ``JITSTREAM_THREADS``.  Every GEMM, block edge, add and
-per-channel sum is the one the serial pass makes, so the splits keep every
-bit.  Worker threads run only private code and numpy.
+deals its blocks, forward and ``dx`` alike, round-robin to persistent
+worker threads, one per core beyond the caller's.  BatchNorm and ReLU split
+a pass by channel on the same threads when each thread gets at least two
+channels and :data:`SHIFTED_BLOCK_BYTES` of the input: each share runs the
+serial pass's steps, in the same order, on its own channel range of arrays
+laid out as the serial pass's results.  The number of threads is the CPUs
+this process may run on over the BLAS threads each GEMM already uses (asked
+of OpenBLAS; 1 for another BLAS), capped by ``JITSTREAM_THREADS``.  Where
+that number is above 1, a network's backward hands each convolution's
+weight and bias gradients to one persistent gradient thread
+(:func:`deferred_weight_gradients`), so they are computed while the
+calling thread goes on with the input gradients.  Every GEMM, block edge,
+add and per-channel sum is the one the serial pass makes, so the splits and
+the gradient thread keep every bit.  These threads run only private code
+and numpy.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
@@ -55,6 +59,7 @@ float64.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -244,36 +249,46 @@ def _process_width() -> int:
     return min(width, cap or width)
 
 
-def _attempt(share, k: int) -> BaseException | None:
-    """``share(k)``; returns what it raised, for the caller to raise."""
+def _attempt(fn, *args) -> BaseException | None:
+    """``fn(*args)``; returns what it raised, for the caller to raise."""
     try:
-        share(k)
+        fn(*args)
     except BaseException as exc:
         return exc
     return None
 
 
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """Run ``fn(*args)`` for each ``(fn, args, done)`` taken from ``jobs``
+    and put what it raised (or None) on ``done``, until a None comes."""
+    while (job := jobs.get()) is not None:
+        fn, args, done = job
+        error = _attempt(fn, *args)
+        # hold nothing of a job between jobs, so that its arrays are freed
+        # as soon as the caller lets go of them
+        del job, fn, args
+        done.put(error)
+        del error
+
+
+def _start_thread() -> queue.SimpleQueue:
+    """A new persistent daemon thread that serves the queue returned."""
+    jobs = queue.SimpleQueue()
+    threading.Thread(target=_serve, args=(jobs,), daemon=True).start()
+    return jobs
+
+
 class _Workers:
     """Up to ``width - 1`` persistent daemon threads, each fed through a
     queue of its own, for the shares of a split beyond the caller's; they
-    start on the first split, so a process whose layers never split stays
-    single-threaded.  A round trip through the queues costs about 18 µs,
-    through a ``ThreadPoolExecutor`` 42 µs (2-core Xeon, CPython 3.11)."""
+    start on the first split, so a process whose layers never split starts
+    none.  A round trip through the queues costs about 18 µs, through a
+    ``ThreadPoolExecutor`` 42 µs (2-core Xeon, CPython 3.11)."""
 
     def __init__(self, width: int):
         self.width = width
         self._busy = threading.Lock()
         self._jobs: list[queue.SimpleQueue] = []
-
-    def _serve(self, jobs) -> None:
-        while (job := jobs.get()) is not None:
-            share, k, done = job
-            error = _attempt(share, k)
-            # hold nothing of a share between calls, so that its arrays are
-            # freed as soon as the caller lets go of them
-            del job, share
-            done.put(error)
-            del error
 
     def run(self, share, width: int) -> None:
         """``share(k)`` for every ``k < width``, share 0 on the calling
@@ -286,14 +301,12 @@ class _Workers:
             return
         try:
             while len(self._jobs) < width - 1:
-                self._jobs.append(queue.SimpleQueue())
-                threading.Thread(target=self._serve, args=(self._jobs[-1],),
-                                 daemon=True).start()
+                self._jobs.append(_start_thread())
             # a queue per call: a call cut short by an interrupt leaves its
             # late results where the next call does not read them
             done = queue.SimpleQueue()
             for k, jobs in enumerate(self._jobs[:width - 1], start=1):
-                jobs.put((share, k, done))
+                jobs.put((share, (k,), done))
             errors = [_attempt(share, 0)] + [done.get() for _ in range(width - 1)]
         finally:
             self._busy.release()
@@ -307,17 +320,18 @@ class _Workers:
 
 
 # created on the first layer that asks for a width, after the command line
-# has applied JITSTREAM_THREADS; a forked child starts without the parent's
-# threads
+# has applied JITSTREAM_THREADS; the gradient thread's queue on the first
+# deferred job.  A forked child starts without the parent's threads.
 _workers: _Workers | None = None
+_gradient_jobs: queue.SimpleQueue | None = None
 
 
-def _forget_workers() -> None:
-    global _workers
-    _workers = None
+def _forget_threads() -> None:
+    global _workers, _gradient_jobs
+    _workers = _gradient_jobs = None
 
 
-os.register_at_fork(after_in_child=_forget_workers)
+os.register_at_fork(after_in_child=_forget_threads)
 
 
 def _pool_width() -> int:
@@ -326,6 +340,55 @@ def _pool_width() -> int:
     if _workers is None:
         _workers = _Workers(_process_width())
     return _workers.width
+
+
+# the jobs of the deferral open on this thread: ``done`` is the queue they
+# report to (None outside one), ``count`` how many went out
+_deferral = threading.local()
+
+
+@contextlib.contextmanager
+def deferred_weight_gradients():
+    """Within this block every :class:`Conv2d` backward on this thread
+    hands its weight and bias gradients, both ``+=`` included, to one
+    persistent gradient thread as a single job, and computes only its input
+    gradient itself.  The block ends once every job has finished; then it
+    raises what the block raised, or else the first exception a job raised.
+
+    Jobs run in the order they come, each on the same operands as inline, so
+    every gradient keeps its bits.  A process that may use one thread only
+    (``_pool_width() == 1``) runs them inline and starts no thread; a block
+    opened inside another leaves its jobs to the outer one.
+    """
+    if _pool_width() == 1 or getattr(_deferral, "done", None) is not None:
+        yield
+        return
+    done = _deferral.done = queue.SimpleQueue()
+    _deferral.count = 0
+    try:
+        yield
+    finally:
+        # a queue per block: one cut short by an interrupt leaves its late
+        # results where the next block does not read them
+        count, _deferral.done = _deferral.count, None
+        errors = [done.get() for _ in range(count)]
+    error = next((e for e in errors if e is not None), None)
+    if error is not None:
+        raise error
+
+
+def _run_or_defer(job) -> None:
+    """``job()`` now, or on the gradient thread inside
+    :func:`deferred_weight_gradients`."""
+    global _gradient_jobs
+    done = getattr(_deferral, "done", None)
+    if done is None:
+        job()
+        return
+    if _gradient_jobs is None:
+        _gradient_jobs = _start_thread()
+    _gradient_jobs.put((job, (), done))
+    _deferral.count += 1
 
 
 def _layer_width(channels: int, h: int, w: int, itemsize: int) -> int:
@@ -457,38 +520,45 @@ def shifted_conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     return y, xp
 
 
-def shifted_conv3x3_backward(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
-    """Gradients of :func:`shifted_conv3x3_forward` w.r.t. input, weights and
-    bias.
+def _shifted_gradients(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
+    """The input and weight gradients of :func:`shifted_conv3x3_forward`
+    as two functions of no arguments, which share only their inputs, so
+    either may run first or on another thread.
 
-    ``dy`` is padded once like the input.  Its columns from ``W+3`` on are
-    ``dy`` in the forward's output layout with zero junk columns, so
+    ``dy`` is padded once like the input, here.  Its columns from ``W+3``
+    on are ``dy`` in the forward's output layout with zero junk columns, so
     ``dW[:, :, i, j]`` is one GEMM of them with the tap's slice of ``xp``,
-    and the forward's junk columns contribute nothing.  ``dx`` is the
-    correlation of the padded ``dy`` with the flipped, transposed kernel:
-    :func:`_sum_taps` with each tap's transpose at the mirrored offset
-    ``2*(W+3) - off``, in tap order.  The nine ``dW`` GEMMs are dealt
-    round-robin to the threads the forward splits across.
+    and the forward's junk columns contribute nothing; the nine run in tap
+    order.  ``dx`` is the correlation of the padded ``dy`` with the flipped,
+    transposed kernel: :func:`_sum_taps` with each tap's transpose at the
+    mirrored offset ``2*(W+3) - off``, in tap order, split across the
+    threads the forward splits across.
     """
     cout, h, wd = dy.shape
     wp = wd + 2
     n = h * wp
     dyp = _pad_flat(dy)
-    taps = _weight_taps(w)
     offsets = _tap_offsets(wp)
-    dtaps = np.empty_like(taps)
-    inner = dyp[:, wp + 1:wp + 1 + n]
-    width = _layer_width(cout, h, wd, np.result_type(w, dy).itemsize)
 
-    def _share(k):
-        for t in range(k, 9, width):
-            np.matmul(inner, xp[:, offsets[t]:offsets[t] + n].T, out=dtaps[t])
+    def _input_gradient():
+        mirrored = [2 * (wp + 1) - off for off in offsets]
+        width = _layer_width(cout, h, wd, np.result_type(w, dy).itemsize)
+        return _sum_taps(dyp, _weight_taps(w).transpose(0, 2, 1), mirrored, h, wd, width)
 
-    _workers.run(_share, width)
-    mirrored = [2 * (wp + 1) - off for off in offsets]
-    dx = _sum_taps(dyp, taps.transpose(0, 2, 1), mirrored, h, wd, width)
-    dw = np.ascontiguousarray(dtaps.reshape(3, 3, cout, -1).transpose(2, 3, 0, 1))
-    return dx, dw, dy.sum(axis=(1, 2))
+    def _weight_gradient():
+        inner = dyp[:, wp + 1:wp + 1 + n]
+        dtaps = np.empty((9, *w.shape[:2]), dtype=w.dtype)
+        for dtap, off in zip(dtaps, offsets):
+            np.matmul(inner, xp[:, off:off + n].T, out=dtap)
+        return np.ascontiguousarray(dtaps.reshape(3, 3, *w.shape[:2]).transpose(2, 3, 0, 1))
+    return _input_gradient, _weight_gradient
+
+
+def shifted_conv3x3_backward(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
+    """Gradients of :func:`shifted_conv3x3_forward` w.r.t. input, weights and
+    bias (:func:`_shifted_gradients`)."""
+    input_gradient, weight_gradient = _shifted_gradients(dy, w, xp)
+    return input_gradient(), weight_gradient(), dy.sum(axis=(1, 2))
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -528,23 +598,33 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     return y, (x.shape, cols, stride, ph, pw, (ho, wo))
 
 
-def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
-    """Gradients of :func:`conv2d_forward` w.r.t. input, weights and bias,
-    by the lowering the forward ran: :func:`shifted_conv3x3_backward` on
-    the padded input, or two GEMMs on the columns and :func:`col2im` to
-    scatter the column gradient back."""
+def _conv2d_gradients(dy: np.ndarray, w: np.ndarray, cache):
+    """The input and weight gradients of :func:`conv2d_forward` as two
+    functions of no arguments, by the lowering the forward ran:
+    :func:`_shifted_gradients` on the padded input, or one GEMM on the
+    columns for ``dW`` and one GEMM plus :func:`col2im` for ``dx``."""
     x_shape, cols, stride, ph, pw, (ho, wo) = cache
     cout, cin, kh, kw = w.shape
     if dy.shape != (cout, ho, wo):
         raise ShapeError(f"conv2d backward: upstream gradient {dy.shape} != output ({cout},{ho},{wo})")
     if _runs_shifted(w.shape, stride, ph, pw):
-        return shifted_conv3x3_backward(dy, w, cols)
+        return _shifted_gradients(dy, w, cols)
     dy_mat = dy.reshape(cout, -1)
-    dw = (dy_mat @ cols.T).reshape(w.shape)
-    db = dy.sum(axis=(1, 2))
-    dcols = w.reshape(cout, -1).T @ dy_mat
-    dx = col2im(dcols, x_shape, kh, kw, stride, ph, pw, (ho, wo))
-    return dx, dw, db
+
+    def _input_gradient():
+        dcols = w.reshape(cout, -1).T @ dy_mat
+        return col2im(dcols, x_shape, kh, kw, stride, ph, pw, (ho, wo))
+
+    def _weight_gradient():
+        return (dy_mat @ cols.T).reshape(w.shape)
+    return _input_gradient, _weight_gradient
+
+
+def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
+    """Gradients of :func:`conv2d_forward` w.r.t. input, weights and bias
+    (:func:`_conv2d_gradients`)."""
+    input_gradient, weight_gradient = _conv2d_gradients(dy, w, cache)
+    return input_gradient(), weight_gradient(), dy.sum(axis=(1, 2))
 
 
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
@@ -748,13 +828,21 @@ class Conv2d:
         return y
 
     def backward(self, dy):
+        """Accumulates the weight and bias gradients, on the gradient thread
+        inside :func:`deferred_weight_gradients`, and returns ``dx``."""
         if self._cache is None:
             raise RuntimeError("conv2d backward requires the saved forward input")
-        dx, dw, db = conv2d_backward(dy, self.w.value, self._cache)
-        self.w.gradient += dw
+        input_gradient, weight_gradient = _conv2d_gradients(dy, self.w.value, self._cache)
+        # a pending job holds only what its sums read: dy only with a bias
+        sums = [(self.w.gradient, weight_gradient)]
         if self.b is not None:
-            self.b.gradient += db
-        return dx
+            sums.append((self.b.gradient, functools.partial(dy.sum, axis=(1, 2))))
+
+        def _accumulate():
+            for gradient, compute in sums:
+                gradient += compute()
+        _run_or_defer(_accumulate)
+        return input_gradient()
 
 
 class SeparableConv:

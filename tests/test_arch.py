@@ -55,6 +55,17 @@ class TestConfig:
         with pytest.raises(ArchError, match="resolution ledger"):
             ArchConfig(num_classes=4, encoder_channels=(64, 64))
 
+    @pytest.mark.parametrize("num_classes,valid", [(2, True), (255, True), (1, False),
+                                                   (256, False), (300, False)])
+    def test_class_count_fits_uint8_labels(self, num_classes, valid):
+        """Label maps are uint8 and class 255 is the ignore label, so the
+        network may have at most 255 classes."""
+        if valid:
+            assert ArchConfig(num_classes=num_classes).num_classes == num_classes
+        else:
+            with pytest.raises(ArchError, match="num_classes must be"):
+                ArchConfig(num_classes=num_classes)
+
     def test_width_scales_every_stage(self):
         full = {row.name: row.channels for row in ArchConfig(num_classes=8).stage_plan()}
         half = {row.name: row.channels for row in

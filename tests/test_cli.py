@@ -123,6 +123,18 @@ class TestRun:
         assert "num_classes must be >= class_count + 1 = 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_classes_exit_2_before_any_frame(self, small_world, tmp_path, capsys):
+        """uint8 label maps cannot hold class 300, and 255 is the ignore
+        label."""
+        root, run = small_world
+        bad_run = tmp_path / "bad_run.cfg"
+        bad_run.write_text(f"stream.synthetic = {root / 'stream.cfg'}\nnum_classes = 300\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad_run), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "num_classes must be <= 255" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fps", ["0", "-5", "nan", "inf"])
     def test_bad_fps_exit_2_before_any_frame(self, small_world, tmp_path, capsys, fps):
         root, run = small_world
@@ -288,6 +300,43 @@ class TestContainerIngestion:
         assert summary["teacher_failures"] == 0
         assert summary["param_count"] > 0
 
+    def test_run_keeps_its_bytes_across_thread_widths(self, tmp_path, split_width):
+        """A recorded 64x640 stream, where head1 and head2 split and the
+        weight gradients go to the gradient thread at width 2, writes the
+        same bytes at widths 1 and 2."""
+        from jitstream.distill import write_predictions_jsonl
+        from jitstream.nn import layers
+        from jitstream.streams import (ObjectSpec, OracleTeacher,
+                                       SyntheticStreamConfig,
+                                       gen_synthetic_stream, write_lvss)
+
+        scfg = SyntheticStreamConfig(
+            width=640, height=64, num_frames=12, class_count=2, seed=3,
+            objects=(ObjectSpec(1, "disc", (10, 14), (0.5, 1.5), 0),
+                     ObjectSpec(2, "rectangle", (9, 12), (0.5, 1.5), 1)))
+        stream = gen_synthetic_stream(scfg)
+        write_lvss(tmp_path / "frames.lvss", np.stack([stream.frame(t) for t in range(12)]))
+        oracle = OracleTeacher(stream)
+        write_predictions_jsonl(tmp_path / "teacher.jsonl",
+                                {t: oracle.predict(t) for t in range(0, 12, 4)})
+        run = tmp_path / "run.cfg"
+        run.write_text("stream.container = frames.lvss\n"
+                       "stream.recorded_teacher = teacher.jsonl\n"
+                       "num_classes = 3\nseed = 3\nu_max = 3\ndelta_min = 4\n"
+                       "delta_max = 8\n")
+        outputs = []
+        for width in (1, 2):
+            split_width(width)
+            out = tmp_path / f"out{width}"
+            assert main(["run", "--config", str(run), "--out", str(out),
+                         "--save-predictions"]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("run.csv", "summary.json", "predictions.lvss")])
+            assert (layers._gradient_jobs is None) == (width == 1)
+        _, rows = read_csv_rows(tmp_path / "out1" / "run.csv")
+        assert sum(r[1] == "1" and int(r[2]) > 0 for r in rows) >= 2
+        assert outputs[0] == outputs[1]
+
     def test_jittered_box_across_frame_edge(self, tmp_path):
         """A recorded box that leaves the frame is clipped before the jitter
         grows or shrinks its mask."""
@@ -427,8 +476,11 @@ class TestThreadCap:
         _limit_threads()
         err = capsys.readouterr().err
         if importlib.util.find_spec("threadpoolctl") is None:
-            # the value still caps every layer split, but not BLAS
-            assert "caps only the layer splits (convolutions, BatchNorm, ReLU)" in err
+            # the value still caps every layer split and the gradient
+            # thread, but not BLAS
+            assert "caps only the threads jitstream starts itself" in err
+            assert "(the layer splits of convolutions, BatchNorm and ReLU, and the " \
+                   "gradient thread; 1 starts none)" in err
             assert "BLAS threads are not capped" in err and "threadpoolctl" in err
         else:
             assert err == ""
@@ -538,13 +590,14 @@ class TestGradcheckCommand:
     def test_corrupted_shifted_backward_detected(self, capsys, monkeypatch):
         from jitstream.nn import layers
 
-        original = layers.shifted_conv3x3_backward
+        original = layers._shifted_gradients
 
         def corrupted(dy, w, xp):
-            dx, dw, db = original(dy, w, xp)
-            return dx, dw * 1.01, db
+            input_gradient, weight_gradient = original(dy, w, xp)
+            return input_gradient, lambda: weight_gradient() * 1.01
 
-        monkeypatch.setattr(layers, "shifted_conv3x3_backward", corrupted)
+        # the shifted lowering's dW, inline or on the gradient thread
+        monkeypatch.setattr(layers, "_shifted_gradients", corrupted)
         assert main(["gradcheck", "--seeds", "1"]) == 1
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                   if "FAIL" in line]
@@ -554,13 +607,14 @@ class TestGradcheckCommand:
     def test_corrupted_conv_backward_detected(self, capsys, monkeypatch):
         from jitstream.nn import layers
 
-        original = layers.conv2d_backward
+        original = layers._conv2d_gradients
 
         def corrupted(dy, w, cache):
-            dx, dw, db = original(dy, w, cache)
-            return dx * 1.01, dw, db
+            input_gradient, weight_gradient = original(dy, w, cache)
+            return lambda: input_gradient() * 1.01, weight_gradient
 
-        monkeypatch.setattr(layers, "conv2d_backward", corrupted)
+        # every lowering's dx, as Conv2d.backward computes it
+        monkeypatch.setattr(layers, "_conv2d_gradients", corrupted)
         assert main(["gradcheck", "--seeds", "2"]) == 1
         out = capsys.readouterr().out
         assert any("Conv2d" in line and "FAIL" in line for line in out.splitlines())

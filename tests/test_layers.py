@@ -1,3 +1,4 @@
+import contextlib
 import os
 import signal
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jitstream import arch as arch_module
 from jitstream.arch import ArchConfig, JITNet
 from jitstream.nn import (
     BatchNorm,
@@ -629,7 +631,9 @@ class TestShiftedConv:
         assert_large_conv_memory_bound(rng)
 
 
-def assert_large_conv_memory_bound(rng):
+def assert_large_conv_memory_bound(rng, deferred=False):
+    """With ``deferred`` the backward hands its weight gradient to the
+    gradient thread, whose finished job must hold none of its arrays."""
     conv = Conv2d(64, 32, 3, rng=rng)
     x = rng.standard_normal((64, 180, 320)).astype(np.float32)
     dy = rng.standard_normal((32, 180, 320)).astype(np.float32)
@@ -637,7 +641,8 @@ def assert_large_conv_memory_bound(rng):
     try:
         base = tracemalloc.get_traced_memory()[0]
         conv.forward(x)
-        conv.backward(dy)
+        with layers.deferred_weight_gradients() if deferred else contextlib.nullcontext():
+            conv.backward(dy)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -645,21 +650,17 @@ def assert_large_conv_memory_bound(rng):
     assert held - base <= 1.5 * x.nbytes
 
 
-@pytest.fixture
-def split_width(monkeypatch):
-    """``split_width(n)`` puts ``n``-wide workers in place of the process's
-    for the rest of the test, whatever BLAS thread count is in effect; the
-    workers stop at teardown."""
-    pools = []
-
-    def force(width):
-        pool = layers._Workers(width)
-        pools.append(pool)
-        monkeypatch.setattr(layers, "_workers", pool)
-        return pool
-    yield force
-    for pool in pools:
-        pool.close()
+def child_exit_code(pid, timeout=60.0):
+    """The exit code of forked child ``pid``; kills it and fails the test
+    if it has not exited within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "forked child hung"
+    return os.waitstatus_to_exitcode(done[1])
 
 
 def run_in_thread(fn, timeout=60.0):
@@ -725,9 +726,11 @@ class TestSplit:
             dx = net.backward(np.random.default_rng(4).standard_normal(logits.shape)
                               .astype(np.float32))
             results.append([logits, dx] + [p.gradient.copy() for _, p in net.params()])
-            # head1 and head2 split the convolution's y, dW and dx, and the
-            # forward and backward of their BatchNorm and ReLU
-            assert sum(n > 1 for n in calls) == (0 if width == 1 else 6 + 8)
+            # head1 and head2 split the convolution's y and dx, and the
+            # forward and backward of their BatchNorm and ReLU; their dW
+            # goes to the gradient thread
+            assert sum(n > 1 for n in calls) == (0 if width == 1 else 6 + 6)
+            assert (layers._gradient_jobs is None) == (width == 1)
         for s, p in zip(*results):
             assert np.array_equal(p, s)
 
@@ -745,11 +748,15 @@ class TestSplit:
         assert width == (2 if splits else 1)
 
     def test_unsplit_network_starts_no_thread(self, split_width):
-        """At 96x96 no layer splits, so the process stays single-threaded
-        even where it may split across two threads."""
+        """At 96x96 no layer splits, so a forward starts no thread even where
+        the process may use two; at width 1 the backward's gradient jobs run
+        inline, so forward and backward start none either."""
         split_width(2)
         threads = threading.active_count()
         net = JITNet(ArchConfig(num_classes=4), seed=1)
+        logits = net.forward(np.ones((3, 96, 96), dtype=np.float32))
+        assert threading.active_count() == threads
+        split_width(1)
         logits = net.forward(np.ones((3, 96, 96), dtype=np.float32))
         net.backward(np.ones_like(logits))
         assert threading.active_count() == threads
@@ -884,13 +891,7 @@ class TestSplit:
         if pid == 0:                                        # the child
             y, _ = shifted_conv3x3_forward(x, w, None)
             os._exit(0 if np.array_equal(y, want) else 1)
-        deadline = time.monotonic() + 60
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+        assert child_exit_code(pid) == 0
 
     def test_split_memory_bound(self, split_width, rng):
         """The 180x320 layer of TestShiftedConv's memory bound, split: the
@@ -899,9 +900,10 @@ class TestSplit:
         assert_large_conv_memory_bound(rng)
 
     def test_workers_run_no_public_function(self, split_width):
-        """Worker threads run only private code and numpy: perfbench wraps
-        the public functions and methods of jitstream in spans, and its
-        tracer keeps one stack of open spans for the whole process."""
+        """Worker threads and the gradient thread run only private code and
+        numpy: perfbench wraps the public functions and methods of
+        jitstream in spans, and its tracer keeps one stack of open spans for
+        the whole process.  The separable pair's jobs are im2col's."""
         package = str(Path(layers.__file__).resolve().parents[1])
         seen = set()
 
@@ -913,16 +915,160 @@ class TestSplit:
         conv = Conv2d(64, 32, 3, rng=rng)
         norm = BatchNorm(32)
         relu = ReLU()
+        sep = SeparableConv(32, 8, rng=rng)
         threading.setprofile(profile)       # for the threads the split starts
         try:
-            y = relu.forward(norm.forward(conv.forward(
-                rng.standard_normal((64, 180, 320)).astype(np.float32))))
-            conv.backward(norm.backward(relu.backward(
-                rng.standard_normal(y.shape).astype(np.float32))))
+            y = sep.forward(relu.forward(norm.forward(conv.forward(
+                rng.standard_normal((64, 180, 320)).astype(np.float32)))))
+            with layers.deferred_weight_gradients():
+                conv.backward(norm.backward(relu.backward(sep.backward(
+                    rng.standard_normal(y.shape).astype(np.float32)))))
         finally:
             threading.setprofile(None)
-        assert {"_serve", "_attempt", "_share"} <= seen
+        assert {"_serve", "_attempt", "_share", "_accumulate", "_weight_gradient"} <= seen
         assert [name for name in seen if not name.startswith("_")] == []
+
+
+def network_pass(x, steps=2):
+    """A fresh default network's logits, input gradient and parameter
+    gradients after ``steps`` forward and backward passes on ``x``, so the
+    gradients accumulate."""
+    net = JITNet(ArchConfig(num_classes=4), seed=1)
+    for step in range(steps):
+        logits = net.forward(x)
+        dx = net.backward(np.random.default_rng(4 + step).standard_normal(logits.shape)
+                          .astype(np.float32))
+    return [logits, dx] + [p.gradient.copy() for _, p in net.params()]
+
+
+def watched_weight_gradients(monkeypatch, fail_at=None):
+    """Wraps every convolution's weight gradient: each job sleeps a little,
+    so that it is still running when the backward's caller goes on, and
+    marks its entry ``finished`` once done; job ``fail_at`` raises
+    ZeroDivisionError instead.  Returns the list of entries, one per job
+    handed out."""
+    original = layers._conv2d_gradients
+    jobs = []
+
+    def wrapped(dy, w, cache):
+        input_gradient, weight_gradient = original(dy, w, cache)
+        index = len(jobs)
+        jobs.append("submitted")
+
+        def _weight_gradient():
+            time.sleep(0.01)
+            if index == fail_at:
+                raise ZeroDivisionError(f"job {index}")
+            dw = weight_gradient()
+            jobs[index] = "finished"
+            return dw
+        return input_gradient, _weight_gradient
+    monkeypatch.setattr(layers, "_conv2d_gradients", wrapped)
+    return jobs
+
+
+class TestGradientThread:
+    """A network's backward hands each convolution's weight and bias
+    gradients to one gradient thread while it goes on with the input
+    gradients; every job runs the same operations on the same operands, so
+    every bit is kept, and the backward returns once all have finished."""
+
+    X64 = np.random.default_rng(3).standard_normal((3, 64, 64)).astype(np.float32)
+
+    @pytest.mark.parametrize("hw", [(96, 96), (64, 640)])
+    def test_deferred_equals_synchronous_bits(self, split_width, monkeypatch, hw):
+        """At 96x96 nothing splits; at 64x640 head1 and head2 split too.
+        Widths 1 and 2 with the jobs deferred equal width 2 with the jobs
+        inline, bit for bit."""
+        x = np.random.default_rng(3).standard_normal((3, *hw)).astype(np.float32)
+        split_width(2)
+        with monkeypatch.context() as inline:
+            inline.setattr(arch_module, "deferred_weight_gradients", contextlib.nullcontext)
+            synchronous = network_pass(x)
+        assert layers._gradient_jobs is None
+        for width in (1, 2):
+            split_width(width)
+            got = network_pass(x)
+            assert (layers._gradient_jobs is None) == (width == 1)
+            for s, g in zip(synchronous, got):
+                assert g.dtype == s.dtype and g.tobytes() == s.tobytes()
+
+    def test_failing_job_raises_in_caller(self, split_width, monkeypatch):
+        """A job's exception reaches the backward's caller once every job
+        has finished, and the next backward is whole."""
+        split_width(2)
+        want = network_pass(self.X64, steps=1)
+        net = JITNet(ArchConfig(num_classes=4), seed=1)
+        logits = net.forward(self.X64)
+        dlogits = np.random.default_rng(4).standard_normal(logits.shape).astype(np.float32)
+        with monkeypatch.context() as faulty:
+            jobs = watched_weight_gradients(faulty, fail_at=2)
+            with pytest.raises(ZeroDivisionError, match="job 2"):
+                net.backward(dlogits)
+            assert len(jobs) == 29 and jobs.count("finished") == 28
+        for p in net.param_states():
+            p.clear_gradient()
+        net.forward(self.X64)
+        got = [logits, net.backward(dlogits)] + [p.gradient for p in net.param_states()]
+        for w, g in zip(want, got):
+            assert g.tobytes() == w.tobytes()
+
+    def test_caller_exception_leaves_no_job_running(self, split_width, monkeypatch):
+        """An exception on the calling thread mid-backward is raised once
+        the jobs handed out so far have finished, and the next backward
+        works as usual."""
+        split_width(2)
+        net = JITNet(ArchConfig(num_classes=4), seed=1)
+        logits = net.forward(self.X64)
+
+        def broken(dy):
+            raise KeyError("dec1")
+        with monkeypatch.context() as faulty:
+            jobs = watched_weight_gradients(faulty)
+            faulty.setattr(net.dec1, "backward", broken)
+            with pytest.raises(KeyError, match="dec1"):
+                net.backward(np.ones_like(logits))
+            # the classifier, head2 and head1 came before dec1
+            assert jobs == ["finished"] * 3
+        net.forward(self.X64)
+        net.backward(np.ones_like(logits))
+
+    def test_standalone_conv_completes_its_gradients(self, split_width, rng):
+        """Outside a network's backward a convolution returns with its
+        weight and bias gradients complete, as gradient_check needs, and
+        starts no gradient thread."""
+        split_width(2)
+        conv = Conv2d(64, 32, 3, rng=rng)
+        x = rng.standard_normal((64, 180, 320)).astype(np.float32)
+        dy = rng.standard_normal((32, 180, 320)).astype(np.float32)
+        conv.forward(x)
+        dx = conv.backward(dy)
+        want = conv2d_backward(dy, conv.w.value, conv._cache)
+        for got, w in zip((dx, conv.w.gradient, conv.b.gradient), want):
+            assert got.tobytes() == w.tobytes()
+        assert layers._gradient_jobs is None
+
+    def test_forked_child_uses_its_own_gradient_thread(self, split_width):
+        """A child forked after a deferred backward has no gradient thread
+        of its parent's; its own backward starts one and keeps the bits."""
+        split_width(2)
+        want = network_pass(self.X64, steps=1)
+        assert layers._gradient_jobs is not None
+        pid = os.fork()
+        if pid == 0:                                        # the child
+            fresh = layers._gradient_jobs is None
+            layers._workers = layers._Workers(2)
+            got = network_pass(self.X64, steps=1)
+            same = all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            os._exit(0 if fresh and same and layers._gradient_jobs is not None else 1)
+        assert child_exit_code(pid) == 0
+
+    def test_deferred_memory_bound(self, split_width, rng):
+        """The 180x320 layer of TestShiftedConv's memory bound with its
+        weight gradient on the gradient thread: the finished job holds
+        nothing once the block has returned."""
+        split_width(2)
+        assert_large_conv_memory_bound(rng, deferred=True)
 
 
 def channel_layout(x, layout):

@@ -119,6 +119,67 @@ class TestMeanIoU:
         assert (acc.intersection >= 0).all()
 
 
+def three_counts(pred, label, num_classes, ignore_label=255):
+    """The per-class counts as three bincounts: predictions, labels, and
+    predictions where they agree with the label."""
+    valid = label != ignore_label
+    p = pred[valid].astype(np.int64)
+    l = label[valid].astype(np.int64)
+    return (np.bincount(p[p == l], minlength=num_classes),
+            np.bincount(p, minlength=num_classes),
+            np.bincount(l, minlength=num_classes))
+
+
+class TestConfusionCounts:
+    """One bincount of ``label * C + pred`` counts what three bincounts
+    did, so every IoU keeps its bits."""
+
+    @pytest.mark.parametrize("case", ["ignore", "top class", "empty", "uint8 360p"])
+    def test_equals_three_counts(self, case):
+        rng = np.random.default_rng(7)
+        c, shape, dtype = 5, (24, 31), np.int64
+        if case == "uint8 360p":
+            c, shape, dtype = 9, (360, 640), np.uint8
+        pred = rng.integers(0, c, size=shape).astype(dtype)
+        label = rng.integers(0, c, size=shape).astype(dtype)
+        if case == "ignore":
+            label[rng.random(shape) < 0.3] = 255
+        if case == "top class":
+            pred[:4] = label[:4] = c - 1
+        if case == "empty":
+            label[...] = 255
+        acc = ConfusionAccumulator(c)
+        acc.add(pred, label)
+        got = (acc.intersection, acc.prediction, acc.label)
+        for g, want in zip(got, three_counts(pred, label, c)):
+            assert g.dtype == np.int64 and np.array_equal(g, want)
+        assert mean_iou(pred, label).per_class == acc.result().per_class
+
+    def test_merge_equals_three_counts_of_both(self):
+        rng = np.random.default_rng(8)
+        frames = [(rng.integers(0, 4, size=(9, 7)), rng.integers(0, 4, size=(9, 7)))
+                  for _ in range(2)]
+        frames[1][1][0] = 255
+        left, right = ConfusionAccumulator(4), ConfusionAccumulator(4)
+        left.add(*frames[0])
+        right.add(*frames[1])
+        merged = left.merge(right)
+        want = [a + b for a, b in zip(three_counts(*frames[0], 4), three_counts(*frames[1], 4))]
+        for g, w in zip((merged.intersection, merged.prediction, merged.label), want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("pred_id,label_id,message", [
+        (5, 0, "class id 5 outside"), (0, 5, "class id 5 outside"),
+        (-1, 1, "class ids must be >= 0"), (1, -1, "class ids must be >= 0")])
+    def test_ids_out_of_range_rejected(self, pred_id, label_id, message):
+        """A prediction of C, or of -1 next to a label above 0, would
+        otherwise land on another pair's count."""
+        pred, label = np.zeros((2, 2), np.int64), np.ones((2, 2), np.int64)
+        pred[0, 0], label[0, 0] = pred_id, label_id
+        with pytest.raises(ValueError, match=message):
+            ConfusionAccumulator(5).add(pred, label)
+
+
 class TestIntervalSeries:
     def test_constant_series(self):
         assert interval_series([2.0] * 10, fps=1.0, interval_seconds=3) == [2.0, 2.0, 2.0, 2.0]
