@@ -328,9 +328,10 @@ def cmd_sweep(args) -> int:
 def _limit_threads() -> None:
     """Apply ``JITSTREAM_THREADS`` as a BLAS thread cap, or say on stderr why
     it does not cap BLAS threads.  The same value caps the threads every
-    split layer (shifted convolution, BatchNorm, ReLU) splits across, and
-    at 1 a network's backward computes its weight gradients inline instead
-    of on the gradient thread (``nn.layers``)."""
+    split pass (shifted convolution, the other convolutions' GEMMs, BatchNorm,
+    ReLU, resize, label map) splits across, and at 1 a network's backward
+    computes its weight gradients inline instead of on the gradient thread
+    (``nn.layers``)."""
     try:
         cap = thread_cap()
     except ValueError as exc:
@@ -342,9 +343,9 @@ def _limit_threads() -> None:
         import threadpoolctl
     except ImportError:
         print(f"warning: JITSTREAM_THREADS={cap} caps only the threads jitstream starts "
-              "itself (the layer splits of convolutions, BatchNorm and ReLU, and the "
-              "gradient thread; 1 starts none); BLAS threads are not capped: that needs "
-              "threadpoolctl, which is not installed", file=sys.stderr)
+              "itself (the blocks of convolutions, BatchNorm, ReLU, resizes and the label "
+              "map, and the gradient thread; 1 starts none); BLAS threads are not capped: "
+              "that needs threadpoolctl, which is not installed", file=sys.stderr)
         return
     threadpoolctl.threadpool_limits(cap)
 

@@ -37,16 +37,28 @@ worker threads, one per core beyond the caller's.  BatchNorm and ReLU split
 a pass by channel on the same threads when each thread gets at least two
 channels and :data:`SHIFTED_BLOCK_BYTES` of the input: each share runs the
 serial pass's steps, in the same order, on its own channel range of arrays
-laid out as the serial pass's results.  The number of threads is the CPUs
-this process may run on over the BLAS threads each GEMM already uses (asked
-of OpenBLAS; 1 for another BLAS), capped by ``JITSTREAM_THREADS``.  Where
-that number is above 1, a network's backward hands each convolution's
-weight and bias gradients to one persistent gradient thread
-(:func:`deferred_weight_gradients`), so they are computed while the
-calling thread goes on with the input gradients.  Every GEMM, block edge,
-add and per-channel sum is the one the serial pass makes, so the splits and
-the gradient thread keep every bit.  These threads run only private code
-and numpy.
+laid out as the serial pass's results.  The forward's other large passes
+run in fixed blocks dealt round-robin to the same threads
+(:func:`run_blocks`): the GEMM of every other convolution by blocks of
+output columns, a resize by chunks of channels, and the student's label map
+by blocks of rows.  Their blocks are as few near-equal ones as hold about
+:data:`SHIFTED_BLOCK_BYTES` each, of the smaller of the GEMM's columns and
+result, of the resize's input or of the label map's running maximum
+(:func:`block_count`); they never depend on the number of threads, and a
+pass of one block (every pass at 96x96) is the single call it always was.
+The number of threads is the CPUs this
+process may run on over the BLAS threads each GEMM already uses (asked of
+OpenBLAS; 1 for another BLAS), capped by ``JITSTREAM_THREADS``.  Where that
+number is above 1, a network's backward hands each convolution's weight and
+bias gradients to one persistent gradient thread
+(:func:`deferred_weight_gradients`), so they are computed while the calling
+thread goes on with the input gradients; the backward's other passes do not
+block, since the two threads already keep two cores busy.  Every GEMM,
+block edge, add and per-channel sum is the one the serial pass makes, so
+the splits and the gradient thread keep every bit; the forward's blocks
+keep the single call's bits wherever BLAS rounds a block as it rounds the
+whole, which it does at every shape of the default network at 360x640 in
+float32.  These threads run only private code and numpy.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
@@ -185,7 +197,8 @@ def col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int,
 # 128 KiB head2 at 360x640 gets blocks of 3 rows, and OpenBLAS rounds those
 # narrower GEMMs differently from the full-width ones; at 256 KiB every
 # shifted layer at 360x640 and 720x1280 keeps the unblocked sum's bits in
-# float32.
+# float32.  The channel splits and the forward's fixed blocks
+# (:func:`block_count`) are sized from the same constant.
 SHIFTED_BLOCK_BYTES = 256 << 10
 
 
@@ -412,12 +425,51 @@ def _channel_width(x: np.ndarray) -> int:
     return width
 
 
-def _split_channels(width: int, c: int, share) -> None:
-    """``share(slice)`` for ``width`` contiguous ranges of ``c`` channels,
-    on :data:`_workers`."""
+def block_count(n: int, nbytes: int) -> int:
+    """Blocks a pass over ``n`` items (output columns, channels or rows)
+    measuring ``nbytes`` in all is cut into: as few near-equal ones as hold
+    about :data:`SHIFTED_BLOCK_BYTES` each, at most one per item.  The count
+    depends on the extents alone, never on the threads, so a blocked pass
+    gives the same bits at every width."""
+    return max(1, min(n, -(-nbytes // SHIFTED_BLOCK_BYTES)))
+
+
+def run_blocks(n: int, count: int, block) -> None:
+    """``block(lo, hi)`` for ``count`` near-equal contiguous ranges of ``n``
+    items, dealt round-robin to the threads of :data:`_workers`; a single
+    block runs inline on the calling thread."""
+    if count == 1:
+        block(0, n)
+        return
+    width = min(_pool_width(), count)
+
     def _share(k):
-        share(slice(c * k // width, c * (k + 1) // width))
+        for i in range(k, count, width):
+            block(n * i // count, n * (i + 1) // count)
     _workers.run(_share, width)
+
+
+def _matmul_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in blocks of ``b``'s columns (:func:`block_count`), sized
+    by the smaller of ``b`` and the result: a GEMM with a short inner
+    dimension has too little work to share (``enc1``'s 8-channel 1x1
+    shortcut at 360x640, 115 KiB of columns for a 900 KiB result, took 0.38
+    ms in one call and 0.50 ms in four blocks on a 2-core Xeon with one
+    OpenBLAS thread).  Each block is one GEMM
+    that BLAS writes straight into its columns of the result; it rounds
+    them as in the single GEMM wherever it takes the same kernel, which it
+    does at every shape of the default network in float32."""
+    n = b.shape[1]
+    dtype = np.result_type(a, b)
+    count = block_count(n, min(a.shape[0], b.shape[0]) * n * dtype.itemsize)
+    if count == 1:
+        return a @ b
+    y = np.empty((a.shape[0], n), dtype=dtype)
+
+    def _columns(lo, hi):
+        np.matmul(a, b[:, lo:hi], out=y[:, lo:hi])
+    run_blocks(n, count, _columns)
+    return y
 
 
 def _empty_result(*operands, dtype=None) -> np.ndarray:
@@ -570,10 +622,11 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     runs :func:`shifted_conv3x3_forward` at every extent and dtype;
     everything else runs im2col and one GEMM.  An unpadded 1x1 kernel skips
     im2col and runs its GEMM on the strided input, which is the matrix
-    im2col would build.  ``buf`` is the lowering's buffer (the padded input
-    or the columns) from an earlier call with the same kernel, stride and
-    padding and an input of the same extent, refilled when it has the
-    input's dtype.
+    im2col would build; a large GEMM runs by blocks of output columns
+    (:func:`_matmul_columns`).  ``buf`` is the lowering's buffer (the
+    padded input or the columns) from an earlier call with the same kernel,
+    stride and padding and an input of the same extent, refilled when it
+    has the input's dtype.
     Returns ``(y, cache)``; pass the cache to :func:`conv2d_backward`.  The
     cache's second entry is that buffer, or a view of ``x``.
     """
@@ -592,7 +645,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
         cols = np.ascontiguousarray(x[:, ::stride, ::stride]).reshape(cin, ho * wo)
     else:
         cols, (ho, wo) = im2col(x, kh, kw, stride, ph, pw, buf)
-    y = (w.reshape(cout, -1) @ cols).reshape(cout, ho, wo)
+    y = _matmul_columns(w.reshape(cout, -1), cols).reshape(cout, ho, wo)
     if b is not None:
         y += b[:, None, None]
     return y, (x.shape, cols, stride, ph, pw, (ho, wo))
@@ -665,7 +718,8 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
     xhat = _empty_result(x, mean)
     y = _empty_result(xhat, gamma[:, None, None])
 
-    def _share(s):
+    def _share(lo, hi):
+        s = slice(lo, hi)
         xs, xh, ys, m, v = x[s], xhat[s], y[s], mean[s], inv_std[s]
         np.add.reduce(xs, axis=(1, 2), keepdims=True, out=m)
         m /= n
@@ -679,7 +733,7 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
         xh *= v
         np.multiply(xh, gamma[s, None, None], out=ys)
         ys += beta[s, None, None]
-    _split_channels(width, c, _share)
+    run_blocks(c, width, _share)
     return y, (xhat, inv_std, gamma)
 
 
@@ -703,7 +757,8 @@ def batchnorm_backward(dy: np.ndarray, cache):
     dgamma = np.empty_like(gamma)
     dbeta = np.empty_like(gamma)
 
-    def _share(s):
+    def _share(lo, hi):
+        s = slice(lo, hi)
         d, xh, dxh, out = dy[s], xhat[s], dxhat[s], dx[s]
         np.multiply(d, xh, out=out)                 # dy * xhat
         np.add.reduce(out, axis=(1, 2), out=dgamma[s])
@@ -717,7 +772,7 @@ def batchnorm_backward(dy: np.ndarray, cache):
         out /= n
         np.subtract(dxh, out, out=out)
         out *= inv_std[s]
-    _split_channels(width, len(gamma), _share)
+    run_blocks(len(gamma), width, _share)
     return dx, dgamma, dbeta
 
 
@@ -764,9 +819,25 @@ def _resize_plan(x_shape: tuple[int, int, int], out_hw: tuple[int, int], dtype):
     return mh, mw, forward, backward
 
 
+@functools.lru_cache(maxsize=64)
+def _resize_axes(x_shape: tuple[int, int, int], out_hw: tuple[int, int], dtype):
+    """The axes of a resize's forward result from outermost to innermost in
+    memory, read off the planned ``einsum`` on zeros of the real extent:
+    ``einsum`` orders its intermediates by their extents, so a channel chunk
+    may come out laid out otherwise than the whole."""
+    mh, mw, forward, _ = _resize_plan(x_shape, out_hw, dtype)
+    y = np.einsum(_RESIZE_FORWARD, mh, np.zeros(x_shape, dtype), mw, optimize=forward)
+    return tuple(sorted(range(3), key=lambda axis: -y.strides[axis]))
+
+
 def bilinear_resize_forward(x: np.ndarray, out_hw: tuple[int, int]):
     """Bilinear resample to an explicit target extent (a factor ``r`` maps to
-    ``(H*r, W*r)``)."""
+    ``(H*r, W*r)``).
+
+    A large ``x`` is resampled by chunks of channels (:func:`block_count`
+    of its bytes), one planned ``einsum`` per chunk, each copied into one
+    result laid out as the unchunked ``einsum``'s (:func:`_resize_axes`):
+    an ``out=`` view would take the GEMMs off BLAS."""
     c, h, w = x.shape
     ho, wo = out_hw
     if ho < 1 or wo < 1:
@@ -775,7 +846,16 @@ def bilinear_resize_forward(x: np.ndarray, out_hw: tuple[int, int]):
         return x, (x.shape, None)
     plan = _resize_plan(x.shape, (ho, wo), x.dtype)
     mh, mw, forward, _ = plan
-    y = np.einsum(_RESIZE_FORWARD, mh, x, mw, optimize=forward)
+    count = block_count(c, x.nbytes)
+    if count == 1:
+        return np.einsum(_RESIZE_FORWARD, mh, x, mw, optimize=forward), (x.shape, plan)
+    axes = _resize_axes(x.shape, (ho, wo), x.dtype)
+    shape = (c, ho, wo)
+    y = np.empty([shape[a] for a in axes], dtype=x.dtype).transpose(np.argsort(axes))
+
+    def _channels(lo, hi):
+        y[lo:hi] = np.einsum(_RESIZE_FORWARD, mh, x[lo:hi], mw, optimize=forward)
+    run_blocks(c, count, _channels)
     return y, (x.shape, plan)
 
 
@@ -910,10 +990,10 @@ class ReLU:
             return np.multiply(x, mask, out=x)
         self._mask = mask = _empty_result(x, dtype=bool)
 
-        def _share(s):
-            np.greater(x[s], 0, out=mask[s])
-            np.multiply(x[s], mask[s], out=x[s])
-        _split_channels(width, x.shape[0], _share)
+        def _share(lo, hi):
+            np.greater(x[lo:hi], 0, out=mask[lo:hi])
+            np.multiply(x[lo:hi], mask[lo:hi], out=x[lo:hi])
+        run_blocks(x.shape[0], width, _share)
         return x
 
     def backward(self, dy):
@@ -923,9 +1003,9 @@ class ReLU:
             return dy * mask
         dx = _empty_result(dy, mask)
 
-        def _share(s):
-            np.multiply(dy[s], mask[s], out=dx[s])
-        _split_channels(width, dy.shape[0], _share)
+        def _share(lo, hi):
+            np.multiply(dy[lo:hi], mask[lo:hi], out=dx[lo:hi])
+        run_blocks(dy.shape[0], width, _share)
         return dx
 
 

@@ -476,11 +476,11 @@ class TestThreadCap:
         _limit_threads()
         err = capsys.readouterr().err
         if importlib.util.find_spec("threadpoolctl") is None:
-            # the value still caps every layer split and the gradient
+            # the value still caps every blocked pass and the gradient
             # thread, but not BLAS
             assert "caps only the threads jitstream starts itself" in err
-            assert "(the layer splits of convolutions, BatchNorm and ReLU, and the " \
-                   "gradient thread; 1 starts none)" in err
+            assert "(the blocks of convolutions, BatchNorm, ReLU, resizes and the label " \
+                   "map, and the gradient thread; 1 starts none)" in err
             assert "BLAS threads are not capped" in err and "threadpoolctl" in err
         else:
             assert err == ""

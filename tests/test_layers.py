@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from jitstream import arch as arch_module
+from jitstream import distill as distill_module
 from jitstream.arch import ArchConfig, JITNet
 from jitstream.nn import (
     BatchNorm,
@@ -711,9 +712,9 @@ class TestSplit:
             assert p.dtype == s.dtype and p.flags.c_contiguous and np.array_equal(p, s)
 
     def test_jitnet_split_equals_serial_bits(self, split_width):
-        """A default network's forward and backward at 64x640, where head1
-        and head2 split by the size rules: logits, input gradient and every
-        parameter gradient keep their bits at width 2."""
+        """A default network's forward and backward at 64x640, where head1,
+        head2 and stem1's GEMM split by the size rules: logits, input
+        gradient and every parameter gradient keep their bits at width 2."""
         x = np.random.default_rng(3).standard_normal((3, 64, 640)).astype(np.float32)
         results = []
         for width in (1, 2):
@@ -728,8 +729,8 @@ class TestSplit:
             results.append([logits, dx] + [p.gradient.copy() for _, p in net.params()])
             # head1 and head2 split the convolution's y and dx, and the
             # forward and backward of their BatchNorm and ReLU; their dW
-            # goes to the gradient thread
-            assert sum(n > 1 for n in calls) == (0 if width == 1 else 6 + 6)
+            # goes to the gradient thread; stem1's GEMM runs in two blocks
+            assert sum(n > 1 for n in calls) == (0 if width == 1 else 6 + 6 + 1)
             assert (layers._gradient_jobs is None) == (width == 1)
         for s, p in zip(*results):
             assert np.array_equal(p, s)
@@ -1158,3 +1159,186 @@ class TestChannelSplit:
         split_width(2)
         x = np.broadcast_to(np.zeros((), dtype), shape)
         assert layers._channel_width(x) == (2 if splits else 1)
+
+
+def recorded_blocks(monkeypatch):
+    """Spies on :func:`layers.run_blocks`, also where ``distill`` calls it:
+    returns the list it appends ``(pass, count)`` to for each pass of the
+    forward's fixed blocks, the pass named by its block function
+    (``_columns``, ``_channels`` or ``_rows``); BatchNorm's and ReLU's
+    channel shares are left out."""
+    seen = []
+    real = layers.run_blocks
+
+    def record(n, count, block):
+        if block.__name__ != "_share":
+            seen.append((block.__name__, count))
+        return real(n, count, block)
+    monkeypatch.setattr(layers, "run_blocks", record)
+    monkeypatch.setattr(distill_module, "run_blocks", record)
+    return seen
+
+
+def widths_agree(split_width, run):
+    """``run()`` at widths 1 and 2: equal dtypes, strides and bits of every
+    array it returns.  Returns the number of splits width 2 made."""
+    results, splits = [], []
+    for width in (1, 2):
+        pool = split_width(width)
+        calls = []
+        real = pool.run
+        pool.run = lambda share, n: calls.append(n) or real(share, n)
+        results.append(run())
+        splits.append(sum(n > 1 for n in calls))
+    assert splits[0] == 0
+    for s, p in zip(*results):
+        assert p.dtype == s.dtype and p.strides == s.strides
+        assert p.tobytes() == s.tobytes()
+    return splits[1]
+
+
+# the blocked GEMM convolutions of a default network at 360x640: (cin,
+# cout, kernel, stride, input extent); the im2col ones are stem1, stem2,
+# enc1's strided 3x3 and the separable halves of enc1 and dec1, the 1x1
+# ones dec1's shortcut and the classifier
+CONVS_360P = [(3, 8, 3, 2, (360, 640)), (8, 8, 3, 2, (180, 320)),
+              (8, 64, 3, 2, (90, 160)),
+              (64, 64, (1, 3), 1, (45, 80)), (64, 64, (3, 1), 1, (45, 80)),
+              (192, 32, 1, 1, (45, 80)), (32, 32, (1, 3), 1, (45, 80)),
+              (32, 32, (3, 1), 1, (45, 80)), (32, 4, 1, 1, (180, 320))]
+# its resizes: dec3, dec2, dec1, head
+RESIZES_360P = [((128, 12, 20), (23, 40)), ((64, 23, 40), (45, 80)),
+                ((64, 45, 80), (180, 320)), ((4, 180, 320), (360, 640))]
+
+
+def conv_case(rng, cin, cout, kernel, stride, hw, dtype=np.float32, layout="C"):
+    """Input, weights and bias of a "same"-padded convolution, then its
+    stride and padding: the arguments of ``conv2d_forward``."""
+    kh, kw = layers._pair(kernel)
+    x = channel_layout(rng.standard_normal((cin, *hw)).astype(dtype), layout)
+    w = rng.standard_normal((cout, cin, kh, kw)).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    return x, w, b, stride, (kh // 2, kw // 2)
+
+
+class TestForwardBlocks:
+    """The forward's GEMM convolutions by blocks of output columns, its
+    resizes by chunks of channels and the label map by blocks of rows: the
+    blocks follow from the extents alone and deal round-robin to the
+    threads, so every width gives the same bits; a pass of one block is the
+    single call."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["C", "channels-last"])
+    @pytest.mark.parametrize("kernel,stride", [(3, 2), ((1, 3), 1), ((3, 1), 1), (1, 1), (1, 2)])
+    def test_blocked_conv_equals_across_widths(self, split_width, monkeypatch, dtype, layout,
+                                               kernel, stride):
+        """Forced to many ragged blocks (at 1000 bytes, 3 to 21 of them)."""
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1000)
+        x, w, b, stride, pad = conv_case(np.random.default_rng(6), 5, 6, kernel, stride,
+                                         (19, 23), dtype, layout)
+
+        def run():
+            return [conv2d_forward(x, w, b, stride, pad)[0]]
+        assert widths_agree(split_width, run) == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["C", "channels-last", "rows-inner"])
+    @pytest.mark.parametrize("hw,out_hw", [((12, 20), (23, 40)), ((9, 7), (36, 28)),
+                                           ((23, 40), (12, 20)), ((36, 28), (9, 7))])
+    @pytest.mark.parametrize("chunks", [3, 7])         # 2+2+3 channels, or 1 each
+    def test_chunked_resize_equals_across_widths(self, split_width, monkeypatch, dtype,
+                                                 layout, hw, out_hw, chunks):
+        """Up and down, laid out as the unchunked einsum's result."""
+        x = channel_layout(np.random.default_rng(8).standard_normal((7, *hw)).astype(dtype),
+                           layout)
+        single, _ = bilinear_resize_forward(x, out_hw)
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", x.nbytes // chunks + 1)
+        assert layers.block_count(7, x.nbytes) == chunks
+
+        def run():
+            y, _ = bilinear_resize_forward(x, out_hw)
+            assert y.strides == single.strides
+            return [y]
+        assert widths_agree(split_width, run) == 1
+
+    @pytest.mark.parametrize("layout", ["C", "rows-inner"])   # rows-inner: the head resize's
+    def test_row_split_label_map_equals_across_widths(self, split_width, monkeypatch, layout):
+        """23 rows in 4 ragged blocks; ties and signed zeros as in
+        TestLabelMap, and the result is still argmax's."""
+        rng = np.random.default_rng(9)
+        logits = rng.integers(-2, 3, size=(5, 23, 37)).astype(np.float32)
+        logits[:, 0, :5] = [[-0.0], [0.0], [-0.0], [0.0], [0.0]]
+        logits = channel_layout(logits, layout)
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 23 * 37 * 4 // 4 + 1)
+        seen = recorded_blocks(monkeypatch)
+
+        def run():
+            return [distill_module._label_map(logits)]
+        assert widths_agree(split_width, run) == 1
+        assert seen == [("_rows", 4)] * 2
+        got = distill_module._label_map(logits)
+        want = logits.argmax(axis=0).astype(np.uint8)
+        assert got.strides == want.strides and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("hw,classes,blocked", [
+        ((96, 96), 4, []),              # the bundled streams' class count
+        ((96, 96), 11, []),             # a 99 KiB classifier result and head resize input
+        ((360, 640), 4, [
+            ("_columns", 8), ("_columns", 2),                     # stem1, stem2
+            ("_columns", 4), ("_columns", 4), ("_columns", 4),    # enc1's 3x3/2, 1x3, 3x1
+            ("_columns", 2), ("_columns", 2), ("_columns", 2),    # dec1's 1x1 and 1x3, 3x1
+            ("_channels", 4),                                     # dec1's 4x resize
+            ("_columns", 4),                                      # the classifier
+            ("_channels", 4),                                     # the head resize
+            ("_rows", 4)]),                                       # the label map
+    ])
+    def test_rule_table(self, split_width, monkeypatch, hw, classes, blocked):
+        """Which passes of a default network's forward and label map block,
+        and into how many blocks.  At 96x96 none does, and none starts a
+        thread."""
+        pool = split_width(2)
+        seen = recorded_blocks(monkeypatch)
+        net = JITNet(ArchConfig(num_classes=classes), seed=1)
+        distill_module._label_map(net.forward(np.ones((3, *hw), dtype=np.float32)))
+        assert [s for s in seen if s[1] > 1] == blocked
+        if hw == (96, 96):
+            assert pool._jobs == []             # no worker was started
+
+    @pytest.mark.parametrize("cin,cout,kernel,stride,hw", CONVS_360P)
+    def test_blocked_conv_equals_single_call_at_360p(self, monkeypatch, cin, cout, kernel,
+                                                     stride, hw):
+        """Float32 at the default network's 360p shapes, where each blocks."""
+        x, w, b, stride, pad = conv_case(np.random.default_rng(10), cin, cout, kernel,
+                                         stride, hw)
+        blocked, _ = conv2d_forward(x, w, b, stride, pad)
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1 << 40)
+        single, _ = conv2d_forward(x, w, b, stride, pad)
+        assert blocked.strides == single.strides and blocked.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("x_shape,out_hw", RESIZES_360P)
+    def test_chunked_resize_equals_single_call_at_360p(self, monkeypatch, x_shape, out_hw):
+        x = np.random.default_rng(11).standard_normal(x_shape).astype(np.float32)
+        chunked, _ = bilinear_resize_forward(x, out_hw)
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1 << 40)
+        single, _ = bilinear_resize_forward(x, out_hw)
+        assert chunked.strides == single.strides and chunked.tobytes() == single.tobytes()
+
+    def test_jitnet_widths_agree_with_tiny_blocks(self, split_width, monkeypatch):
+        """Every blocked pass of a default network's forward, with blocks of
+        a few columns, channels or rows, and the backward after it (which
+        does not block): logits, label map, input gradient and every
+        parameter gradient equal at widths 1 and 2."""
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 2048)
+        seen = recorded_blocks(monkeypatch)
+        x = np.random.default_rng(12).standard_normal((3, 64, 96)).astype(np.float32)
+
+        def run():
+            net = JITNet(ArchConfig(num_classes=4), seed=1)
+            logits = net.forward(x)
+            dx = net.backward(np.random.default_rng(4).standard_normal(logits.shape)
+                              .astype(np.float32))
+            return ([logits, distill_module._label_map(logits), dx]
+                    + [p.gradient for _, p in net.params()])
+        assert widths_agree(split_width, run) > 0
+        assert {name for name, count in seen if count > 1} == {"_columns", "_channels", "_rows"}
