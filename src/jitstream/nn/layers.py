@@ -44,27 +44,32 @@ output columns, a resize by chunks of channels, and the student's label map
 by blocks of rows.  Their blocks are as few near-equal ones as hold about
 :data:`SHIFTED_BLOCK_BYTES` each, of the smaller of the GEMM's columns and
 result, of the resize's input or of the label map's running maximum
-(:func:`block_count`); they never depend on the number of threads, and a
-pass of one block (every pass at 96x96) is the single call it always was.
-The number of threads is the CPUs this
-process may run on over the BLAS threads each GEMM already uses (asked of
-OpenBLAS; 1 for another BLAS), capped by ``JITSTREAM_THREADS``.  Where that
-number is above 1, a network's backward hands each convolution's weight and
-bias gradients to one persistent gradient thread
-(:func:`deferred_weight_gradients`), so they are computed while the calling
-thread goes on with the input gradients; the backward's other passes do not
-block, since the two threads already keep two cores busy.  Every GEMM,
-block edge, add and per-channel sum is the one the serial pass makes, so
-the splits and the gradient thread keep every bit; the forward's blocks
-keep the single call's bits wherever BLAS rounds a block as it rounds the
-whole, which it does at every shape of the default network at 360x640 in
-float32.  These threads run only private code and numpy.
+(:func:`block_count`).  Above one thread they never depend on the number
+of threads; at one thread, and for a pass of one block (every pass at
+96x96), a pass is the single call it always was.  The number of threads
+is the CPUs this process may run on over the BLAS threads each GEMM already
+uses (asked of OpenBLAS; 1 for another BLAS), capped by
+``JITSTREAM_THREADS``.  Where that number is above 1, a network's backward
+hands each convolution's weight and bias gradients to one persistent
+gradient thread (:func:`deferred_weight_gradients`), so they are computed
+while the calling thread goes on with the input gradients; the backward's
+other passes do not block, since the two threads already keep two cores
+busy.  Every GEMM, block edge, add and per-channel sum is the one the serial
+pass makes, so the splits and the gradient thread keep every bit.  These
+threads run only private code and numpy.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
-so a run's outputs do not move by a single bit.  The shifted lowering sums
-each output in another order than im2col; the two agree to about 1e-6
-relative in float32, and im2col stays the shifted form's test oracle.
+so a run's outputs do not move by a single bit.  The forward's blocks are
+the exception: each block of a GEMM or resize is a narrower GEMM than the
+single call's, so it keeps the single call's bits only where that was
+measured.  That is every blocked convolution and resize of the default
+network at 360x640 and 720x1280, with 4 or 9 classes, in float32 and in the
+memory layouts the forward hands over; elsewhere (some float64 shapes) a
+block may round otherwise.  The label map's blocks are elementwise and keep
+every bit.  The shifted lowering sums each output in another order than
+im2col; the two agree to about 1e-6 relative in float32, and im2col stays
+the shifted form's test oracle.
 
 Production code runs in float32; gradient checking runs the same code in
 float64.
@@ -428,9 +433,13 @@ def _channel_width(x: np.ndarray) -> int:
 def block_count(n: int, nbytes: int) -> int:
     """Blocks a pass over ``n`` items (output columns, channels or rows)
     measuring ``nbytes`` in all is cut into: as few near-equal ones as hold
-    about :data:`SHIFTED_BLOCK_BYTES` each, at most one per item.  The count
-    depends on the extents alone, never on the threads, so a blocked pass
-    gives the same bits at every width."""
+    about :data:`SHIFTED_BLOCK_BYTES` each, at most one per item.  Above
+    width 1 the count depends on the extents alone, never on the threads, so
+    a blocked pass gives the same bits at every such width.  At width 1 a
+    pass runs whole: its blocks would run one after another and buy only
+    narrower GEMMs and, for a resize, a copy of every chunk."""
+    if _pool_width() == 1:
+        return 1
     return max(1, min(n, -(-nbytes // SHIFTED_BLOCK_BYTES)))
 
 
@@ -455,10 +464,9 @@ def _matmul_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dimension has too little work to share (``enc1``'s 8-channel 1x1
     shortcut at 360x640, 115 KiB of columns for a 900 KiB result, took 0.38
     ms in one call and 0.50 ms in four blocks on a 2-core Xeon with one
-    OpenBLAS thread).  Each block is one GEMM
-    that BLAS writes straight into its columns of the result; it rounds
-    them as in the single GEMM wherever it takes the same kernel, which it
-    does at every shape of the default network in float32."""
+    OpenBLAS thread).  Each block is one GEMM that BLAS writes straight
+    into its columns of the result; it rounds them as the single GEMM does
+    where measured (see the module docstring)."""
     n = b.shape[1]
     dtype = np.result_type(a, b)
     count = block_count(n, min(a.shape[0], b.shape[0]) * n * dtype.itemsize)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import os
 import signal
 import sys
@@ -288,21 +289,37 @@ def assert_conv_equals_fresh_twins(rng, kernel, stride, extents, cin=8):
         layer.b.clear_gradient()
 
 
+def forward_calls_of(name, config, hw, monkeypatch):
+    """The positional arguments of every call a network of ``config`` makes
+    to ``layers.<name>`` in one forward at ``hw``, each array in the memory
+    layout the forward hands over."""
+    seen = []
+    real = getattr(layers, name)
+
+    def record(*args):
+        seen.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(layers, name, record)
+        JITNet(config, seed=1).forward(np.random.default_rng(2).random((3, *hw),
+                                                                      dtype=np.float32))
+    return seen
+
+
 def resize_shapes_of(config, hw, monkeypatch):
     """Every ``(input, target extent)`` the network resizes in one forward,
     with each input in the memory layout the forward hands over."""
-    seen = []
-    real = layers.bilinear_resize_forward
+    return [(x, tuple(out_hw))
+            for x, out_hw in forward_calls_of("bilinear_resize_forward", config, hw, monkeypatch)]
 
-    def record(x, out_hw):
-        seen.append((x, tuple(out_hw)))
-        return real(x, out_hw)
 
-    monkeypatch.setattr(layers, "bilinear_resize_forward", record)
-    net = JITNet(config, seed=1)
-    net.forward(np.random.default_rng(2).random((3, *hw), dtype=np.float32))
-    monkeypatch.undo()
-    return seen
+def gemm_convs_of(config, hw, monkeypatch):
+    """The ``(x, w, b, stride, pad)`` of every convolution the network runs
+    as one GEMM (im2col or 1x1) in one forward, each ``x`` in the memory
+    layout the forward hands over."""
+    return [args[:5] for args in forward_calls_of("conv2d_forward", config, hw, monkeypatch)
+            if not layers._runs_shifted(args[1].shape, args[3], *layers._pair(args[4]))]
 
 
 class TestBitExactKernels:
@@ -730,6 +747,7 @@ class TestSplit:
             # head1 and head2 split the convolution's y and dx, and the
             # forward and backward of their BatchNorm and ReLU; their dW
             # goes to the gradient thread; stem1's GEMM runs in two blocks
+            # at width 2 and whole at width 1
             assert sum(n > 1 for n in calls) == (0 if width == 1 else 6 + 6 + 1)
             assert (layers._gradient_jobs is None) == (width == 1)
         for s, p in zip(*results):
@@ -1179,36 +1197,21 @@ def recorded_blocks(monkeypatch):
     return seen
 
 
-def widths_agree(split_width, run):
-    """``run()`` at widths 1 and 2: equal dtypes, strides and bits of every
-    array it returns.  Returns the number of splits width 2 made."""
+def widths_agree(split_width, run, widths=(2, 3)):
+    """``run()`` at two widths: equal dtypes, strides and bits of every
+    array it returns.  Returns the number of splits each width made."""
     results, splits = [], []
-    for width in (1, 2):
+    for width in widths:
         pool = split_width(width)
         calls = []
         real = pool.run
         pool.run = lambda share, n: calls.append(n) or real(share, n)
         results.append(run())
         splits.append(sum(n > 1 for n in calls))
-    assert splits[0] == 0
     for s, p in zip(*results):
         assert p.dtype == s.dtype and p.strides == s.strides
         assert p.tobytes() == s.tobytes()
-    return splits[1]
-
-
-# the blocked GEMM convolutions of a default network at 360x640: (cin,
-# cout, kernel, stride, input extent); the im2col ones are stem1, stem2,
-# enc1's strided 3x3 and the separable halves of enc1 and dec1, the 1x1
-# ones dec1's shortcut and the classifier
-CONVS_360P = [(3, 8, 3, 2, (360, 640)), (8, 8, 3, 2, (180, 320)),
-              (8, 64, 3, 2, (90, 160)),
-              (64, 64, (1, 3), 1, (45, 80)), (64, 64, (3, 1), 1, (45, 80)),
-              (192, 32, 1, 1, (45, 80)), (32, 32, (1, 3), 1, (45, 80)),
-              (32, 32, (3, 1), 1, (45, 80)), (32, 4, 1, 1, (180, 320))]
-# its resizes: dec3, dec2, dec1, head
-RESIZES_360P = [((128, 12, 20), (23, 40)), ((64, 23, 40), (45, 80)),
-                ((64, 45, 80), (180, 320)), ((4, 180, 320), (360, 640))]
+    return splits
 
 
 def conv_case(rng, cin, cout, kernel, stride, hw, dtype=np.float32, layout="C"):
@@ -1223,24 +1226,26 @@ def conv_case(rng, cin, cout, kernel, stride, hw, dtype=np.float32, layout="C"):
 
 class TestForwardBlocks:
     """The forward's GEMM convolutions by blocks of output columns, its
-    resizes by chunks of channels and the label map by blocks of rows: the
-    blocks follow from the extents alone and deal round-robin to the
-    threads, so every width gives the same bits; a pass of one block is the
-    single call."""
+    resizes by chunks of channels and the label map by blocks of rows: above
+    width 1 the blocks follow from the extents alone and deal round-robin to
+    the threads, so every such width gives the same bits.  At width 1, and
+    for a pass of one block, a pass is the single call; the blocks give its
+    bits at the default network's shapes."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["C", "channels-last"])
     @pytest.mark.parametrize("kernel,stride", [(3, 2), ((1, 3), 1), ((3, 1), 1), (1, 1), (1, 2)])
     def test_blocked_conv_equals_across_widths(self, split_width, monkeypatch, dtype, layout,
                                                kernel, stride):
-        """Forced to many ragged blocks (at 1000 bytes, 3 to 21 of them)."""
+        """Forced to many ragged blocks (at 1000 bytes, 3 to 21 of them),
+        at widths 2 and 3."""
         monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1000)
         x, w, b, stride, pad = conv_case(np.random.default_rng(6), 5, 6, kernel, stride,
                                          (19, 23), dtype, layout)
 
         def run():
             return [conv2d_forward(x, w, b, stride, pad)[0]]
-        assert widths_agree(split_width, run) == 1
+        assert widths_agree(split_width, run) == [1, 1]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["C", "channels-last", "rows-inner"])
@@ -1249,23 +1254,25 @@ class TestForwardBlocks:
     @pytest.mark.parametrize("chunks", [3, 7])         # 2+2+3 channels, or 1 each
     def test_chunked_resize_equals_across_widths(self, split_width, monkeypatch, dtype,
                                                  layout, hw, out_hw, chunks):
-        """Up and down, laid out as the unchunked einsum's result."""
+        """Up and down, at widths 2 and 3, laid out as the unchunked
+        einsum's result."""
         x = channel_layout(np.random.default_rng(8).standard_normal((7, *hw)).astype(dtype),
                            layout)
         single, _ = bilinear_resize_forward(x, out_hw)
         monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", x.nbytes // chunks + 1)
+        split_width(2)
         assert layers.block_count(7, x.nbytes) == chunks
 
         def run():
             y, _ = bilinear_resize_forward(x, out_hw)
             assert y.strides == single.strides
             return [y]
-        assert widths_agree(split_width, run) == 1
+        assert widths_agree(split_width, run) == [1, 1]
 
     @pytest.mark.parametrize("layout", ["C", "rows-inner"])   # rows-inner: the head resize's
     def test_row_split_label_map_equals_across_widths(self, split_width, monkeypatch, layout):
-        """23 rows in 4 ragged blocks; ties and signed zeros as in
-        TestLabelMap, and the result is still argmax's."""
+        """23 rows in 4 ragged blocks at width 2, whole at width 1; ties and
+        signed zeros as in TestLabelMap, and the result is still argmax's."""
         rng = np.random.default_rng(9)
         logits = rng.integers(-2, 3, size=(5, 23, 37)).astype(np.float32)
         logits[:, 0, :5] = [[-0.0], [0.0], [-0.0], [0.0], [0.0]]
@@ -1275,16 +1282,17 @@ class TestForwardBlocks:
 
         def run():
             return [distill_module._label_map(logits)]
-        assert widths_agree(split_width, run) == 1
-        assert seen == [("_rows", 4)] * 2
+        assert widths_agree(split_width, run, (1, 2)) == [0, 1]
+        assert seen == [("_rows", 1), ("_rows", 4)]
         got = distill_module._label_map(logits)
         want = logits.argmax(axis=0).astype(np.uint8)
         assert got.strides == want.strides and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("hw,classes,blocked", [
-        ((96, 96), 4, []),              # the bundled streams' class count
-        ((96, 96), 11, []),             # a 99 KiB classifier result and head resize input
-        ((360, 640), 4, [
+    @pytest.mark.parametrize("hw,classes,width,blocked", [
+        ((96, 96), 4, 2, []),           # the bundled streams' class count
+        ((96, 96), 11, 2, []),          # a 99 KiB classifier result and head resize input
+        ((360, 640), 4, 1, []),         # one thread: every pass whole
+        ((360, 640), 4, 2, [
             ("_columns", 8), ("_columns", 2),                     # stem1, stem2
             ("_columns", 4), ("_columns", 4), ("_columns", 4),    # enc1's 3x3/2, 1x3, 3x1
             ("_columns", 2), ("_columns", 2), ("_columns", 2),    # dec1's 1x1 and 1x3, 3x1
@@ -1293,11 +1301,11 @@ class TestForwardBlocks:
             ("_channels", 4),                                     # the head resize
             ("_rows", 4)]),                                       # the label map
     ])
-    def test_rule_table(self, split_width, monkeypatch, hw, classes, blocked):
+    def test_rule_table(self, split_width, monkeypatch, hw, classes, width, blocked):
         """Which passes of a default network's forward and label map block,
         and into how many blocks.  At 96x96 none does, and none starts a
-        thread."""
-        pool = split_width(2)
+        thread; at width 1 none does."""
+        pool = split_width(width)
         seen = recorded_blocks(monkeypatch)
         net = JITNet(ArchConfig(num_classes=classes), seed=1)
         distill_module._label_map(net.forward(np.ones((3, *hw), dtype=np.float32)))
@@ -1305,30 +1313,29 @@ class TestForwardBlocks:
         if hw == (96, 96):
             assert pool._jobs == []             # no worker was started
 
-    @pytest.mark.parametrize("cin,cout,kernel,stride,hw", CONVS_360P)
-    def test_blocked_conv_equals_single_call_at_360p(self, monkeypatch, cin, cout, kernel,
-                                                     stride, hw):
-        """Float32 at the default network's 360p shapes, where each blocks."""
-        x, w, b, stride, pad = conv_case(np.random.default_rng(10), cin, cout, kernel,
-                                         stride, hw)
-        blocked, _ = conv2d_forward(x, w, b, stride, pad)
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1 << 40)
-        single, _ = conv2d_forward(x, w, b, stride, pad)
-        assert blocked.strides == single.strides and blocked.tobytes() == single.tobytes()
+    @pytest.mark.parametrize("classes", [4, 9])     # the bundled streams', the paper's
+    @pytest.mark.parametrize("hw", [(360, 640), (720, 1280)])
+    def test_blocks_equal_single_call_at_network_shapes(self, split_width, monkeypatch,
+                                                        classes, hw):
+        """Every GEMM convolution and resize of a default network's forward,
+        in float32 and in the memory layout the forward hands over: blocked
+        at width 2, the bits and strides of the single call at width 1."""
+        config = ArchConfig(num_classes=classes)
+        passes = ([functools.partial(conv2d_forward, *args)
+                   for args in gemm_convs_of(config, hw, monkeypatch)]
+                  + [functools.partial(bilinear_resize_forward, *args)
+                     for args in resize_shapes_of(config, hw, monkeypatch)])
 
-    @pytest.mark.parametrize("x_shape,out_hw", RESIZES_360P)
-    def test_chunked_resize_equals_single_call_at_360p(self, monkeypatch, x_shape, out_hw):
-        x = np.random.default_rng(11).standard_normal(x_shape).astype(np.float32)
-        chunked, _ = bilinear_resize_forward(x, out_hw)
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1 << 40)
-        single, _ = bilinear_resize_forward(x, out_hw)
-        assert chunked.strides == single.strides and chunked.tobytes() == single.tobytes()
+        def run():
+            return [run_pass()[0] for run_pass in passes]
+        splits = widths_agree(split_width, run, (1, 2))
+        assert splits[0] == 0 and splits[1] >= 11     # the 11 the rule table has at 360p
 
     def test_jitnet_widths_agree_with_tiny_blocks(self, split_width, monkeypatch):
         """Every blocked pass of a default network's forward, with blocks of
         a few columns, channels or rows, and the backward after it (which
         does not block): logits, label map, input gradient and every
-        parameter gradient equal at widths 1 and 2."""
+        parameter gradient equal at widths 2 and 3."""
         monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 2048)
         seen = recorded_blocks(monkeypatch)
         x = np.random.default_rng(12).standard_normal((3, 64, 96)).astype(np.float32)
@@ -1340,5 +1347,5 @@ class TestForwardBlocks:
                               .astype(np.float32))
             return ([logits, distill_module._label_map(logits), dx]
                     + [p.gradient for _, p in net.params()])
-        assert widths_agree(split_width, run) > 0
+        assert widths_agree(split_width, run)[0] > 0
         assert {name for name, count in seen if count > 1} == {"_columns", "_channels", "_rows"}
