@@ -327,11 +327,10 @@ def cmd_sweep(args) -> int:
 
 def _limit_threads() -> None:
     """Apply ``JITSTREAM_THREADS`` as a BLAS thread cap, or say on stderr why
-    it does not cap BLAS threads.  The same value caps the threads every
-    split pass (shifted convolution, the other convolutions' GEMMs, BatchNorm,
-    ReLU, resize, label map) splits across, and at 1 a network's backward
-    computes its weight gradients inline instead of on the gradient thread
-    (``nn.layers``)."""
+    it does not cap BLAS threads.  The same value caps the threads that run
+    the blocks every split pass deals and the gradient thread
+    (``nn.layers``): at 1 every block runs on the calling thread and a
+    network's backward computes its weight gradients inline."""
     try:
         cap = thread_cap()
     except ValueError as exc:
@@ -343,9 +342,9 @@ def _limit_threads() -> None:
         import threadpoolctl
     except ImportError:
         print(f"warning: JITSTREAM_THREADS={cap} caps only the threads jitstream starts "
-              "itself (the blocks of convolutions, BatchNorm, ReLU, resizes and the label "
-              "map, and the gradient thread; 1 starts none); BLAS threads are not capped: "
-              "that needs threadpoolctl, which is not installed", file=sys.stderr)
+              "itself (those that run the blocks every split pass deals, and the gradient "
+              "thread; 1 starts none); BLAS threads are not capped: that needs "
+              "threadpoolctl, which is not installed", file=sys.stderr)
         return
     threadpoolctl.threadpool_limits(cap)
 

@@ -31,32 +31,31 @@ extents with the same column count (96x96 and 48x192) put their zeros in
 different places.  :func:`col2im` scatter-adds only the valid windows into
 an unpadded gradient.
 
-A shifted layer whose output holds at least one whole row block per thread
-deals its blocks, forward and ``dx`` alike, round-robin to persistent
-worker threads, one per core beyond the caller's.  BatchNorm and ReLU split
-a pass by channel on the same threads when each thread gets at least two
-channels and :data:`SHIFTED_BLOCK_BYTES` of the input: each share runs the
-serial pass's steps, in the same order, on its own channel range of arrays
-laid out as the serial pass's results.  The forward's other large passes
-run in fixed blocks dealt round-robin to the same threads
-(:func:`run_blocks`): the GEMM of every other convolution by blocks of
-output columns, a resize by chunks of channels, and the student's label map
-by blocks of rows.  Their blocks are as few near-equal ones as hold about
-:data:`SHIFTED_BLOCK_BYTES` each, of the smaller of the GEMM's columns and
-result, of the resize's input or of the label map's running maximum
-(:func:`block_count`).  Above one thread they never depend on the number
-of threads; at one thread, and for a pass of one block (every pass at
-96x96), a pass is the single call it always was.  The number of threads
-is the CPUs this process may run on over the BLAS threads each GEMM already
-uses (asked of OpenBLAS; 1 for another BLAS), capped by
-``JITSTREAM_THREADS``.  Where that number is above 1, a network's backward
-hands each convolution's weight and bias gradients to one persistent
-gradient thread (:func:`deferred_weight_gradients`), so they are computed
-while the calling thread goes on with the input gradients; the backward's
-other passes do not block, since the two threads already keep two cores
-busy.  Every GEMM, block edge, add and per-channel sum is the one the serial
-pass makes, so the splits and the gradient thread keep every bit.  These
-threads run only private code and numpy.
+One rule splits a pass across cores: it cuts itself into blocks fixed by
+its extents and hands them to :func:`run_blocks`, which deals them
+round-robin to persistent worker threads, the caller's included, where there
+are at least two blocks and the process may use more than one thread, and
+otherwise runs them in order on the calling thread.  A shifted layer's
+blocks, forward and ``dx`` alike, are the whole row blocks of its output
+(:func:`_block_rows`), the last taking the ragged rows after it; BatchNorm's
+and ReLU's are ranges of at least two channels and
+:data:`SHIFTED_BLOCK_BYTES` of the input (:func:`_channel_blocks`); the
+forward's other large passes, the GEMM of every other convolution by output
+columns, a resize by chunks of channels and the student's label map by rows,
+run in as few near-equal blocks as hold about :data:`SHIFTED_BLOCK_BYTES`
+each (:func:`block_count`).  No block depends on the number of threads, so
+neither do the bits; at one thread every pass but a shifted layer is one
+block, the single call it always was.  At 96x96 in float32 no pass of the
+default network has two blocks, so nothing splits there.  The number of
+threads is the CPUs this process may run on over the BLAS threads each GEMM
+already uses (asked of OpenBLAS; 1 for another BLAS), capped by
+``JITSTREAM_THREADS``.  Where it is above 1, a network's backward hands each
+convolution's weight and bias gradients to one persistent gradient thread
+(:func:`deferred_weight_gradients`), so they are computed while the calling
+thread goes on with the input gradients.  Every GEMM, block edge, add and
+per-channel sum is the one a single thread makes, so the blocks and the
+gradient thread keep every bit.  These threads run only private code and
+numpy.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
@@ -202,8 +201,8 @@ def col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int,
 # 128 KiB head2 at 360x640 gets blocks of 3 rows, and OpenBLAS rounds those
 # narrower GEMMs differently from the full-width ones; at 256 KiB every
 # shifted layer at 360x640 and 720x1280 keeps the unblocked sum's bits in
-# float32.  The channel splits and the forward's fixed blocks
-# (:func:`block_count`) are sized from the same constant.
+# float32.  The channel blocks and the forward's other blocks are sized from
+# the same constant.
 SHIFTED_BLOCK_BYTES = 256 << 10
 
 
@@ -289,24 +288,32 @@ def _serve(jobs: queue.SimpleQueue) -> None:
         del error
 
 
-def _start_thread() -> queue.SimpleQueue:
-    """A new persistent daemon thread that serves the queue returned."""
+def _start_thread() -> threading.Thread:
+    """A new persistent daemon thread that serves the queue ``thread.jobs``."""
     jobs = queue.SimpleQueue()
-    threading.Thread(target=_serve, args=(jobs,), daemon=True).start()
-    return jobs
+    thread = threading.Thread(target=_serve, args=(jobs,), daemon=True)
+    thread.jobs = jobs
+    thread.start()
+    return thread
+
+
+def _stop_thread(thread: threading.Thread) -> None:
+    """Ends ``thread`` once its queued jobs have run, and waits for it."""
+    thread.jobs.put(None)
+    thread.join()
 
 
 class _Workers:
     """Up to ``width - 1`` persistent daemon threads, each fed through a
-    queue of its own, for the shares of a split beyond the caller's; they
-    start on the first split, so a process whose layers never split starts
-    none.  A round trip through the queues costs about 18 µs, through a
-    ``ThreadPoolExecutor`` 42 µs (2-core Xeon, CPython 3.11)."""
+    queue of its own, for the shares of :func:`run_blocks` beyond the
+    caller's; they start on the first split, so a process whose passes never
+    split starts none.  A round trip through the queues costs about 18 µs,
+    through a ``ThreadPoolExecutor`` 42 µs (2-core Xeon, CPython 3.11)."""
 
     def __init__(self, width: int):
         self.width = width
         self._busy = threading.Lock()
-        self._jobs: list[queue.SimpleQueue] = []
+        self._threads: list[threading.Thread] = []
 
     def run(self, share, width: int) -> None:
         """``share(k)`` for every ``k < width``, share 0 on the calling
@@ -318,13 +325,13 @@ class _Workers:
                 share(k)
             return
         try:
-            while len(self._jobs) < width - 1:
-                self._jobs.append(_start_thread())
+            while len(self._threads) < width - 1:
+                self._threads.append(_start_thread())
             # a queue per call: a call cut short by an interrupt leaves its
             # late results where the next call does not read them
             done = queue.SimpleQueue()
-            for k, jobs in enumerate(self._jobs[:width - 1], start=1):
-                jobs.put((share, (k,), done))
+            for k, thread in enumerate(self._threads[:width - 1], start=1):
+                thread.jobs.put((share, (k,), done))
             errors = [_attempt(share, 0)] + [done.get() for _ in range(width - 1)]
         finally:
             self._busy.release()
@@ -333,20 +340,21 @@ class _Workers:
             raise error
 
     def close(self) -> None:
-        while self._jobs:
-            self._jobs.pop().put(None)
+        """Stops the threads and returns once every one has exited."""
+        while self._threads:
+            _stop_thread(self._threads.pop())
 
 
-# created on the first layer that asks for a width, after the command line
-# has applied JITSTREAM_THREADS; the gradient thread's queue on the first
-# deferred job.  A forked child starts without the parent's threads.
+# created on the first pass that asks for a width, after the command line
+# has applied JITSTREAM_THREADS; the gradient thread on the first deferred
+# job.  A forked child starts without the parent's threads.
 _workers: _Workers | None = None
-_gradient_jobs: queue.SimpleQueue | None = None
+_gradient_thread: threading.Thread | None = None
 
 
 def _forget_threads() -> None:
-    global _workers, _gradient_jobs
-    _workers = _gradient_jobs = None
+    global _workers, _gradient_thread
+    _workers = _gradient_thread = None
 
 
 os.register_at_fork(after_in_child=_forget_threads)
@@ -398,55 +406,45 @@ def deferred_weight_gradients():
 def _run_or_defer(job) -> None:
     """``job()`` now, or on the gradient thread inside
     :func:`deferred_weight_gradients`."""
-    global _gradient_jobs
+    global _gradient_thread
     done = getattr(_deferral, "done", None)
     if done is None:
         job()
         return
-    if _gradient_jobs is None:
-        _gradient_jobs = _start_thread()
-    _gradient_jobs.put((job, (), done))
+    if _gradient_thread is None:
+        _gradient_thread = _start_thread()
+    _gradient_thread.jobs.put((job, (), done))
     _deferral.count += 1
-
-
-def _layer_width(channels: int, h: int, w: int, itemsize: int) -> int:
-    """Threads a shifted layer with ``channels`` outputs at ``h`` x ``w``
-    splits across: all the process may use when each of them gets at least
-    one whole row block of the output, else 1."""
-    width = _pool_width()
-    return width if h // _block_rows(channels, h, w, itemsize) >= width else 1
-
-
-def _channel_width(x: np.ndarray) -> int:
-    """Threads a per-channel pass over ``(C, H, W)`` ``x`` splits across:
-    all the process may use when each of them gets at least two channels and
-    :data:`SHIFTED_BLOCK_BYTES` of ``x``, else 1.  A share of one channel
-    would break the bits of a channels-last ``x``: numpy sums one channel
-    pairwise along a row, and several in memory order."""
-    width = _pool_width()
-    c = x.shape[0]
-    if c < 2 * width or c // width * (x.nbytes // c) < SHIFTED_BLOCK_BYTES:
-        return 1
-    return width
 
 
 def block_count(n: int, nbytes: int) -> int:
     """Blocks a pass over ``n`` items (output columns, channels or rows)
     measuring ``nbytes`` in all is cut into: as few near-equal ones as hold
-    about :data:`SHIFTED_BLOCK_BYTES` each, at most one per item.  Above
-    width 1 the count depends on the extents alone, never on the threads, so
-    a blocked pass gives the same bits at every such width.  At width 1 a
-    pass runs whole: its blocks would run one after another and buy only
+    about :data:`SHIFTED_BLOCK_BYTES` each, at most one per item.  At width
+    1 a pass runs whole: its blocks would run one after another and buy only
     narrower GEMMs and, for a resize, a copy of every chunk."""
     if _pool_width() == 1:
         return 1
     return max(1, min(n, -(-nbytes // SHIFTED_BLOCK_BYTES)))
 
 
+def _channel_blocks(x: np.ndarray) -> int:
+    """Blocks a per-channel pass over ``(C, H, W)`` ``x`` is cut into: as
+    many as each get at least two channels and :data:`SHIFTED_BLOCK_BYTES`
+    of ``x``, at least one, and one at width 1 (:func:`block_count`).  A
+    block of one channel would break the bits of a channels-last ``x``:
+    numpy sums one channel pairwise along a row, and several in memory
+    order."""
+    if _pool_width() == 1:
+        return 1
+    return max(1, min(len(x) // 2, x.nbytes // SHIFTED_BLOCK_BYTES))
+
+
 def run_blocks(n: int, count: int, block) -> None:
     """``block(lo, hi)`` for ``count`` near-equal contiguous ranges of ``n``
-    items, dealt round-robin to the threads of :data:`_workers`; a single
-    block runs inline on the calling thread."""
+    items.  Two or more blocks are dealt round-robin to the threads of
+    :data:`_workers`, the caller's first, where the process may use more
+    than one; otherwise they run in order on the calling thread."""
     if count == 1:
         block(0, n)
         return
@@ -494,32 +492,36 @@ def _block_rows(channels: int, h: int, w: int, itemsize: int) -> int:
     return min(h, max(1, SHIFTED_BLOCK_BYTES // (channels * (w + 2) * itemsize)))
 
 
-def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int, width: int) -> np.ndarray:
+def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int, channels: int) -> np.ndarray:
     """``y[:, p] = sum_k taps[k] @ xp[:, offsets[k] + p]`` over the ``h``
     rows of width ``w+2`` that start at column 0 of the flat ``xp``, added in
     tap order; returns ``(Cout, h, w)`` with the two junk columns of each row
     dropped.
 
     The output is walked in blocks of whole rows whose accumulator holds at
-    most :data:`SHIFTED_BLOCK_BYTES`, so the eight adds stay in cache, and
-    each block's valid columns are copied straight into the output.  Every
-    element gets the same nine products added in the same order as in one
-    pass over all rows, so the result has that pass's bits wherever BLAS
-    rounds a column of a narrower GEMM as it does in the full-width one.
-    The blocks are dealt round-robin to ``width`` threads (:data:`_workers`),
-    each with an accumulator of its own; a block's GEMMs and adds are the
-    same on any thread, so the bits do not depend on ``width``.
+    most :data:`SHIFTED_BLOCK_BYTES` (:func:`_block_rows`), so the eight adds
+    stay in cache, and each block's valid columns are copied straight into
+    the output.  Every element gets the same nine products added in the same
+    order as in one pass over all rows, so the result has that pass's bits
+    wherever BLAS rounds a column of a narrower GEMM as it does in the
+    full-width one.  :func:`run_blocks` gets the whole row blocks of the
+    layer's ``channels``-channel output, the last with the rows after it, so
+    the input gradient is dealt as the forward is; each runs the
+    accumulator blocks that start in it, in an accumulator of its own.
     """
     cout = taps[0].shape[0]
     wp = w + 2
     dtype = np.result_type(taps[0], xp)
     rows = _block_rows(cout, h, w, dtype.itemsize)
+    dealt = _block_rows(channels, h, w, dtype.itemsize)
+    count = h // dealt
     y = np.empty((cout, h, w), dtype=dtype)
 
-    def _share(k):
+    def _tap_rows(lo, hi):
         acc = np.empty(cout * rows * wp, dtype=dtype)
         part = np.empty_like(acc)
-        for r0 in range(k * rows, h, width * rows):
+        first = -(-lo * dealt // rows) * rows
+        for r0 in range(first, h if hi == count else hi * dealt, rows):
             r1 = min(h, r0 + rows)
             n = (r1 - r0) * wp
             block = acc[:cout * n].reshape(cout, n)
@@ -531,8 +533,7 @@ def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int, width: int) -> np.n
                 np.matmul(tap, xp[:, start:start + n], out=scratch)
                 block += scratch
             y[:, r0:r1] = block.reshape(cout, r1 - r0, wp)[:, :, :w]
-
-    _workers.run(_share, width)
+    run_blocks(count, count, _tap_rows)
     return y
 
 
@@ -573,8 +574,7 @@ def shifted_conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     """
     _, h, wd = x.shape
     xp = _pad_flat(x, xp)
-    width = _layer_width(w.shape[0], h, wd, np.result_type(w, xp).itemsize)
-    y = _sum_taps(xp, _weight_taps(w), _tap_offsets(wd + 2), h, wd, width)
+    y = _sum_taps(xp, _weight_taps(w), _tap_offsets(wd + 2), h, wd, w.shape[0])
     if b is not None:
         y += b[:, None, None]
     return y, xp
@@ -591,8 +591,8 @@ def _shifted_gradients(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
     and the forward's junk columns contribute nothing; the nine run in tap
     order.  ``dx`` is the correlation of the padded ``dy`` with the flipped,
     transposed kernel: :func:`_sum_taps` with each tap's transpose at the
-    mirrored offset ``2*(W+3) - off``, in tap order, split across the
-    threads the forward splits across.
+    mirrored offset ``2*(W+3) - off``, in tap order, dealt in the forward's
+    blocks.
     """
     cout, h, wd = dy.shape
     wp = wd + 2
@@ -602,8 +602,7 @@ def _shifted_gradients(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
 
     def _input_gradient():
         mirrored = [2 * (wp + 1) - off for off in offsets]
-        width = _layer_width(cout, h, wd, np.result_type(w, dy).itemsize)
-        return _sum_taps(dyp, _weight_taps(w).transpose(0, 2, 1), mirrored, h, wd, width)
+        return _sum_taps(dyp, _weight_taps(w).transpose(0, 2, 1), mirrored, h, wd, cout)
 
     def _weight_gradient():
         inner = dyp[:, wp + 1:wp + 1 + n]
@@ -691,10 +690,9 @@ def conv2d_backward(dy: np.ndarray, w: np.ndarray, cache):
 def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
     """Normalize each channel by its own spatial statistics on this frame.
 
-    A large ``x`` is split by channel across threads (:func:`_channel_width`):
-    each share runs the serial pass's steps on its own channels, in place in
-    arrays laid out as the serial pass's results, so every output keeps its
-    bits."""
+    Runs in blocks of channels (:func:`_channel_blocks`), each writing its
+    channels of results allocated in the dtypes and memory layouts that the
+    whole-array expressions give, so the blocks keep the bits of one."""
     c, h, w = x.shape
     if h * w == 0:
         raise ShapeError("batchnorm: zero spatial extent")
@@ -706,81 +704,45 @@ def batchnorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
     # one pass for the statistics, with the sums and divisions numpy's
     # x.mean and x.var make (their divisor is an intp), so the bits match
     n = np.intp(h * w)
-    width = _channel_width(x)
-    # a share reuses one buffer for several steps, which keeps the serial
-    # bits only when no step promotes
-    if width == 1 or len({x.dtype, gamma.dtype, beta.dtype, np.result_type(x, eps)}) > 1:
-        mean = np.add.reduce(x, axis=(1, 2), keepdims=True)
-        mean /= n
-        xhat = x - mean
-        var = np.add.reduce(xhat * xhat, axis=(1, 2), keepdims=True)
-        var /= n
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= inv_std
-        y = xhat * gamma[:, None, None]
-        y += beta[:, None, None]
-        return y, (xhat, inv_std, gamma)
-
-    mean = np.empty((c, 1, 1), x.dtype)
-    inv_std = np.empty_like(mean)
-    xhat = _empty_result(x, mean)
+    inv_std = np.empty((c, 1, 1), np.result_type(x, eps))
+    xhat = _empty_result(x, inv_std, dtype=x.dtype)         # the layout of x - mean
     y = _empty_result(xhat, gamma[:, None, None])
 
-    def _share(lo, hi):
-        s = slice(lo, hi)
-        xs, xh, ys, m, v = x[s], xhat[s], y[s], mean[s], inv_std[s]
-        np.add.reduce(xs, axis=(1, 2), keepdims=True, out=m)
-        m /= n
-        np.subtract(xs, m, out=xh)
-        np.multiply(xh, xh, out=ys)                 # xhat * xhat
-        np.add.reduce(ys, axis=(1, 2), keepdims=True, out=v)
-        v /= n
-        v += eps
-        np.sqrt(v, out=v)
-        np.divide(1.0, v, out=v)
+    def _normalize(lo, hi):
+        xs, xh, v, ys = x[lo:hi], xhat[lo:hi], inv_std[lo:hi], y[lo:hi]
+        mean = np.add.reduce(xs, axis=(1, 2), keepdims=True)
+        mean /= n
+        np.subtract(xs, mean, out=xh)
+        var = np.add.reduce(xh * xh, axis=(1, 2), keepdims=True)
+        var /= n
+        np.divide(1.0, np.sqrt(var + eps), out=v)
         xh *= v
-        np.multiply(xh, gamma[s, None, None], out=ys)
-        ys += beta[s, None, None]
-    run_blocks(c, width, _share)
+        np.multiply(xh, gamma[lo:hi, None, None], out=ys)
+        ys += beta[lo:hi, None, None]
+    run_blocks(c, _channel_blocks(x), _normalize)
     return y, (xhat, inv_std, gamma)
 
 
 def batchnorm_backward(dy: np.ndarray, cache):
-    """Gradient flow through the per-frame statistics, split by channel as
-    the forward is."""
+    """Gradient flow through the per-frame statistics, in blocks of
+    channels as the forward runs."""
     xhat, inv_std, gamma = cache
     n = xhat.shape[1] * xhat.shape[2]
-    width = _channel_width(dy)
-    if width == 1 or len({dy.dtype, xhat.dtype, inv_std.dtype, gamma.dtype}) > 1:
-        dgamma = (dy * xhat).sum(axis=(1, 2))
-        dbeta = dy.sum(axis=(1, 2))
-        dxhat = dy * gamma[:, None, None]
-        s1 = dxhat.sum(axis=(1, 2), keepdims=True)
-        s2 = (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
-        dx = inv_std * (dxhat - s1 / n - xhat * s2 / n)
-        return dx, dgamma, dbeta
-
+    dgamma = np.empty(len(gamma), np.result_type(dy, xhat))
+    dbeta = np.empty(len(gamma), dy.dtype)
     dxhat = _empty_result(dy, gamma[:, None, None])
-    dx = _empty_result(dxhat, xhat)         # the layout of dy * xhat too
-    dgamma = np.empty_like(gamma)
-    dbeta = np.empty_like(gamma)
+    dx = _empty_result(dxhat, xhat, inv_std)
 
-    def _share(lo, hi):
-        s = slice(lo, hi)
-        d, xh, dxh, out = dy[s], xhat[s], dxhat[s], dx[s]
-        np.multiply(d, xh, out=out)                 # dy * xhat
-        np.add.reduce(out, axis=(1, 2), out=dgamma[s])
-        np.add.reduce(d, axis=(1, 2), out=dbeta[s])
-        np.multiply(d, gamma[s, None, None], out=dxh)
+    def _normalize_backward(lo, hi):
+        d, xh, dxh = dy[lo:hi], xhat[lo:hi], dxhat[lo:hi]
+        np.add.reduce(d * xh, axis=(1, 2), out=dgamma[lo:hi])
+        np.add.reduce(d, axis=(1, 2), out=dbeta[lo:hi])
+        np.multiply(d, gamma[lo:hi, None, None], out=dxh)
         s1 = np.add.reduce(dxh, axis=(1, 2), keepdims=True)
-        np.multiply(dxh, xh, out=out)               # dxhat * xhat
-        s2 = np.add.reduce(out, axis=(1, 2), keepdims=True)
+        s2 = np.add.reduce(dxh * xh, axis=(1, 2), keepdims=True)
         dxh -= s1 / n
-        np.multiply(xh, s2, out=out)
-        out /= n
-        np.subtract(dxh, out, out=out)
-        out *= inv_std[s]
-    run_blocks(len(gamma), width, _share)
+        np.multiply(inv_std[lo:hi], dxh - xh * s2 / n, out=dx[lo:hi])
+    run_blocks(len(gamma), _channel_blocks(dy), _normalize_backward)
     return dx, dgamma, dbeta
 
 
@@ -982,8 +944,8 @@ class BatchNorm:
 class ReLU:
     """``max(x, 0)`` as ``x * (x > 0)``, which keeps NaN and gives -0.0 for a
     negative input.  ``forward`` works in place and returns ``x``: every
-    caller hands it a fresh array that nothing else holds.  A large pass is
-    split by channel across threads (:func:`_channel_width`)."""
+    caller hands it a fresh array that nothing else holds.  Both passes run
+    in blocks of channels (:func:`_channel_blocks`)."""
 
     def __init__(self):
         self._mask = None
@@ -992,28 +954,22 @@ class ReLU:
         return []
 
     def forward(self, x):
-        width = _channel_width(x)
-        if width == 1:
-            self._mask = mask = x > 0
-            return np.multiply(x, mask, out=x)
-        self._mask = mask = _empty_result(x, dtype=bool)
+        self._mask = mask = np.empty_like(x, dtype=bool)
 
-        def _share(lo, hi):
-            np.greater(x[lo:hi], 0, out=mask[lo:hi])
-            np.multiply(x[lo:hi], mask[lo:hi], out=x[lo:hi])
-        run_blocks(x.shape[0], width, _share)
+        def _rectify(lo, hi):
+            xs, ms = x[lo:hi], mask[lo:hi]
+            np.greater(xs, 0, out=ms)
+            np.multiply(xs, ms, out=xs)
+        run_blocks(len(x), _channel_blocks(x), _rectify)
         return x
 
     def backward(self, dy):
-        width = _channel_width(dy)
         mask = self._mask
-        if width == 1:
-            return dy * mask
         dx = _empty_result(dy, mask)
 
-        def _share(lo, hi):
+        def _mask_gradient(lo, hi):
             np.multiply(dy[lo:hi], mask[lo:hi], out=dx[lo:hi])
-        run_blocks(dy.shape[0], width, _share)
+        run_blocks(len(dy), _channel_blocks(dy), _mask_gradient)
         return dx
 
 

@@ -332,7 +332,7 @@ class TestContainerIngestion:
                          "--save-predictions"]) == 0
             outputs.append([(out / name).read_bytes()
                             for name in ("run.csv", "summary.json", "predictions.lvss")])
-            assert (layers._gradient_jobs is None) == (width == 1)
+            assert (layers._gradient_thread is None) == (width == 1)
         _, rows = read_csv_rows(tmp_path / "out1" / "run.csv")
         assert sum(r[1] == "1" and int(r[2]) > 0 for r in rows) >= 2
         assert outputs[0] == outputs[1]
@@ -476,11 +476,11 @@ class TestThreadCap:
         _limit_threads()
         err = capsys.readouterr().err
         if importlib.util.find_spec("threadpoolctl") is None:
-            # the value still caps every blocked pass and the gradient
-            # thread, but not BLAS
+            # the value still caps the threads that run every block a pass
+            # deals and the gradient thread, but not BLAS
             assert "caps only the threads jitstream starts itself" in err
-            assert "(the blocks of convolutions, BatchNorm, ReLU, resizes and the label " \
-                   "map, and the gradient thread; 1 starts none)" in err
+            assert "(those that run the blocks every split pass deals, and the gradient " \
+                   "thread; 1 starts none)" in err
             assert "BLAS threads are not capped" in err and "threadpoolctl" in err
         else:
             assert err == ""

@@ -712,19 +712,22 @@ class TestSplit:
         return (y, *shifted_conv3x3_backward(dy, w, xp))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("cin,cout,hw", [
-        (64, 32, (180, 320)),       # head1 at 360x640: many blocks
-        (32, 32, (47, 100)),        # blocks of 20 (float32) or 10 rows, ragged last
-        (32, 32, (24, 24)),         # one block: the second thread gets none
+    @pytest.mark.parametrize("cin,cout,hw,splits", [
+        (64, 32, (180, 320), True),     # head1 at 360x640: dx sums half the rows a block has
+        (48, 32, (47, 100), True),      # blocks of 20 (float32) or 10 rows, dx's of 13 or 6
+        (32, 32, (24, 24), False),      # one block: runs whole at width 2 too
     ])
-    def test_split_equals_serial_bits(self, split_width, monkeypatch, dtype, cin, cout, hw):
-        """Forced to split whatever the size rule says, y, dx, dW and db
-        equal the serial pass bit for bit."""
-        monkeypatch.setattr(layers, "_layer_width", lambda *shape: layers._workers.width)
+    def test_split_equals_serial_bits(self, split_width, dtype, cin, cout, hw, splits):
+        """y, dx, dW and db equal the serial pass bit for bit; at width 2 the
+        forward and dx each deal their blocks where there are two."""
         split_width(1)
         serial = self.shifted_pass(cin, cout, hw, dtype)
-        split_width(2)
+        pool = split_width(2)
+        calls = []
+        run = pool.run
+        pool.run = lambda share, n: calls.append(n) or run(share, n)
         split = self.shifted_pass(cin, cout, hw, dtype)
+        assert calls == ([2, 2] if splits else [])
         for s, p in zip(serial, split):
             assert p.dtype == s.dtype and p.flags.c_contiguous and np.array_equal(p, s)
 
@@ -749,22 +752,46 @@ class TestSplit:
             # goes to the gradient thread; stem1's GEMM runs in two blocks
             # at width 2 and whole at width 1
             assert sum(n > 1 for n in calls) == (0 if width == 1 else 6 + 6 + 1)
-            assert (layers._gradient_jobs is None) == (width == 1)
+            assert (layers._gradient_thread is None) == (width == 1)
         for s, p in zip(*results):
             assert np.array_equal(p, s)
 
-    @pytest.mark.parametrize("channels,hw,dtype,splits", [
-        (32, (48, 48), np.float32, False),      # head1, head2 at 96x96
-        (64, (6, 6), np.float32, False),        # dec3 at 96x96
-        (32, (45, 80), np.float32, False),      # dec1 at 360x640: one whole block
-        (32, (180, 320), np.float32, True),     # head1, head2 at 360x640
-        (32, (48, 48), np.float64, True),       # 96x96 heads under gradcheck
+    @pytest.mark.parametrize("kind,shape,dtype,blocks", [
+        # shifted layers: (output channels, H, W), whole row blocks of the output
+        ("shifted", (32, 48, 48), np.float32, 1),       # head1, head2 at 96x96
+        ("shifted", (64, 6, 6), np.float32, 1),         # dec3 at 96x96
+        ("shifted", (32, 45, 80), np.float32, 1),       # dec1 at 360x640: one whole block
+        ("shifted", (32, 180, 320), np.float32, 30),    # head1, head2 at 360x640
+        ("shifted", (32, 48, 48), np.float64, 2),       # 96x96 heads under gradcheck
+        # BatchNorm and ReLU: two channels and SHIFTED_BLOCK_BYTES per block
+        ("channels", (32, 48, 48), np.float32, 1),      # head1, head2 at 96x96: 288 KiB
+        ("channels", (8, 48, 48), np.float32, 1),       # stem1 at 96x96
+        ("channels", (128, 12, 12), np.float32, 1),     # enc2's input at 96x96
+        ("channels", (32, 48, 48), np.float64, 2),      # 96x96 heads under gradcheck
+        ("channels", (8, 180, 320), np.float32, 4),     # stem1 at 360p
+        ("channels", (8, 90, 160), np.float32, 1),      # stem2 at 360p: 450 KiB
+        ("channels", (128, 45, 80), np.float32, 7),     # enc2's input at 360p
+        ("channels", (128, 23, 40), np.float32, 1),     # enc3's input at 360p: 460 KiB
+        ("channels", (256, 12, 20), np.float32, 1),     # dec3 at 360p
+        ("channels", (256, 23, 40), np.float32, 3),     # dec2 at 360p
+        ("channels", (192, 45, 80), np.float32, 10),    # dec1 at 360p
+        ("channels", (64, 45, 80), np.float32, 3),      # enc1's ReLUs at 360p: 900 KiB
+        ("channels", (32, 180, 320), np.float32, 16),   # head1, head2 at 360p
+        ("channels", (3, 360, 640), np.float32, 1),     # one block of fewer than four channels
     ])
-    def test_split_needs_a_whole_block_per_thread(self, split_width, channels, hw, dtype,
-                                                  splits):
-        split_width(2)
-        width = layers._layer_width(channels, *hw, np.dtype(dtype).itemsize)
-        assert width == (2 if splits else 1)
+    def test_rule_table(self, split_width, monkeypatch, kind, shape, dtype, blocks):
+        """The blocks a shifted layer's forward or a ReLU cuts itself into at
+        the default network's shapes; at width 2 a pass of two or more deals
+        them to a worker, and one of one block starts no thread."""
+        pool = split_width(2)
+        seen = recorded_blocks(monkeypatch)
+        x = np.zeros(shape, dtype)
+        if kind == "shifted":
+            shifted_conv3x3_forward(x, np.zeros((shape[0],) * 2 + (3, 3), dtype), None)
+        else:
+            ReLU().forward(x)
+        assert [count for _, count in seen] == [blocks]
+        assert len(pool._threads) == (blocks > 1)
 
     def test_unsplit_network_starts_no_thread(self, split_width):
         """At 96x96 no layer splits, so a forward starts no thread even where
@@ -898,6 +925,14 @@ class TestSplit:
             sys.setswitchinterval(interval)
         assert outcomes == [("ok", None)] * 4
 
+    def test_close_returns_once_the_threads_have_exited(self):
+        """So a test may count threads right after one that started workers."""
+        pool = layers._Workers(3)
+        pool.run(lambda k: time.sleep(0.01), 3)
+        threads = list(pool._threads)
+        assert run_in_thread(pool.close) == ("ok", None)
+        assert len(threads) == 2 and not any(thread.is_alive() for thread in threads)
+
     def test_forked_child_splits_on_its_own_workers(self, split_width):
         """A child forked after a split has none of the parent's threads; its
         first shifted layer makes workers of its own instead of waiting on
@@ -1004,11 +1039,11 @@ class TestGradientThread:
         with monkeypatch.context() as inline:
             inline.setattr(arch_module, "deferred_weight_gradients", contextlib.nullcontext)
             synchronous = network_pass(x)
-        assert layers._gradient_jobs is None
+        assert layers._gradient_thread is None
         for width in (1, 2):
             split_width(width)
             got = network_pass(x)
-            assert (layers._gradient_jobs is None) == (width == 1)
+            assert (layers._gradient_thread is None) == (width == 1)
             for s, g in zip(synchronous, got):
                 assert g.dtype == s.dtype and g.tobytes() == s.tobytes()
 
@@ -1065,21 +1100,21 @@ class TestGradientThread:
         want = conv2d_backward(dy, conv.w.value, conv._cache)
         for got, w in zip((dx, conv.w.gradient, conv.b.gradient), want):
             assert got.tobytes() == w.tobytes()
-        assert layers._gradient_jobs is None
+        assert layers._gradient_thread is None
 
     def test_forked_child_uses_its_own_gradient_thread(self, split_width):
         """A child forked after a deferred backward has no gradient thread
         of its parent's; its own backward starts one and keeps the bits."""
         split_width(2)
         want = network_pass(self.X64, steps=1)
-        assert layers._gradient_jobs is not None
+        assert layers._gradient_thread is not None
         pid = os.fork()
         if pid == 0:                                        # the child
-            fresh = layers._gradient_jobs is None
+            fresh = layers._gradient_thread is None
             layers._workers = layers._Workers(2)
             got = network_pass(self.X64, steps=1)
             same = all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-            os._exit(0 if fresh and same and layers._gradient_jobs is not None else 1)
+            os._exit(0 if fresh and same and layers._gradient_thread is not None else 1)
         assert child_exit_code(pid) == 0
 
     def test_deferred_memory_bound(self, split_width, rng):
@@ -1101,100 +1136,140 @@ def channel_layout(x, layout):
     return x
 
 
-class TestChannelSplit:
-    """BatchNorm and ReLU split by channel across threads: every share runs
-    the serial steps on its own channels, so values, dtypes and memory
-    layouts keep their bits."""
+def batchnorm_whole(x, gamma, beta, eps):
+    """BatchNorm's forward over the whole array at once, as it ran before
+    it ran in blocks of channels: the oracle of values, dtypes and layouts."""
+    n = np.intp(x.shape[1] * x.shape[2])
+    mean = np.add.reduce(x, axis=(1, 2), keepdims=True)
+    mean /= n
+    xhat = x - mean
+    var = np.add.reduce(xhat * xhat, axis=(1, 2), keepdims=True)
+    var /= n
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    y = xhat * gamma[:, None, None]
+    y += beta[:, None, None]
+    return y, (xhat, inv_std, gamma)
 
-    def norm_relu_pass(self, x, dy):
-        rng = np.random.default_rng(5)
-        gamma = rng.standard_normal(len(x)).astype(x.dtype)
-        beta = rng.standard_normal(len(x)).astype(x.dtype)
-        y, cache = batchnorm_forward(x, gamma, beta, 1e-5)
+
+def batchnorm_whole_backward(dy, cache):
+    """The whole-array backward of :func:`batchnorm_whole`."""
+    xhat, inv_std, gamma = cache
+    n = xhat.shape[1] * xhat.shape[2]
+    dgamma = (dy * xhat).sum(axis=(1, 2))
+    dbeta = dy.sum(axis=(1, 2))
+    dxhat = dy * gamma[:, None, None]
+    s1 = dxhat.sum(axis=(1, 2), keepdims=True)
+    s2 = (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
+    dx = inv_std * (dxhat - s1 / n - xhat * s2 / n)
+    return dx, dgamma, dbeta
+
+
+def relu_whole(x, dy):
+    """ReLU's forward in place on the whole array, its mask and its
+    backward, as they ran before they ran in blocks of channels."""
+    mask = x > 0
+    return np.multiply(x, mask, out=x), mask, dy * mask
+
+
+class TestChannelBlocks:
+    """BatchNorm and ReLU run in blocks of at least two channels: at any
+    width and block count they equal the whole-array code they replaced,
+    kept above as the oracle, in values, dtypes and memory layouts."""
+
+    def passes(self, norm, relu, x, dy, gamma, beta, eps):
+        """Forward and backward of BatchNorm, then of ReLU on a copy of
+        ``x`` with a NaN and signed zeros, by the functions given."""
+        y, cache = norm[0](x, gamma, beta, eps)
+        xr = x.copy(order="K")
+        xr[0, 0, :4] = [np.nan, -0.0, 0.0, -1.0]
+        return (y, *cache, *norm[1](dy, cache), *relu(xr, dy))
+
+    def blocked_relu(self, x, dy):
         relu = ReLU()
-        r = relu.forward(x.copy(order="K"))
-        return (y, *cache, *batchnorm_backward(dy, cache), r, relu.backward(dy))
+        y = relu.forward(x)
+        return y, relu._mask, relu.backward(dy)
 
+    def assert_equal_oracle(self, monkeypatch, x, dy, gamma, beta, eps=1e-5):
+        seen = recorded_blocks(monkeypatch)
+        got = self.passes((batchnorm_forward, batchnorm_backward), self.blocked_relu,
+                          x, dy, gamma, beta, eps)
+        want = self.passes((batchnorm_whole, batchnorm_whole_backward), relu_whole,
+                           x, dy, gamma, beta, eps)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.strides == w.strides
+            assert g.tobytes() == w.tobytes()
+        return [count for _, count in seen]
+
+    @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("x_layout", ["C", "channels-last"])
+    @pytest.mark.parametrize("x_layout", ["C", "channels-last", "rows-inner"])
     @pytest.mark.parametrize("dy_layout", ["C", "channels-last", "rows-inner"])
-    @pytest.mark.parametrize("channels,splits", [
-        (1, False),         # fewer channels than threads
-        (3, False),         # a share would hold one channel
-        (5, True),          # ragged: 2 and 3 channels
-        (16, True),
+    @pytest.mark.parametrize("channels,blocks", [
+        (1, 1),             # one channel: the whole array
+        (3, 1),             # a second block would hold one channel
+        (5, 2),             # ragged: 2 and 3 channels
+        (16, 8),
     ])
-    def test_split_equals_serial_bits(self, split_width, monkeypatch, dtype, x_layout,
-                                      dy_layout, channels, splits):
-        """Forced to widths 1 and 2 whatever the byte rule says."""
+    def test_equals_whole_array_oracle(self, split_width, monkeypatch, width, dtype, x_layout,
+                                       dy_layout, channels, blocks):
+        """Blocks forced as small as the two-channel floor allows; at width 1
+        every pass is one block."""
         monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1)
+        split_width(width)
         rng = np.random.default_rng(channels)
         x = (rng.standard_normal((channels, 24, 37)) * 3 + 1.5).astype(dtype)
         x[0, 0, :3] = [-0.0, 0.0, -1.0]
         x = channel_layout(x, x_layout)
         dy = channel_layout(rng.standard_normal(x.shape).astype(dtype), dy_layout)
-        results = []
-        for width in (1, 2):
-            pool = split_width(width)
-            calls = []
-            run = pool.run
-            pool.run = lambda share, n: calls.append(n) or run(share, n)
-            results.append(self.norm_relu_pass(x, dy))
-            assert sum(n > 1 for n in calls) == (4 if splits and width == 2 else 0)
-        for s, p in zip(*results):
-            assert p.dtype == s.dtype and p.strides == s.strides
-            assert p.tobytes() == s.tobytes()
+        gamma = rng.standard_normal(channels).astype(dtype)
+        beta = rng.standard_normal(channels).astype(dtype)
+        counts = self.assert_equal_oracle(monkeypatch, x, dy, gamma, beta)
+        assert counts == [blocks if width == 2 else 1] * 4
 
-    def test_mixed_dtypes_stay_serial(self, split_width, monkeypatch):
-        """A float64 gamma promotes the float32 pass, which one buffer per
-        share cannot follow, so the pass runs serially with numpy's types."""
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1)
-        x = np.random.default_rng(0).standard_normal((8, 6, 7)).astype(np.float32)
-        gamma, beta = np.ones(8), np.zeros(8)
-        want, _ = batchnorm_forward(x, gamma, beta, 1e-5)
-        split_width(2)
-        y, _ = batchnorm_forward(x, gamma, beta, 1e-5)
-        assert y.dtype == np.float64 and y.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("shape,dtype,splits", [
-        ((32, 48, 48), np.float32, False),      # head1, head2 at 96x96: 288 KiB
-        ((8, 48, 48), np.float32, False),       # stem1 at 96x96
-        ((128, 12, 12), np.float32, False),     # enc2's input at 96x96
-        ((32, 48, 48), np.float64, True),       # 96x96 heads under gradcheck
-        ((8, 180, 320), np.float32, True),      # stem1 at 360p
-        ((8, 90, 160), np.float32, False),      # stem2 at 360p: 450 KiB
-        ((128, 45, 80), np.float32, True),      # enc2's input at 360p
-        ((128, 23, 40), np.float32, False),     # enc3's input at 360p: 460 KiB
-        ((256, 12, 20), np.float32, False),     # dec3 at 360p
-        ((256, 23, 40), np.float32, True),      # dec2 at 360p
-        ((192, 45, 80), np.float32, True),      # dec1 at 360p
-        ((64, 45, 80), np.float32, True),       # enc1's ReLUs at 360p: 900 KiB
-        ((32, 180, 320), np.float32, True),     # head1, head2 at 360p
-        ((3, 360, 640), np.float32, False),     # fewer than two channels per thread
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("x_dtype,gamma_dtype,beta_dtype,eps,dy_dtype", [
+        (np.float32, np.float64, np.float64, 1e-5, np.float32),     # y promotes
+        (np.float32, np.float32, np.float64, 1e-5, np.float32),     # only y += beta does
+        (np.float32, np.float32, np.float32, np.float64(1e-5), np.float32),    # inv_std does
+        (np.float64, np.float32, np.float32, 1e-5, np.float32),     # float32 gradients
+        (np.float32, np.float32, np.float32, 1e-5, np.float64),     # a float64 gradient
     ])
-    def test_split_needs_two_channels_and_a_block_per_thread(self, split_width, shape,
-                                                              dtype, splits):
-        split_width(2)
-        x = np.broadcast_to(np.zeros((), dtype), shape)
-        assert layers._channel_width(x) == (2 if splits else 1)
+    def test_mixed_dtypes_equal_whole_array_oracle(self, split_width, monkeypatch, width,
+                                                   x_dtype, gamma_dtype, beta_dtype, eps,
+                                                   dy_dtype):
+        """Operands of two dtypes promote every result as numpy's whole-array
+        expressions do, in blocks of 2 channels at width 2 too."""
+        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1)
+        split_width(width)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8, 6, 7)).astype(x_dtype)
+        dy = rng.standard_normal(x.shape).astype(dy_dtype)
+        gamma = rng.standard_normal(8).astype(gamma_dtype)
+        beta = rng.standard_normal(8).astype(beta_dtype)
+        counts = self.assert_equal_oracle(monkeypatch, x, dy, gamma, beta, eps)
+        assert counts == [4 if width == 2 else 1] * 4
 
 
-def recorded_blocks(monkeypatch):
+def recorded_blocks(monkeypatch, names=None):
     """Spies on :func:`layers.run_blocks`, also where ``distill`` calls it:
-    returns the list it appends ``(pass, count)`` to for each pass of the
-    forward's fixed blocks, the pass named by its block function
-    (``_columns``, ``_channels`` or ``_rows``); BatchNorm's and ReLU's
-    channel shares are left out."""
+    returns the list it appends ``(pass, count)`` to for each pass, the pass
+    named by its block function (``_columns``, ``_channels`` or ``_rows``
+    for the forward's GEMMs, resizes and label map); ``names`` keeps only
+    those passes."""
     seen = []
     real = layers.run_blocks
 
     def record(n, count, block):
-        if block.__name__ != "_share":
+        if names is None or block.__name__ in names:
             seen.append((block.__name__, count))
         return real(n, count, block)
     monkeypatch.setattr(layers, "run_blocks", record)
     monkeypatch.setattr(distill_module, "run_blocks", record)
     return seen
+
+
+FORWARD_BLOCKS = {"_columns", "_channels", "_rows"}
 
 
 def widths_agree(split_width, run, widths=(2, 3)):
@@ -1306,12 +1381,12 @@ class TestForwardBlocks:
         and into how many blocks.  At 96x96 none does, and none starts a
         thread; at width 1 none does."""
         pool = split_width(width)
-        seen = recorded_blocks(monkeypatch)
+        seen = recorded_blocks(monkeypatch, FORWARD_BLOCKS)
         net = JITNet(ArchConfig(num_classes=classes), seed=1)
         distill_module._label_map(net.forward(np.ones((3, *hw), dtype=np.float32)))
         assert [s for s in seen if s[1] > 1] == blocked
         if hw == (96, 96):
-            assert pool._jobs == []             # no worker was started
+            assert pool._threads == []          # no worker was started
 
     @pytest.mark.parametrize("classes", [4, 9])     # the bundled streams', the paper's
     @pytest.mark.parametrize("hw", [(360, 640), (720, 1280)])
@@ -1337,7 +1412,7 @@ class TestForwardBlocks:
         does not block): logits, label map, input gradient and every
         parameter gradient equal at widths 2 and 3."""
         monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 2048)
-        seen = recorded_blocks(monkeypatch)
+        seen = recorded_blocks(monkeypatch, FORWARD_BLOCKS)
         x = np.random.default_rng(12).standard_normal((3, 64, 96)).astype(np.float32)
 
         def run():
