@@ -19,8 +19,7 @@ import numpy as np
 
 from .arch import JITNet
 from .metrics import mean_iou
-from .nn import SGDMomentum, weighted_softmax_cross_entropy
-from .nn.layers import block_count, run_blocks
+from .nn import SGDMomentum, label_map, weighted_softmax_cross_entropy
 
 
 class TeacherError(RuntimeError):
@@ -241,30 +240,6 @@ def control_iou(teacher_labels: np.ndarray, prediction: np.ndarray) -> float:
 
 # -- students -----------------------------------------------------------------
 
-def _label_map(logits: np.ndarray) -> np.ndarray:
-    """``logits.argmax(axis=0).astype(np.uint8)`` for finite logits, in one
-    pass per class: a strict ``>`` lets the first maximum win, as in argmax,
-    and ``putmask`` with a running maximum beats argmax's reduction over the
-    class axis (4x360x640 7.4 -> 4.4 ms, 11x96x96 0.38 -> 0.29 ms).  A large
-    map runs in blocks of rows whose running maximum holds about
-    :data:`~jitstream.nn.layers.SHIFTED_BLOCK_BYTES` (:func:`block_count`),
-    dealt across threads; every step is elementwise, so the blocks keep the
-    bits.  The label map is C-contiguous, as argmax's is."""
-    c, h, w = logits.shape
-    labels = np.zeros((h, w), dtype=np.uint8)
-
-    def _rows(lo, hi):
-        best = logits[0, lo:hi].copy()
-        better = np.empty_like(best, dtype=bool)
-        rows = labels[lo:hi]
-        for k in range(1, c):
-            np.greater(logits[k, lo:hi], best, out=better)
-            np.putmask(rows, better, k % 256)       # astype(np.uint8) wraps
-            np.maximum(best, logits[k, lo:hi], out=best)
-    run_blocks(h, block_count(h, h * w * logits.itemsize), _rows)
-    return labels
-
-
 class JITNetStudent:
     """Wraps a network with prediction and single-step training.
 
@@ -292,7 +267,7 @@ class JITNetStudent:
         if not np.isfinite(logits).all():
             raise StreamNumericError(-1)
         self._cached = (frame, logits)
-        return _label_map(logits)
+        return label_map(logits)
 
     def train_step(self, frame: np.ndarray, labels: np.ndarray,
                    weights: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from .layers import (
     conv2d_backward,
     conv2d_forward,
     conv_out_size,
+    label_map,
 )
 from .loss import IGNORE_LABEL, weighted_softmax_cross_entropy
 from .optim import SGDMomentum
@@ -26,7 +27,7 @@ __all__ = [
     "ReLU", "SeparableConv", "ShapeError",
     "batchnorm_forward",
     "bilinear_resize_backward", "bilinear_resize_forward",
-    "conv2d_backward", "conv2d_forward", "conv_out_size",
+    "conv2d_backward", "conv2d_forward", "conv_out_size", "label_map",
     "IGNORE_LABEL", "weighted_softmax_cross_entropy",
     "SGDMomentum",
     "gradient_check",

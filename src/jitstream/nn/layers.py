@@ -32,41 +32,34 @@ different places.  :func:`col2im` scatter-adds only the valid windows into
 an unpadded gradient.
 
 One rule splits a pass across cores: it cuts itself into blocks fixed by
-its extents and hands them to :func:`run_blocks`, which deals them
-round-robin to persistent worker threads, the caller's included, where there
-are at least two blocks and the process may use more than one thread, and
-otherwise runs them in order on the calling thread.  A shifted layer's
-blocks, forward and ``dx`` alike, are the whole row blocks of its output
-(:func:`_block_rows`), the last taking the ragged rows after it; BatchNorm's
-and ReLU's are ranges of at least two channels and
-:data:`SHIFTED_BLOCK_BYTES` of the input (:func:`_channel_blocks`); the
+its extents alone and hands them to :func:`run_blocks`, which deals two or
+more round-robin to persistent worker threads, the caller's included, and
+runs them in order on the calling thread where the process may use one
+thread.  A shifted layer's blocks, forward and ``dx`` alike, are the whole
+row blocks of its output (:func:`_block_rows`), the last taking the ragged
+rows after it; BatchNorm's and ReLU's are ranges of at least two channels
+and :data:`BLOCK_BYTES` of the input (:func:`_channel_blocks`); the
 forward's other large passes, the GEMM of every other convolution by output
 columns, a resize by chunks of channels and the student's label map by rows,
-run in as few near-equal blocks as hold about :data:`SHIFTED_BLOCK_BYTES`
-each (:func:`block_count`).  No block depends on the number of threads, so
-neither do the bits; at one thread every pass but a shifted layer is one
-block, the single call it always was.  At 96x96 in float32 no pass of the
-default network has two blocks, so nothing splits there.  The number of
-threads is the CPUs this process may run on over the BLAS threads each GEMM
-already uses (asked of OpenBLAS; 1 for another BLAS), capped by
-``JITSTREAM_THREADS``.  Where it is above 1, a network's backward hands each
-convolution's weight and bias gradients to one persistent gradient thread
-(:func:`deferred_weight_gradients`), so they are computed while the calling
-thread goes on with the input gradients.  Every GEMM, block edge, add and
-per-channel sum is the one a single thread makes, so the blocks and the
-gradient thread keep every bit.  These threads run only private code and
-numpy.
+run in as few near-equal blocks as hold about :data:`BLOCK_BYTES` each
+(:func:`block_count`).  At 96x96 in float32 no pass of the default network
+has two blocks, so nothing splits there.  The number of threads is the CPUs
+this process may run on over the BLAS threads each GEMM already uses (asked
+of OpenBLAS; 1 for another BLAS), capped by ``JITSTREAM_THREADS``; it
+decides only who runs the blocks and, where it is above 1, that a network's
+backward hands each convolution's weight and bias gradients to one
+persistent gradient thread (:func:`deferred_weight_gradients`), computed
+while the calling thread goes on with the input gradients.  Every width
+runs the same blocks, so no bit depends on the thread count.  These threads
+run only private code and numpy.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
-so a run's outputs do not move by a single bit.  The forward's blocks are
-the exception: each block of a GEMM or resize is a narrower GEMM than the
-single call's, so it keeps the single call's bits only where that was
-measured.  That is every blocked convolution and resize of the default
-network at 360x640 and 720x1280, with 4 or 9 classes, in float32 and in the
-memory layouts the forward hands over; elsewhere (some float64 shapes) a
-block may round otherwise.  The label map's blocks are elementwise and keep
-every bit.  The shifted lowering sums each output in another order than
+so a run's outputs do not move by a single bit.  A block of a GEMM or resize
+is a narrower GEMM than the one-call formulation, whose bits it keeps at the
+tested network shapes (the default network at 360x640 and 720x1280, with 4
+or 9 classes, in float32); elsewhere (some float64 shapes) it may round
+otherwise.  The shifted lowering sums each output in another order than
 im2col; the two agree to about 1e-6 relative in float32, and im2col stays
 the shifted form's test oracle.
 
@@ -203,7 +196,7 @@ def col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int,
 # shifted layer at 360x640 and 720x1280 keeps the unblocked sum's bits in
 # float32.  The channel blocks and the forward's other blocks are sized from
 # the same constant.
-SHIFTED_BLOCK_BYTES = 256 << 10
+BLOCK_BYTES = 256 << 10
 
 
 def _runs_shifted(w_shape, stride: int, ph: int, pw: int) -> bool:
@@ -420,24 +413,17 @@ def _run_or_defer(job) -> None:
 def block_count(n: int, nbytes: int) -> int:
     """Blocks a pass over ``n`` items (output columns, channels or rows)
     measuring ``nbytes`` in all is cut into: as few near-equal ones as hold
-    about :data:`SHIFTED_BLOCK_BYTES` each, at most one per item.  At width
-    1 a pass runs whole: its blocks would run one after another and buy only
-    narrower GEMMs and, for a resize, a copy of every chunk."""
-    if _pool_width() == 1:
-        return 1
-    return max(1, min(n, -(-nbytes // SHIFTED_BLOCK_BYTES)))
+    about :data:`BLOCK_BYTES` each, at most one per item."""
+    return max(1, min(n, -(-nbytes // BLOCK_BYTES)))
 
 
 def _channel_blocks(x: np.ndarray) -> int:
     """Blocks a per-channel pass over ``(C, H, W)`` ``x`` is cut into: as
-    many as each get at least two channels and :data:`SHIFTED_BLOCK_BYTES`
-    of ``x``, at least one, and one at width 1 (:func:`block_count`).  A
-    block of one channel would break the bits of a channels-last ``x``:
-    numpy sums one channel pairwise along a row, and several in memory
-    order."""
-    if _pool_width() == 1:
-        return 1
-    return max(1, min(len(x) // 2, x.nbytes // SHIFTED_BLOCK_BYTES))
+    many as each get at least two channels and :data:`BLOCK_BYTES` of ``x``,
+    at least one.  A block of one channel would break the bits of a
+    channels-last ``x``: numpy sums one channel pairwise along a row, and
+    several in memory order."""
+    return max(1, min(len(x) // 2, x.nbytes // BLOCK_BYTES))
 
 
 def run_blocks(n: int, count: int, block) -> None:
@@ -464,7 +450,7 @@ def _matmul_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ms in one call and 0.50 ms in four blocks on a 2-core Xeon with one
     OpenBLAS thread).  Each block is one GEMM that BLAS writes straight
     into its columns of the result; it rounds them as the single GEMM does
-    where measured (see the module docstring)."""
+    at the tested shapes (see the module docstring)."""
     n = b.shape[1]
     dtype = np.result_type(a, b)
     count = block_count(n, min(a.shape[0], b.shape[0]) * n * dtype.itemsize)
@@ -487,9 +473,9 @@ def _empty_result(*operands, dtype=None) -> np.ndarray:
 
 def _block_rows(channels: int, h: int, w: int, itemsize: int) -> int:
     """Rows per block of a tap sum with ``channels`` output channels over
-    ``h`` rows of width ``w+2``: as many as fit :data:`SHIFTED_BLOCK_BYTES`,
+    ``h`` rows of width ``w+2``: as many as fit :data:`BLOCK_BYTES`,
     at least one."""
-    return min(h, max(1, SHIFTED_BLOCK_BYTES // (channels * (w + 2) * itemsize)))
+    return min(h, max(1, BLOCK_BYTES // (channels * (w + 2) * itemsize)))
 
 
 def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int, channels: int) -> np.ndarray:
@@ -499,7 +485,7 @@ def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int, channels: int) -> n
     dropped.
 
     The output is walked in blocks of whole rows whose accumulator holds at
-    most :data:`SHIFTED_BLOCK_BYTES` (:func:`_block_rows`), so the eight adds
+    most :data:`BLOCK_BYTES` (:func:`_block_rows`), so the eight adds
     stay in cache, and each block's valid columns are copied straight into
     the output.  Every element gets the same nine products added in the same
     order as in one pass over all rows, so the result has that pass's bits
@@ -836,6 +822,30 @@ def bilinear_resize_backward(dy: np.ndarray, cache):
         return dy
     mh, mw, _, backward = plan
     return np.einsum(_RESIZE_BACKWARD, mh, dy, mw, optimize=backward)
+
+
+def label_map(logits: np.ndarray) -> np.ndarray:
+    """``logits.argmax(axis=0).astype(np.uint8)`` for finite ``(C, H, W)``
+    logits, in one pass per class: a strict ``>`` lets the first maximum
+    win, as in argmax, and ``putmask`` with a running maximum beats argmax's
+    reduction over the class axis (4x360x640 7.4 -> 4.4 ms, 11x96x96 0.38
+    -> 0.29 ms).  It runs in blocks of rows whose running maximum holds
+    about :data:`BLOCK_BYTES` (:func:`block_count`); every step is
+    elementwise, so the blocks keep the bits.  The label map is
+    C-contiguous, as argmax's is."""
+    c, h, w = logits.shape
+    labels = np.zeros((h, w), dtype=np.uint8)
+
+    def _rows(lo, hi):
+        best = logits[0, lo:hi].copy()
+        better = np.empty_like(best, dtype=bool)
+        rows = labels[lo:hi]
+        for k in range(1, c):
+            np.greater(logits[k, lo:hi], best, out=better)
+            np.putmask(rows, better, k % 256)       # astype(np.uint8) wraps
+            np.maximum(best, logits[k, lo:hi], out=best)
+    run_blocks(h, block_count(h, h * w * logits.itemsize), _rows)
+    return labels
 
 
 def _he_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:

@@ -5,13 +5,12 @@ from jitstream.arch import ArchConfig, JITNet
 from jitstream.distill import (
     DistillConfig,
     JITNetStudent,
-    _label_map,
     materialize_dataset,
     offline_oracle_train,
     process_stream,
 )
 from jitstream.metrics import mean_iou
-from jitstream.nn import weighted_softmax_cross_entropy
+from jitstream.nn import label_map, weighted_softmax_cross_entropy
 from jitstream.streams import (
     ObjectSpec,
     OracleTeacher,
@@ -78,7 +77,7 @@ class TestLabelMap:
         if layout == "resize":                  # (C, W, H) memory, as the head resize gives
             logits = np.ascontiguousarray(logits.transpose(0, 2, 1)).transpose(0, 2, 1)
         want = logits.argmax(axis=0).astype(np.uint8)
-        got = _label_map(logits)
+        got = label_map(logits)
         assert got.dtype == want.dtype and got.strides == want.strides
         assert np.array_equal(got, want)
         assert got[2, 0] == 0 and got[0, 0] == 0 and got[1, 0] == 0
@@ -86,7 +85,7 @@ class TestLabelMap:
     def test_equals_argmax_on_network_logits(self):
         net = JITNet(ArchConfig(num_classes=4), seed=1)
         logits = net.forward(np.random.default_rng(0).random((3, 64, 96), dtype=np.float32))
-        assert np.array_equal(_label_map(logits), logits.argmax(axis=0).astype(np.uint8))
+        assert np.array_equal(label_map(logits), logits.argmax(axis=0).astype(np.uint8))
 
 
 class TestOfflineTraining:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from jitstream import arch as arch_module
-from jitstream import distill as distill_module
 from jitstream.arch import ArchConfig, JITNet
 from jitstream.nn import (
     BatchNorm,
@@ -28,6 +27,7 @@ from jitstream.nn import (
     conv2d_backward,
     conv2d_forward,
     gradcheck,
+    label_map,
     layers,
 )
 from jitstream.nn.layers import (
@@ -570,7 +570,7 @@ class TestShiftedConv:
         the oracles bit for bit whatever BLAS does per block; on normal
         samples the forward and dx agree to the dtype's tolerance."""
         hw = (13, 16)
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES",
+        monkeypatch.setattr(layers, "BLOCK_BYTES",
                             rows * cout * (hw[1] + 2) * np.dtype(dtype).itemsize)
         for exact in (True, False):
             draw = (lambda s: rng.integers(-4, 5, s)) if exact else rng.standard_normal
@@ -585,7 +585,7 @@ class TestShiftedConv:
                 assert np.array_equal(g, wnt) if exact else max_relative_diff(g, wnt) <= tol
 
     def test_gradcheck_one_row_per_block(self, monkeypatch):
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1)     # floors to one row
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 1)     # floors to one row
         for seed in range(5):
             rng = np.random.default_rng(seed)
             layer, x = gradcheck._suite_case("Conv2d", rng)
@@ -749,13 +749,14 @@ class TestSplit:
             results.append([logits, dx] + [p.gradient.copy() for _, p in net.params()])
             # head1 and head2 split the convolution's y and dx, and the
             # forward and backward of their BatchNorm and ReLU; their dW
-            # goes to the gradient thread; stem1's GEMM runs in two blocks
-            # at width 2 and whole at width 1
+            # goes to the gradient thread; stem1's GEMM runs in two blocks;
+            # width 1 runs every block in order on the calling thread
             assert sum(n > 1 for n in calls) == (0 if width == 1 else 6 + 6 + 1)
             assert (layers._gradient_thread is None) == (width == 1)
         for s, p in zip(*results):
             assert np.array_equal(p, s)
 
+    @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("kind,shape,dtype,blocks", [
         # shifted layers: (output channels, H, W), whole row blocks of the output
         ("shifted", (32, 48, 48), np.float32, 1),       # head1, head2 at 96x96
@@ -763,7 +764,7 @@ class TestSplit:
         ("shifted", (32, 45, 80), np.float32, 1),       # dec1 at 360x640: one whole block
         ("shifted", (32, 180, 320), np.float32, 30),    # head1, head2 at 360x640
         ("shifted", (32, 48, 48), np.float64, 2),       # 96x96 heads under gradcheck
-        # BatchNorm and ReLU: two channels and SHIFTED_BLOCK_BYTES per block
+        # BatchNorm and ReLU: two channels and BLOCK_BYTES per block
         ("channels", (32, 48, 48), np.float32, 1),      # head1, head2 at 96x96: 288 KiB
         ("channels", (8, 48, 48), np.float32, 1),       # stem1 at 96x96
         ("channels", (128, 12, 12), np.float32, 1),     # enc2's input at 96x96
@@ -778,20 +779,52 @@ class TestSplit:
         ("channels", (64, 45, 80), np.float32, 3),      # enc1's ReLUs at 360p: 900 KiB
         ("channels", (32, 180, 320), np.float32, 16),   # head1, head2 at 360p
         ("channels", (3, 360, 640), np.float32, 1),     # one block of fewer than four channels
+        # a default network's forward and label map: (classes, H, W), and
+        # which of its GEMMs, resizes and label map block, into how many
+        ("network", (4, 96, 96), np.float32, []),       # the bundled streams' class count
+        ("network", (11, 96, 96), np.float32, []),      # a 99 KiB classifier result
+        ("network", (4, 360, 640), np.float32, [
+            ("_columns", 8), ("_columns", 2),                     # stem1, stem2
+            ("_columns", 4), ("_columns", 4), ("_columns", 4),    # enc1's 3x3/2, 1x3, 3x1
+            ("_columns", 2), ("_columns", 2), ("_columns", 2),    # dec1's 1x1 and 1x3, 3x1
+            ("_channels", 4),                                     # dec1's 4x resize
+            ("_columns", 4),                                      # the classifier
+            ("_channels", 4),                                     # the head resize
+            ("_rows", 4)]),                                       # the label map
     ])
-    def test_rule_table(self, split_width, monkeypatch, kind, shape, dtype, blocks):
-        """The blocks a shifted layer's forward or a ReLU cuts itself into at
-        the default network's shapes; at width 2 a pass of two or more deals
-        them to a worker, and one of one block starts no thread."""
-        pool = split_width(2)
-        seen = recorded_blocks(monkeypatch)
-        x = np.zeros(shape, dtype)
-        if kind == "shifted":
-            shifted_conv3x3_forward(x, np.zeros((shape[0],) * 2 + (3, 3), dtype), None)
+    def test_rule_table(self, split_width, monkeypatch, width, kind, shape, dtype, blocks):
+        """The blocks a shifted layer's forward, a ReLU or a network's
+        forward passes cut themselves into at the default network's shapes,
+        the same at every width.  At width 2 a pass of two or more deals
+        them to a worker; at width 1, and where every pass is one block (a
+        whole network at 96x96 included), no thread starts."""
+        pool = split_width(width)
+        if kind == "network":
+            seen = recorded_blocks(monkeypatch, FORWARD_BLOCKS)
+            net = JITNet(ArchConfig(num_classes=shape[0]), seed=1)
+            label_map(net.forward(np.ones((3, *shape[1:]), dtype)))
+            assert [s for s in seen if s[1] > 1] == blocks
+            split = blocks != []
         else:
-            ReLU().forward(x)
-        assert [count for _, count in seen] == [blocks]
-        assert len(pool._threads) == (blocks > 1)
+            seen = recorded_blocks(monkeypatch)
+            x = np.zeros(shape, dtype)
+            if kind == "shifted":
+                shifted_conv3x3_forward(x, np.zeros((shape[0],) * 2 + (3, 3), dtype), None)
+            else:
+                ReLU().forward(x)
+            assert [count for _, count in seen] == [blocks]
+            split = blocks > 1
+        assert len(pool._threads) == (width == 2 and split)
+        assert layers._gradient_thread is None
+
+    def test_counting_blocks_reads_no_width(self, monkeypatch):
+        """Block counts follow from extents alone: counting them creates no
+        workers, so it reads neither the CPUs nor the BLAS threads."""
+        monkeypatch.setattr(layers, "_workers", None)
+        x = np.zeros((32, 180, 320), np.float32)
+        assert layers.block_count(180, x.nbytes) == 29
+        assert layers._channel_blocks(x) == 16
+        assert layers._workers is None
 
     def test_unsplit_network_starts_no_thread(self, split_width):
         """At 96x96 no layer splits, so a forward starts no thread even where
@@ -1196,9 +1229,7 @@ class TestChannelBlocks:
                           x, dy, gamma, beta, eps)
         want = self.passes((batchnorm_whole, batchnorm_whole_backward), relu_whole,
                            x, dy, gamma, beta, eps)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.strides == w.strides
-            assert g.tobytes() == w.tobytes()
+        assert_same_arrays(got, want)
         return [count for _, count in seen]
 
     @pytest.mark.parametrize("width", [1, 2])
@@ -1213,9 +1244,9 @@ class TestChannelBlocks:
     ])
     def test_equals_whole_array_oracle(self, split_width, monkeypatch, width, dtype, x_layout,
                                        dy_layout, channels, blocks):
-        """Blocks forced as small as the two-channel floor allows; at width 1
-        every pass is one block."""
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1)
+        """Blocks forced as small as the two-channel floor allows, the same
+        at both widths."""
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 1)
         split_width(width)
         rng = np.random.default_rng(channels)
         x = (rng.standard_normal((channels, 24, 37)) * 3 + 1.5).astype(dtype)
@@ -1225,7 +1256,7 @@ class TestChannelBlocks:
         gamma = rng.standard_normal(channels).astype(dtype)
         beta = rng.standard_normal(channels).astype(dtype)
         counts = self.assert_equal_oracle(monkeypatch, x, dy, gamma, beta)
-        assert counts == [blocks if width == 2 else 1] * 4
+        assert counts == [blocks] * 4
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("x_dtype,gamma_dtype,beta_dtype,eps,dy_dtype", [
@@ -1239,8 +1270,8 @@ class TestChannelBlocks:
                                                    x_dtype, gamma_dtype, beta_dtype, eps,
                                                    dy_dtype):
         """Operands of two dtypes promote every result as numpy's whole-array
-        expressions do, in blocks of 2 channels at width 2 too."""
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1)
+        expressions do, in blocks of 2 channels."""
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 1)
         split_width(width)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((8, 6, 7)).astype(x_dtype)
@@ -1248,15 +1279,14 @@ class TestChannelBlocks:
         gamma = rng.standard_normal(8).astype(gamma_dtype)
         beta = rng.standard_normal(8).astype(beta_dtype)
         counts = self.assert_equal_oracle(monkeypatch, x, dy, gamma, beta, eps)
-        assert counts == [4 if width == 2 else 1] * 4
+        assert counts == [4] * 4
 
 
 def recorded_blocks(monkeypatch, names=None):
-    """Spies on :func:`layers.run_blocks`, also where ``distill`` calls it:
-    returns the list it appends ``(pass, count)`` to for each pass, the pass
-    named by its block function (``_columns``, ``_channels`` or ``_rows``
-    for the forward's GEMMs, resizes and label map); ``names`` keeps only
-    those passes."""
+    """Spies on :func:`layers.run_blocks`: returns the list it appends
+    ``(pass, count)`` to for each pass, the pass named by its block function
+    (``_columns``, ``_channels`` or ``_rows`` for the forward's GEMMs,
+    resizes and label map); ``names`` keeps only those passes."""
     seen = []
     real = layers.run_blocks
 
@@ -1265,15 +1295,22 @@ def recorded_blocks(monkeypatch, names=None):
             seen.append((block.__name__, count))
         return real(n, count, block)
     monkeypatch.setattr(layers, "run_blocks", record)
-    monkeypatch.setattr(distill_module, "run_blocks", record)
     return seen
 
 
 FORWARD_BLOCKS = {"_columns", "_channels", "_rows"}
 
 
-def widths_agree(split_width, run, widths=(2, 3)):
-    """``run()`` at two widths: equal dtypes, strides and bits of every
+def assert_same_arrays(got, want):
+    """Equal dtypes, strides and bits, array by array."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.strides == w.strides
+        assert g.tobytes() == w.tobytes()
+
+
+def widths_agree(split_width, run, widths=(1, 2, 3)):
+    """``run()`` at each width: equal dtypes, strides and bits of every
     array it returns.  Returns the number of splits each width made."""
     results, splits = [], []
     for width in widths:
@@ -1283,9 +1320,8 @@ def widths_agree(split_width, run, widths=(2, 3)):
         pool.run = lambda share, n: calls.append(n) or real(share, n)
         results.append(run())
         splits.append(sum(n > 1 for n in calls))
-    for s, p in zip(*results):
-        assert p.dtype == s.dtype and p.strides == s.strides
-        assert p.tobytes() == s.tobytes()
+    for later in results[1:]:
+        assert_same_arrays(later, results[0])
     return splits
 
 
@@ -1301,11 +1337,10 @@ def conv_case(rng, cin, cout, kernel, stride, hw, dtype=np.float32, layout="C"):
 
 class TestForwardBlocks:
     """The forward's GEMM convolutions by blocks of output columns, its
-    resizes by chunks of channels and the label map by blocks of rows: above
-    width 1 the blocks follow from the extents alone and deal round-robin to
-    the threads, so every such width gives the same bits.  At width 1, and
-    for a pass of one block, a pass is the single call; the blocks give its
-    bits at the default network's shapes."""
+    resizes by chunks of channels and the label map by blocks of rows: the
+    blocks follow from the extents alone and deal round-robin to the
+    threads, so every width gives the same bits.  At the default network's
+    shapes the blocks give the bits of the pass run as one block."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["C", "channels-last"])
@@ -1313,14 +1348,14 @@ class TestForwardBlocks:
     def test_blocked_conv_equals_across_widths(self, split_width, monkeypatch, dtype, layout,
                                                kernel, stride):
         """Forced to many ragged blocks (at 1000 bytes, 3 to 21 of them),
-        at widths 2 and 3."""
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 1000)
+        at widths 1, 2 and 3."""
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 1000)
         x, w, b, stride, pad = conv_case(np.random.default_rng(6), 5, 6, kernel, stride,
                                          (19, 23), dtype, layout)
 
         def run():
             return [conv2d_forward(x, w, b, stride, pad)[0]]
-        assert widths_agree(split_width, run) == [1, 1]
+        assert widths_agree(split_width, run) == [0, 1, 1]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["C", "channels-last", "rows-inner"])
@@ -1329,89 +1364,67 @@ class TestForwardBlocks:
     @pytest.mark.parametrize("chunks", [3, 7])         # 2+2+3 channels, or 1 each
     def test_chunked_resize_equals_across_widths(self, split_width, monkeypatch, dtype,
                                                  layout, hw, out_hw, chunks):
-        """Up and down, at widths 2 and 3, laid out as the unchunked
+        """Up and down, at widths 1, 2 and 3, laid out as the unchunked
         einsum's result."""
         x = channel_layout(np.random.default_rng(8).standard_normal((7, *hw)).astype(dtype),
                            layout)
         single, _ = bilinear_resize_forward(x, out_hw)
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", x.nbytes // chunks + 1)
-        split_width(2)
+        monkeypatch.setattr(layers, "BLOCK_BYTES", x.nbytes // chunks + 1)
         assert layers.block_count(7, x.nbytes) == chunks
 
         def run():
             y, _ = bilinear_resize_forward(x, out_hw)
             assert y.strides == single.strides
             return [y]
-        assert widths_agree(split_width, run) == [1, 1]
+        assert widths_agree(split_width, run) == [0, 1, 1]
 
     @pytest.mark.parametrize("layout", ["C", "rows-inner"])   # rows-inner: the head resize's
     def test_row_split_label_map_equals_across_widths(self, split_width, monkeypatch, layout):
-        """23 rows in 4 ragged blocks at width 2, whole at width 1; ties and
-        signed zeros as in TestLabelMap, and the result is still argmax's."""
+        """23 rows in 4 ragged blocks at widths 1, 2 and 3; ties and signed
+        zeros as in TestLabelMap, and the result is still argmax's."""
         rng = np.random.default_rng(9)
         logits = rng.integers(-2, 3, size=(5, 23, 37)).astype(np.float32)
         logits[:, 0, :5] = [[-0.0], [0.0], [-0.0], [0.0], [0.0]]
         logits = channel_layout(logits, layout)
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 23 * 37 * 4 // 4 + 1)
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 23 * 37 * 4 // 4 + 1)
         seen = recorded_blocks(monkeypatch)
 
         def run():
-            return [distill_module._label_map(logits)]
-        assert widths_agree(split_width, run, (1, 2)) == [0, 1]
-        assert seen == [("_rows", 1), ("_rows", 4)]
-        got = distill_module._label_map(logits)
+            return [label_map(logits)]
+        assert widths_agree(split_width, run) == [0, 1, 1]
+        assert seen == [("_rows", 4)] * 3
+        got = label_map(logits)
         want = logits.argmax(axis=0).astype(np.uint8)
         assert got.strides == want.strides and np.array_equal(got, want)
-
-    @pytest.mark.parametrize("hw,classes,width,blocked", [
-        ((96, 96), 4, 2, []),           # the bundled streams' class count
-        ((96, 96), 11, 2, []),          # a 99 KiB classifier result and head resize input
-        ((360, 640), 4, 1, []),         # one thread: every pass whole
-        ((360, 640), 4, 2, [
-            ("_columns", 8), ("_columns", 2),                     # stem1, stem2
-            ("_columns", 4), ("_columns", 4), ("_columns", 4),    # enc1's 3x3/2, 1x3, 3x1
-            ("_columns", 2), ("_columns", 2), ("_columns", 2),    # dec1's 1x1 and 1x3, 3x1
-            ("_channels", 4),                                     # dec1's 4x resize
-            ("_columns", 4),                                      # the classifier
-            ("_channels", 4),                                     # the head resize
-            ("_rows", 4)]),                                       # the label map
-    ])
-    def test_rule_table(self, split_width, monkeypatch, hw, classes, width, blocked):
-        """Which passes of a default network's forward and label map block,
-        and into how many blocks.  At 96x96 none does, and none starts a
-        thread; at width 1 none does."""
-        pool = split_width(width)
-        seen = recorded_blocks(monkeypatch, FORWARD_BLOCKS)
-        net = JITNet(ArchConfig(num_classes=classes), seed=1)
-        distill_module._label_map(net.forward(np.ones((3, *hw), dtype=np.float32)))
-        assert [s for s in seen if s[1] > 1] == blocked
-        if hw == (96, 96):
-            assert pool._threads == []          # no worker was started
 
     @pytest.mark.parametrize("classes", [4, 9])     # the bundled streams', the paper's
     @pytest.mark.parametrize("hw", [(360, 640), (720, 1280)])
     def test_blocks_equal_single_call_at_network_shapes(self, split_width, monkeypatch,
                                                         classes, hw):
         """Every GEMM convolution and resize of a default network's forward,
-        in float32 and in the memory layout the forward hands over: blocked
-        at width 2, the bits and strides of the single call at width 1."""
+        in float32 and in the memory layout the forward hands over: blocked,
+        the bits and strides of the same pass run as one block."""
         config = ArchConfig(num_classes=classes)
         passes = ([functools.partial(conv2d_forward, *args)
                    for args in gemm_convs_of(config, hw, monkeypatch)]
                   + [functools.partial(bilinear_resize_forward, *args)
                      for args in resize_shapes_of(config, hw, monkeypatch)])
-
-        def run():
-            return [run_pass()[0] for run_pass in passes]
-        splits = widths_agree(split_width, run, (1, 2))
-        assert splits[0] == 0 and splits[1] >= 11     # the 11 the rule table has at 360p
+        split_width(2)
+        seen = recorded_blocks(monkeypatch)
+        blocked = [run_pass()[0] for run_pass in passes]
+        assert len(seen) >= 11                  # the 11 the rule table has at 360p
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 1 << 62)
+        blocks = len(seen)
+        single = [run_pass()[0] for run_pass in passes]
+        assert len(seen) == blocks              # a pass of one block is the single call
+        assert_same_arrays(blocked, single)
 
     def test_jitnet_widths_agree_with_tiny_blocks(self, split_width, monkeypatch):
         """Every blocked pass of a default network's forward, with blocks of
         a few columns, channels or rows, and the backward after it (which
         does not block): logits, label map, input gradient and every
-        parameter gradient equal at widths 2 and 3."""
-        monkeypatch.setattr(layers, "SHIFTED_BLOCK_BYTES", 2048)
+        parameter gradient equal at widths 1, 2 and 3."""
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 2048)
         seen = recorded_blocks(monkeypatch, FORWARD_BLOCKS)
         x = np.random.default_rng(12).standard_normal((3, 64, 96)).astype(np.float32)
 
@@ -1420,7 +1433,8 @@ class TestForwardBlocks:
             logits = net.forward(x)
             dx = net.backward(np.random.default_rng(4).standard_normal(logits.shape)
                               .astype(np.float32))
-            return ([logits, distill_module._label_map(logits), dx]
+            return ([logits, label_map(logits), dx]
                     + [p.gradient for _, p in net.params()])
-        assert widths_agree(split_width, run)[0] > 0
+        splits = widths_agree(split_width, run)
+        assert splits[0] == 0 and splits[1] > 0
         assert {name for name, count in seen if count > 1} == {"_columns", "_channels", "_rows"}
