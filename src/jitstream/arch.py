@@ -323,7 +323,8 @@ class JITNet:
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         """Accumulate parameter gradients; returns the input gradient at the
         scaled frame extent (the pre-stem frame resize is not differentiated).
-        The convolutions' weight gradients may be computed on a second thread
+        The convolutions' weight gradients may be computed on the pool's
+        first worker while every other pass runs on the calling thread
         (:func:`deferred_weight_gradients`); all are complete on return."""
         with deferred_weight_gradients():
             dy = self._out_resize.backward(dlogits)

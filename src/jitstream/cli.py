@@ -326,27 +326,15 @@ def cmd_sweep(args) -> int:
 
 
 def _limit_threads() -> None:
-    """Apply ``JITSTREAM_THREADS`` as a BLAS thread cap, or say on stderr why
-    it does not cap BLAS threads.  The same value caps the threads that run
-    the blocks every split pass deals and the gradient thread
-    (``nn.layers``): at 1 every block runs on the calling thread and a
-    network's backward computes its weight gradients inline."""
+    """Warn on stderr when ``JITSTREAM_THREADS`` is not a positive integer,
+    which ``nn.layers`` then ignores.  A valid value caps the threads
+    jitstream starts itself: those that run the blocks every split pass
+    deals and the weight gradients of a network's backward; at 1 it starts
+    none.  BLAS threads come from the BLAS's own variables."""
     try:
-        cap = thread_cap()
+        thread_cap()
     except ValueError as exc:
         print(f"warning: {exc}", file=sys.stderr)
-        return
-    if cap is None:
-        return
-    try:
-        import threadpoolctl
-    except ImportError:
-        print(f"warning: JITSTREAM_THREADS={cap} caps only the threads jitstream starts "
-              "itself (those that run the blocks every split pass deals, and the gradient "
-              "thread; 1 starts none); BLAS threads are not capped: that needs "
-              "threadpoolctl, which is not installed", file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(cap)
 
 
 def _positive_int(text: str) -> int:

@@ -31,27 +31,26 @@ extents with the same column count (96x96 and 48x192) put their zeros in
 different places.  :func:`col2im` scatter-adds only the valid windows into
 an unpadded gradient.
 
-One rule splits a pass across cores: it cuts itself into blocks fixed by
-its extents alone and hands them to :func:`run_blocks`, which deals two or
-more round-robin to persistent worker threads, the caller's included, and
-runs them in order on the calling thread where the process may use one
-thread.  A shifted layer's blocks, forward and ``dx`` alike, are the whole
-row blocks of its output (:func:`_block_rows`), the last taking the ragged
-rows after it; BatchNorm's and ReLU's are ranges of at least two channels
-and :data:`BLOCK_BYTES` of the input (:func:`_channel_blocks`); the
-forward's other large passes, the GEMM of every other convolution by output
-columns, a resize by chunks of channels and the student's label map by rows,
-run in as few near-equal blocks as hold about :data:`BLOCK_BYTES` each
-(:func:`block_count`).  At 96x96 in float32 no pass of the default network
-has two blocks, so nothing splits there.  The number of threads is the CPUs
-this process may run on over the BLAS threads each GEMM already uses (asked
-of OpenBLAS; 1 for another BLAS), capped by ``JITSTREAM_THREADS``; it
-decides only who runs the blocks and, where it is above 1, that a network's
-backward hands each convolution's weight and bias gradients to one
-persistent gradient thread (:func:`deferred_weight_gradients`), computed
-while the calling thread goes on with the input gradients.  Every width
-runs the same blocks, so no bit depends on the thread count.  These threads
-run only private code and numpy.
+One rule splits the work across cores: the forward deals blocks, and a
+training step's backward runs on the calling thread while its weight
+gradients run on the pool's first worker.  A pass cuts itself into blocks
+fixed by its extents alone and hands them to :func:`run_blocks`, which
+deals two or more round-robin to persistent worker threads, the caller's
+included.  A shifted layer's blocks are the whole row blocks of its output
+(:func:`_block_rows`), the last taking the ragged rows after it;
+BatchNorm's and ReLU's are ranges of at least two channels and
+:data:`BLOCK_BYTES` of the input (:func:`_channel_blocks`); the forward's
+other large passes, the GEMM of every other convolution by output columns,
+a resize by chunks of channels and the student's label map by rows, run in
+as few near-equal blocks as hold about :data:`BLOCK_BYTES` each
+(:func:`block_count`).  At 96x96 in float32 no forward pass of the default
+network has two blocks, so nothing splits there.  A network's backward
+holds the pool (:func:`deferred_weight_gradients`), so every block of its
+passes runs on the calling thread, as where the process may use one
+thread.  That number is the CPUs this process may run on over the BLAS
+threads each GEMM already uses (asked of OpenBLAS; 1 for another BLAS),
+capped by ``JITSTREAM_THREADS``; it decides only who runs the work, so no
+bit depends on it.  The workers run only private code and numpy.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
@@ -299,9 +298,12 @@ def _stop_thread(thread: threading.Thread) -> None:
 class _Workers:
     """Up to ``width - 1`` persistent daemon threads, each fed through a
     queue of its own, for the shares of :func:`run_blocks` beyond the
-    caller's; they start on the first split, so a process whose passes never
-    split starts none.  A round trip through the queues costs about 18 µs,
-    through a ``ThreadPoolExecutor`` 42 µs (2-core Xeon, CPython 3.11)."""
+    caller's, and the first for a backward's weight gradients
+    (:func:`deferred_weight_gradients`); only the holder of ``_busy``
+    queues on them.  They start on first use, so a process that neither
+    splits a pass nor trains starts none.  A round trip through the queues
+    costs about 18 µs, through a ``ThreadPoolExecutor`` 42 µs (2-core Xeon,
+    CPython 3.11)."""
 
     def __init__(self, width: int):
         self.width = width
@@ -311,8 +313,9 @@ class _Workers:
     def run(self, share, width: int) -> None:
         """``share(k)`` for every ``k < width``, share 0 on the calling
         thread; returns once every share has finished and raises the first
-        exception one of them raised.  A call made while another thread's
-        split runs does every share itself."""
+        exception one of them raised.  A call made while the pool is held,
+        by another thread's split or by a backward, does every share
+        itself."""
         if width == 1 or not self._busy.acquire(blocking=False):
             for k in range(width):
                 share(k)
@@ -339,15 +342,14 @@ class _Workers:
 
 
 # created on the first pass that asks for a width, after the command line
-# has applied JITSTREAM_THREADS; the gradient thread on the first deferred
-# job.  A forked child starts without the parent's threads.
+# has checked JITSTREAM_THREADS.  A forked child starts without the
+# parent's threads.
 _workers: _Workers | None = None
-_gradient_thread: threading.Thread | None = None
 
 
 def _forget_threads() -> None:
-    global _workers, _gradient_thread
-    _workers = _gradient_thread = None
+    global _workers
+    _workers = None
 
 
 os.register_at_fork(after_in_child=_forget_threads)
@@ -368,20 +370,24 @@ _deferral = threading.local()
 
 @contextlib.contextmanager
 def deferred_weight_gradients():
-    """Within this block every :class:`Conv2d` backward on this thread
-    hands its weight and bias gradients, both ``+=`` included, to one
-    persistent gradient thread as a single job, and computes only its input
-    gradient itself.  The block ends once every job has finished; then it
-    raises what the block raised, or else the first exception a job raised.
+    """Holds :data:`_workers` for the length of the block, so every
+    :func:`run_blocks` within it runs its blocks on the calling thread, and
+    every :class:`Conv2d` backward on this thread hands its weight and bias
+    gradients, both ``+=`` included, to the pool's first worker as a single
+    job, and computes only its input gradient itself.  The block ends once
+    every job has finished; then it raises what the block raised, or else
+    the first exception a job raised.
 
     Jobs run in the order they come, each on the same operands as inline, so
-    every gradient keeps its bits.  A process that may use one thread only
-    (``_pool_width() == 1``) runs them inline and starts no thread; a block
-    opened inside another leaves its jobs to the outer one.
+    every gradient keeps its bits.  Where the process may use one thread
+    only (``_pool_width() == 1``) or another thread holds the pool, the
+    jobs run inline; a block opened inside another leaves its jobs to the
+    outer one.
     """
-    if _pool_width() == 1 or getattr(_deferral, "done", None) is not None:
+    if _pool_width() == 1 or not _workers._busy.acquire(blocking=False):
         yield
         return
+    pool = _workers
     done = _deferral.done = queue.SimpleQueue()
     _deferral.count = 0
     try:
@@ -390,23 +396,25 @@ def deferred_weight_gradients():
         # a queue per block: one cut short by an interrupt leaves its late
         # results where the next block does not read them
         count, _deferral.done = _deferral.count, None
-        errors = [done.get() for _ in range(count)]
+        try:
+            errors = [done.get() for _ in range(count)]
+        finally:
+            pool._busy.release()
     error = next((e for e in errors if e is not None), None)
     if error is not None:
         raise error
 
 
 def _run_or_defer(job) -> None:
-    """``job()`` now, or on the gradient thread inside
-    :func:`deferred_weight_gradients`."""
-    global _gradient_thread
+    """``job()`` now, or on the pool's first worker inside
+    :func:`deferred_weight_gradients`, which starts it on first use."""
     done = getattr(_deferral, "done", None)
     if done is None:
         job()
         return
-    if _gradient_thread is None:
-        _gradient_thread = _start_thread()
-    _gradient_thread.jobs.put((job, (), done))
+    if not _workers._threads:
+        _workers._threads.append(_start_thread())
+    _workers._threads[0].jobs.put((job, (), done))
     _deferral.count += 1
 
 
@@ -430,7 +438,8 @@ def run_blocks(n: int, count: int, block) -> None:
     """``block(lo, hi)`` for ``count`` near-equal contiguous ranges of ``n``
     items.  Two or more blocks are dealt round-robin to the threads of
     :data:`_workers`, the caller's first, where the process may use more
-    than one; otherwise they run in order on the calling thread."""
+    than one and the pool is not held; otherwise all run on the calling
+    thread."""
     if count == 1:
         block(0, n)
         return
@@ -478,7 +487,7 @@ def _block_rows(channels: int, h: int, w: int, itemsize: int) -> int:
     return min(h, max(1, BLOCK_BYTES // (channels * (w + 2) * itemsize)))
 
 
-def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int, channels: int) -> np.ndarray:
+def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int) -> np.ndarray:
     """``y[:, p] = sum_k taps[k] @ xp[:, offsets[k] + p]`` over the ``h``
     rows of width ``w+2`` that start at column 0 of the flat ``xp``, added in
     tap order; returns ``(Cout, h, w)`` with the two junk columns of each row
@@ -490,24 +499,20 @@ def _sum_taps(xp: np.ndarray, taps, offsets, h: int, w: int, channels: int) -> n
     the output.  Every element gets the same nine products added in the same
     order as in one pass over all rows, so the result has that pass's bits
     wherever BLAS rounds a column of a narrower GEMM as it does in the
-    full-width one.  :func:`run_blocks` gets the whole row blocks of the
-    layer's ``channels``-channel output, the last with the rows after it, so
-    the input gradient is dealt as the forward is; each runs the
-    accumulator blocks that start in it, in an accumulator of its own.
+    full-width one.  :func:`run_blocks` gets these blocks, the last with the
+    ragged rows after it, each run in an accumulator of its own.
     """
     cout = taps[0].shape[0]
     wp = w + 2
     dtype = np.result_type(taps[0], xp)
     rows = _block_rows(cout, h, w, dtype.itemsize)
-    dealt = _block_rows(channels, h, w, dtype.itemsize)
-    count = h // dealt
+    count = h // rows
     y = np.empty((cout, h, w), dtype=dtype)
 
     def _tap_rows(lo, hi):
         acc = np.empty(cout * rows * wp, dtype=dtype)
         part = np.empty_like(acc)
-        first = -(-lo * dealt // rows) * rows
-        for r0 in range(first, h if hi == count else hi * dealt, rows):
+        for r0 in range(lo * rows, h if hi == count else hi * rows, rows):
             r1 = min(h, r0 + rows)
             n = (r1 - r0) * wp
             block = acc[:cout * n].reshape(cout, n)
@@ -560,7 +565,7 @@ def shifted_conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     """
     _, h, wd = x.shape
     xp = _pad_flat(x, xp)
-    y = _sum_taps(xp, _weight_taps(w), _tap_offsets(wd + 2), h, wd, w.shape[0])
+    y = _sum_taps(xp, _weight_taps(w), _tap_offsets(wd + 2), h, wd)
     if b is not None:
         y += b[:, None, None]
     return y, xp
@@ -577,10 +582,9 @@ def _shifted_gradients(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
     and the forward's junk columns contribute nothing; the nine run in tap
     order.  ``dx`` is the correlation of the padded ``dy`` with the flipped,
     transposed kernel: :func:`_sum_taps` with each tap's transpose at the
-    mirrored offset ``2*(W+3) - off``, in tap order, dealt in the forward's
-    blocks.
+    mirrored offset ``2*(W+3) - off``, in tap order.
     """
-    cout, h, wd = dy.shape
+    _, h, wd = dy.shape
     wp = wd + 2
     n = h * wp
     dyp = _pad_flat(dy)
@@ -588,7 +592,7 @@ def _shifted_gradients(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
 
     def _input_gradient():
         mirrored = [2 * (wp + 1) - off for off in offsets]
-        return _sum_taps(dyp, _weight_taps(w).transpose(0, 2, 1), mirrored, h, wd, cout)
+        return _sum_taps(dyp, _weight_taps(w).transpose(0, 2, 1), mirrored, h, wd)
 
     def _weight_gradient():
         inner = dyp[:, wp + 1:wp + 1 + n]
@@ -888,8 +892,8 @@ class Conv2d:
         return y
 
     def backward(self, dy):
-        """Accumulates the weight and bias gradients, on the gradient thread
-        inside :func:`deferred_weight_gradients`, and returns ``dx``."""
+        """Accumulates the weight and bias gradients, on the pool's first
+        worker inside :func:`deferred_weight_gradients`, and returns ``dx``."""
         if self._cache is None:
             raise RuntimeError("conv2d backward requires the saved forward input")
         input_gradient, weight_gradient = _conv2d_gradients(dy, self.w.value, self._cache)
@@ -954,8 +958,9 @@ class BatchNorm:
 class ReLU:
     """``max(x, 0)`` as ``x * (x > 0)``, which keeps NaN and gives -0.0 for a
     negative input.  ``forward`` works in place and returns ``x``: every
-    caller hands it a fresh array that nothing else holds.  Both passes run
-    in blocks of channels (:func:`_channel_blocks`)."""
+    caller hands it a fresh array that nothing else holds.  The forward
+    runs in blocks of channels (:func:`_channel_blocks`); the backward is
+    one product, which blocks run in turn on one thread do not beat."""
 
     def __init__(self):
         self._mask = None
@@ -974,13 +979,7 @@ class ReLU:
         return x
 
     def backward(self, dy):
-        mask = self._mask
-        dx = _empty_result(dy, mask)
-
-        def _mask_gradient(lo, hi):
-            np.multiply(dy[lo:hi], mask[lo:hi], out=dx[lo:hi])
-        run_blocks(len(dy), _channel_blocks(dy), _mask_gradient)
-        return dx
+        return dy * self._mask
 
 
 class BilinearResize:

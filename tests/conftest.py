@@ -12,13 +12,11 @@ def rng():
 @pytest.fixture
 def split_width(monkeypatch):
     """``split_width(n)`` puts ``n``-wide workers in place of the process's
-    for the rest of the test, whatever BLAS thread count is in effect, and
-    gives the test a gradient thread of its own, which a network's backward
-    uses from width 2 on.  At teardown the threads stop, and have exited
-    before the next test starts."""
+    for the rest of the test, whatever BLAS thread count is in effect; a
+    network's backward runs its weight gradients on the first of them from
+    width 2 on.  At teardown the threads stop, and have exited before the
+    next test starts."""
     pools = []
-    process_gradient_thread = layers._gradient_thread
-    monkeypatch.setattr(layers, "_gradient_thread", None)
 
     def force(width):
         pool = layers._Workers(width)
@@ -28,6 +26,3 @@ def split_width(monkeypatch):
     yield force
     for pool in pools:
         pool.close()
-    # the process's own gradient thread serves the tests that come after
-    if layers._gradient_thread not in (None, process_gradient_thread):
-        layers._stop_thread(layers._gradient_thread)

@@ -1,7 +1,8 @@
 import dataclasses
-import importlib.util
 import json
+import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -302,8 +303,9 @@ class TestContainerIngestion:
 
     def test_run_keeps_its_bytes_across_thread_widths(self, tmp_path, split_width):
         """A recorded 64x640 stream, where head1 and head2 split and the
-        weight gradients go to the gradient thread at width 2, writes the
-        same bytes at widths 1 and 2."""
+        weight gradients go to the pool's first worker at width 2, writes
+        the same bytes at widths 1 and 2, and leaves one helper thread at
+        width 2."""
         from jitstream.distill import write_predictions_jsonl
         from jitstream.nn import layers
         from jitstream.streams import (ObjectSpec, OracleTeacher,
@@ -326,13 +328,13 @@ class TestContainerIngestion:
                        "delta_max = 8\n")
         outputs = []
         for width in (1, 2):
-            split_width(width)
+            pool = split_width(width)
             out = tmp_path / f"out{width}"
             assert main(["run", "--config", str(run), "--out", str(out),
                          "--save-predictions"]) == 0
             outputs.append([(out / name).read_bytes()
                             for name in ("run.csv", "summary.json", "predictions.lvss")])
-            assert (layers._gradient_thread is None) == (width == 1)
+            assert len(pool._threads) == (width == 2)
         _, rows = read_csv_rows(tmp_path / "out1" / "run.csv")
         assert sum(r[1] == "1" and int(r[2]) > 0 for r in rows) >= 2
         assert outputs[0] == outputs[1]
@@ -471,19 +473,18 @@ class TestThreadCap:
         monkeypatch.setenv("JITSTREAM_THREADS", "1")
         assert main(["gradcheck", "--seeds", "1"]) == 0
 
-    def test_cap_without_effect_is_reported(self, monkeypatch, capsys):
-        monkeypatch.setenv("JITSTREAM_THREADS", "1")
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_valid_cap_prints_nothing(self, monkeypatch, capsys, cap):
+        """A valid value caps only jitstream's own threads, so the check
+        neither warns nor touches the BLAS, even where threadpoolctl could
+        be imported."""
+        calls = []
+        stub = types.ModuleType("threadpoolctl")
+        stub.threadpool_limits = lambda *args, **kwargs: calls.append((args, kwargs))
+        monkeypatch.setitem(sys.modules, "threadpoolctl", stub)
+        monkeypatch.setenv("JITSTREAM_THREADS", cap)
         _limit_threads()
-        err = capsys.readouterr().err
-        if importlib.util.find_spec("threadpoolctl") is None:
-            # the value still caps the threads that run every block a pass
-            # deals and the gradient thread, but not BLAS
-            assert "caps only the threads jitstream starts itself" in err
-            assert "(those that run the blocks every split pass deals, and the gradient " \
-                   "thread; 1 starts none)" in err
-            assert "BLAS threads are not capped" in err and "threadpoolctl" in err
-        else:
-            assert err == ""
+        assert capsys.readouterr().err == "" and calls == []
 
     def test_non_integer_cap_is_reported(self, monkeypatch, capsys):
         monkeypatch.setenv("JITSTREAM_THREADS", "two")
@@ -596,7 +597,7 @@ class TestGradcheckCommand:
             input_gradient, weight_gradient = original(dy, w, xp)
             return input_gradient, lambda: weight_gradient() * 1.01
 
-        # the shifted lowering's dW, inline or on the gradient thread
+        # the shifted lowering's dW, inline or on the pool's first worker
         monkeypatch.setattr(layers, "_shifted_gradients", corrupted)
         assert main(["gradcheck", "--seeds", "1"]) == 1
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()

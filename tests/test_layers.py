@@ -651,7 +651,7 @@ class TestShiftedConv:
 
 def assert_large_conv_memory_bound(rng, deferred=False):
     """With ``deferred`` the backward hands its weight gradient to the
-    gradient thread, whose finished job must hold none of its arrays."""
+    pool's first worker, whose finished job must hold none of its arrays."""
     conv = Conv2d(64, 32, 3, rng=rng)
     x = rng.standard_normal((64, 180, 320)).astype(np.float32)
     dy = rng.standard_normal((32, 180, 320)).astype(np.float32)
@@ -697,10 +697,26 @@ def run_in_thread(fn, timeout=60.0):
     return outcome[0]
 
 
+def dealt_calls(pool):
+    """Spies on ``pool.run``: returns the list it appends the width of each
+    call that deals its shares to the workers.  A call of width 1, or one
+    made while the pool is held (inside a backward), runs every share on
+    its caller and is not recorded."""
+    calls = []
+    real = pool.run
+
+    def run(share, width):
+        if width > 1 and not pool._busy.locked():
+            calls.append(width)
+        return real(share, width)
+    pool.run = run
+    return calls
+
+
 class TestSplit:
-    """The shifted lowering's row blocks and dW taps dealt across threads:
-    the same GEMMs, block edges and add order on any thread, so every
-    output keeps its bits."""
+    """The shifted lowering's row blocks dealt across threads: the same
+    GEMMs, block edges and add order on any thread, so every output keeps
+    its bits."""
 
     def shifted_pass(self, cin, cout, hw, dtype):
         rng = np.random.default_rng(7)
@@ -713,19 +729,17 @@ class TestSplit:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("cin,cout,hw,splits", [
-        (64, 32, (180, 320), True),     # head1 at 360x640: dx sums half the rows a block has
+        (64, 32, (180, 320), True),     # head1 at 360x640: dx's blocks have half the rows
         (48, 32, (47, 100), True),      # blocks of 20 (float32) or 10 rows, dx's of 13 or 6
         (32, 32, (24, 24), False),      # one block: runs whole at width 2 too
     ])
     def test_split_equals_serial_bits(self, split_width, dtype, cin, cout, hw, splits):
         """y, dx, dW and db equal the serial pass bit for bit; at width 2 the
-        forward and dx each deal their blocks where there are two."""
+        forward and, outside a network's backward, dx each deal their own
+        blocks where there are two."""
         split_width(1)
         serial = self.shifted_pass(cin, cout, hw, dtype)
-        pool = split_width(2)
-        calls = []
-        run = pool.run
-        pool.run = lambda share, n: calls.append(n) or run(share, n)
+        calls = dealt_calls(split_width(2))
         split = self.shifted_pass(cin, cout, hw, dtype)
         assert calls == ([2, 2] if splits else [])
         for s, p in zip(serial, split):
@@ -739,20 +753,18 @@ class TestSplit:
         results = []
         for width in (1, 2):
             pool = split_width(width)
-            calls = []
-            run = pool.run
-            pool.run = lambda share, n: calls.append(n) or run(share, n)
+            calls = dealt_calls(pool)
             net = JITNet(ArchConfig(num_classes=4), seed=1)
             logits = net.forward(x)
             dx = net.backward(np.random.default_rng(4).standard_normal(logits.shape)
                               .astype(np.float32))
             results.append([logits, dx] + [p.gradient.copy() for _, p in net.params()])
-            # head1 and head2 split the convolution's y and dx, and the
-            # forward and backward of their BatchNorm and ReLU; their dW
-            # goes to the gradient thread; stem1's GEMM runs in two blocks;
-            # width 1 runs every block in order on the calling thread
-            assert sum(n > 1 for n in calls) == (0 if width == 1 else 6 + 6 + 1)
-            assert (layers._gradient_thread is None) == (width == 1)
+            # head1 and head2 deal the forward of their convolution,
+            # BatchNorm and ReLU; stem1's GEMM runs in two blocks; the
+            # backward deals nothing and its weight gradients go to the
+            # worker; width 1 runs every block on the calling thread
+            assert len(calls) == (0 if width == 1 else 6 + 1)
+            assert len(pool._threads) == (width == 2)
         for s, p in zip(*results):
             assert np.array_equal(p, s)
 
@@ -815,7 +827,6 @@ class TestSplit:
             assert [count for _, count in seen] == [blocks]
             split = blocks > 1
         assert len(pool._threads) == (width == 2 and split)
-        assert layers._gradient_thread is None
 
     def test_counting_blocks_reads_no_width(self, monkeypatch):
         """Block counts follow from extents alone: counting them creates no
@@ -987,10 +998,11 @@ class TestSplit:
         assert_large_conv_memory_bound(rng)
 
     def test_workers_run_no_public_function(self, split_width):
-        """Worker threads and the gradient thread run only private code and
-        numpy: perfbench wraps the public functions and methods of
-        jitstream in spans, and its tracer keeps one stack of open spans for
-        the whole process.  The separable pair's jobs are im2col's."""
+        """Worker threads, the first with a backward's weight gradients, run
+        only private code and numpy: perfbench wraps the public functions
+        and methods of jitstream in spans, and its tracer keeps one stack of
+        open spans for the whole process.  The separable pair's jobs are
+        im2col's."""
         package = str(Path(layers.__file__).resolve().parents[1])
         seen = set()
 
@@ -1031,9 +1043,9 @@ def network_pass(x, steps=2):
 def watched_weight_gradients(monkeypatch, fail_at=None):
     """Wraps every convolution's weight gradient: each job sleeps a little,
     so that it is still running when the backward's caller goes on, and
-    marks its entry ``finished`` once done; job ``fail_at`` raises
-    ZeroDivisionError instead.  Returns the list of entries, one per job
-    handed out."""
+    replaces its entry ``"submitted"`` with the thread it ran on once done;
+    job ``fail_at`` raises ZeroDivisionError instead.  Returns the list of
+    entries, one per job handed out."""
     original = layers._conv2d_gradients
     jobs = []
 
@@ -1047,7 +1059,7 @@ def watched_weight_gradients(monkeypatch, fail_at=None):
             if index == fail_at:
                 raise ZeroDivisionError(f"job {index}")
             dw = weight_gradient()
-            jobs[index] = "finished"
+            jobs[index] = threading.current_thread()
             return dw
         return input_gradient, _weight_gradient
     monkeypatch.setattr(layers, "_conv2d_gradients", wrapped)
@@ -1056,7 +1068,7 @@ def watched_weight_gradients(monkeypatch, fail_at=None):
 
 class TestGradientThread:
     """A network's backward hands each convolution's weight and bias
-    gradients to one gradient thread while it goes on with the input
+    gradients to the pool's first worker while it goes on with the input
     gradients; every job runs the same operations on the same operands, so
     every bit is kept, and the backward returns once all have finished."""
 
@@ -1071,14 +1083,75 @@ class TestGradientThread:
         split_width(2)
         with monkeypatch.context() as inline:
             inline.setattr(arch_module, "deferred_weight_gradients", contextlib.nullcontext)
+            jobs = watched_weight_gradients(inline)
             synchronous = network_pass(x)
-        assert layers._gradient_thread is None
+        assert set(jobs) == {threading.current_thread()}
         for width in (1, 2):
-            split_width(width)
+            pool = split_width(width)
             got = network_pass(x)
-            assert (layers._gradient_thread is None) == (width == 1)
+            assert len(pool._threads) == (width == 2)
             for s, g in zip(synchronous, got):
                 assert g.dtype == s.dtype and g.tobytes() == s.tobytes()
+
+    def test_backward_deals_nothing(self, split_width, monkeypatch):
+        """A training step's passes at 64x640 and width 2: the forward deals
+        head1's and head2's blocks and stem1's GEMM, the backward runs every
+        block on the calling thread and every weight gradient on the pool's
+        first worker, and one helper thread is left."""
+        pool = split_width(2)
+        threads = threading.active_count()
+        x = np.random.default_rng(3).standard_normal((3, 64, 640)).astype(np.float32)
+        net = JITNet(ArchConfig(num_classes=4), seed=1)
+        real = layers.run_blocks
+        runners = []            # per blocked pass: the threads its blocks ran on
+
+        def record(n, count, block):
+            ran = set()
+
+            def _block(lo, hi):
+                ran.add(threading.current_thread())
+                block(lo, hi)
+            real(n, count, _block)
+            if count > 1:
+                runners.append(ran)
+        monkeypatch.setattr(layers, "run_blocks", record)
+        logits = net.forward(x)
+        assert sum(len(ran) == 2 for ran in runners) == 6 + 1
+        runners.clear()
+        jobs = watched_weight_gradients(monkeypatch)
+        net.backward(np.ones_like(logits))
+        assert len(runners) == 5                # head2's and head1's BatchNorm and dx, a 3x3 dx
+        assert all(ran == {threading.current_thread()} for ran in runners)
+        assert jobs == [pool._threads[0]] * 29
+        assert len(pool._threads) == 1 and threading.active_count() == threads + 1
+
+    def test_stress_concurrent_training_steps(self, split_width, monkeypatch):
+        """Three threads train their own network at once on a two-wide pool
+        with blocks of a few rows, the interpreter switching threads every
+        microsecond: whichever holds the pool, each keeps the bits of a
+        training step run alone, and none hangs."""
+        monkeypatch.setattr(layers, "BLOCK_BYTES", 4096)
+        split_width(2)
+        want = network_pass(self.X64, steps=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = []
+            threads = [threading.Thread(target=lambda: outcomes.append(
+                run_in_thread(lambda: network_pass(self.X64, steps=1), timeout=120)))
+                for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(180)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [status for status, _ in outcomes] == ["ok"] * 3
+        for _, got in outcomes:
+            for w, g in zip(want, got):
+                assert g.tobytes() == w.tobytes()
+        assert not layers._workers._busy.locked()
 
     def test_failing_job_raises_in_caller(self, split_width, monkeypatch):
         """A job's exception reaches the backward's caller once every job
@@ -1092,7 +1165,7 @@ class TestGradientThread:
             jobs = watched_weight_gradients(faulty, fail_at=2)
             with pytest.raises(ZeroDivisionError, match="job 2"):
                 net.backward(dlogits)
-            assert len(jobs) == 29 and jobs.count("finished") == 28
+            assert len(jobs) == 29 and jobs.count("submitted") == 1
         for p in net.param_states():
             p.clear_gradient()
         net.forward(self.X64)
@@ -1102,9 +1175,9 @@ class TestGradientThread:
 
     def test_caller_exception_leaves_no_job_running(self, split_width, monkeypatch):
         """An exception on the calling thread mid-backward is raised once
-        the jobs handed out so far have finished, and the next backward
-        works as usual."""
-        split_width(2)
+        the jobs handed out so far have finished and lets go of the pool,
+        and the next backward works as usual."""
+        pool = split_width(2)
         net = JITNet(ArchConfig(num_classes=4), seed=1)
         logits = net.forward(self.X64)
 
@@ -1116,43 +1189,47 @@ class TestGradientThread:
             with pytest.raises(KeyError, match="dec1"):
                 net.backward(np.ones_like(logits))
             # the classifier, head2 and head1 came before dec1
-            assert jobs == ["finished"] * 3
+            assert jobs == [pool._threads[0]] * 3
+        assert not pool._busy.locked()
         net.forward(self.X64)
         net.backward(np.ones_like(logits))
 
-    def test_standalone_conv_completes_its_gradients(self, split_width, rng):
+    def test_standalone_conv_completes_its_gradients(self, split_width, monkeypatch, rng):
         """Outside a network's backward a convolution returns with its
-        weight and bias gradients complete, as gradient_check needs, and
-        starts no gradient thread."""
+        weight and bias gradients complete, as gradient_check needs,
+        computed on the calling thread."""
         split_width(2)
+        jobs = watched_weight_gradients(monkeypatch)
         conv = Conv2d(64, 32, 3, rng=rng)
         x = rng.standard_normal((64, 180, 320)).astype(np.float32)
         dy = rng.standard_normal((32, 180, 320)).astype(np.float32)
         conv.forward(x)
         dx = conv.backward(dy)
+        assert jobs == [threading.current_thread()]
         want = conv2d_backward(dy, conv.w.value, conv._cache)
         for got, w in zip((dx, conv.w.gradient, conv.b.gradient), want):
             assert got.tobytes() == w.tobytes()
-        assert layers._gradient_thread is None
 
     def test_forked_child_uses_its_own_gradient_thread(self, split_width):
-        """A child forked after a deferred backward has no gradient thread
-        of its parent's; its own backward starts one and keeps the bits."""
-        split_width(2)
+        """A child forked after a deferred backward has none of its
+        parent's threads; its own backward starts its pool's first worker
+        and keeps the bits."""
+        pool = split_width(2)
         want = network_pass(self.X64, steps=1)
-        assert layers._gradient_thread is not None
+        assert len(pool._threads) == 1
         pid = os.fork()
         if pid == 0:                                        # the child
-            fresh = layers._gradient_thread is None
+            fresh = layers._workers is None
             layers._workers = layers._Workers(2)
             got = network_pass(self.X64, steps=1)
             same = all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-            os._exit(0 if fresh and same and layers._gradient_thread is not None else 1)
+            own = [t.is_alive() for t in layers._workers._threads] == [True]
+            os._exit(0 if fresh and same and own else 1)
         assert child_exit_code(pid) == 0
 
     def test_deferred_memory_bound(self, split_width, rng):
         """The 180x320 layer of TestShiftedConv's memory bound with its
-        weight gradient on the gradient thread: the finished job holds
+        weight gradient on the pool's first worker: the finished job holds
         nothing once the block has returned."""
         split_width(2)
         assert_large_conv_memory_bound(rng, deferred=True)
@@ -1199,16 +1276,17 @@ def batchnorm_whole_backward(dy, cache):
 
 
 def relu_whole(x, dy):
-    """ReLU's forward in place on the whole array, its mask and its
-    backward, as they ran before they ran in blocks of channels."""
+    """ReLU's forward in place on the whole array, as it ran before it ran
+    in blocks of channels, its mask and its backward."""
     mask = x > 0
     return np.multiply(x, mask, out=x), mask, dy * mask
 
 
 class TestChannelBlocks:
-    """BatchNorm and ReLU run in blocks of at least two channels: at any
-    width and block count they equal the whole-array code they replaced,
-    kept above as the oracle, in values, dtypes and memory layouts."""
+    """BatchNorm's passes and ReLU's forward run in blocks of at least two
+    channels: at any width and block count they equal the whole-array code
+    they replaced, kept above as the oracle, in values, dtypes and memory
+    layouts."""
 
     def passes(self, norm, relu, x, dy, gamma, beta, eps):
         """Forward and backward of BatchNorm, then of ReLU on a copy of
@@ -1256,7 +1334,7 @@ class TestChannelBlocks:
         gamma = rng.standard_normal(channels).astype(dtype)
         beta = rng.standard_normal(channels).astype(dtype)
         counts = self.assert_equal_oracle(monkeypatch, x, dy, gamma, beta)
-        assert counts == [blocks] * 4
+        assert counts == [blocks] * 3
 
     @pytest.mark.parametrize("width", [1, 2])
     @pytest.mark.parametrize("x_dtype,gamma_dtype,beta_dtype,eps,dy_dtype", [
@@ -1279,7 +1357,7 @@ class TestChannelBlocks:
         gamma = rng.standard_normal(8).astype(gamma_dtype)
         beta = rng.standard_normal(8).astype(beta_dtype)
         counts = self.assert_equal_oracle(monkeypatch, x, dy, gamma, beta, eps)
-        assert counts == [4] * 4
+        assert counts == [4] * 3
 
 
 def recorded_blocks(monkeypatch, names=None):
@@ -1314,12 +1392,9 @@ def widths_agree(split_width, run, widths=(1, 2, 3)):
     array it returns.  Returns the number of splits each width made."""
     results, splits = [], []
     for width in widths:
-        pool = split_width(width)
-        calls = []
-        real = pool.run
-        pool.run = lambda share, n: calls.append(n) or real(share, n)
+        calls = dealt_calls(split_width(width))
         results.append(run())
-        splits.append(sum(n > 1 for n in calls))
+        splits.append(len(calls))
     for later in results[1:]:
         assert_same_arrays(later, results[0])
     return splits
@@ -1422,7 +1497,7 @@ class TestForwardBlocks:
     def test_jitnet_widths_agree_with_tiny_blocks(self, split_width, monkeypatch):
         """Every blocked pass of a default network's forward, with blocks of
         a few columns, channels or rows, and the backward after it (which
-        does not block): logits, label map, input gradient and every
+        deals no block): logits, label map, input gradient and every
         parameter gradient equal at widths 1, 2 and 3."""
         monkeypatch.setattr(layers, "BLOCK_BYTES", 2048)
         seen = recorded_blocks(monkeypatch, FORWARD_BLOCKS)
