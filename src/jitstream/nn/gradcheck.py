@@ -26,8 +26,10 @@ def relative_error(analytic: float, numeric: float) -> float:
 
 def _max_rel_error(analytic: np.ndarray, value: np.ndarray, loss_fn,
                    eps: float, sample: np.ndarray | None = None) -> float:
-    flat = value.reshape(-1)
-    idx = range(flat.size) if sample is None else sample
+    # through ``flat``, which writes into ``value`` whatever its layout
+    # (``reshape(-1)`` copies a non-contiguous one)
+    flat = value.flat
+    idx = range(value.size) if sample is None else sample
     worst = 0.0
     for i in idx:
         keep = flat[i]
@@ -37,7 +39,7 @@ def _max_rel_error(analytic: np.ndarray, value: np.ndarray, loss_fn,
         down = loss_fn()
         flat[i] = keep
         numeric = (up - down) / (2 * eps)
-        worst = max(worst, relative_error(analytic.reshape(-1)[i], numeric))
+        worst = max(worst, relative_error(analytic.flat[i], numeric))
     return worst
 
 
@@ -75,7 +77,24 @@ def gradient_check(layer, x: np.ndarray, eps: float = 1e-5,
 
 
 LAYER_KINDS = ("Conv2d", "Conv2d_s2", "Conv2d_1x1", "SeparableConv", "BatchNorm", "ReLU",
-               "BilinearResize")
+               "BilinearResize", "BandedResize_2x", "BandedResize_4x", "BandedResize_1/2")
+
+# input and target extents of resizes that run banded both ways, the
+# forward's widest axis in three or more blocks (layers.BAND_INPUTS)
+BANDED_RESIZES = {"BandedResize_2x": ((1, 2, 130), (4, 260)),
+                  "BandedResize_4x": ((1, 2, 130), (8, 520)),
+                  "BandedResize_1/2": ((1, 2, 520), (1, 260))}
+
+
+class _ResizeTo(BilinearResize):
+    """A resize to a fixed target extent, as the network's stages call one."""
+
+    def __init__(self, out_hw: tuple[int, int]):
+        super().__init__()
+        self.out_hw = out_hw
+
+    def forward(self, x, out_hw=None):
+        return super().forward(x, out_hw or self.out_hw)
 
 
 def _suite_case(kind: str, rng: np.random.Generator):
@@ -97,6 +116,9 @@ def _suite_case(kind: str, rng: np.random.Generator):
         return ReLU(), np.where(np.abs(x) < 0.2, x + 0.5, x)
     if kind == "BilinearResize":
         return BilinearResize(2), x
+    if kind in BANDED_RESIZES:
+        x_shape, out_hw = BANDED_RESIZES[kind]
+        return _ResizeTo(out_hw), rng.standard_normal(x_shape)
     raise KeyError(kind)
 
 

@@ -8,7 +8,8 @@ cleared by the optimizer.
 
 The kernel alone picks a convolution's lowering.  A stride-1 3x3 kernel
 with padding 1 runs as nine GEMMs on shifted slices of one zero-padded copy
-of its input (:func:`shifted_conv3x3_forward`), summed block by block of
+of its input (:func:`shifted_conv3x3_forward`; its :class:`Conv2d` stores
+the weights tap-major, so the nine taps are views), summed block by block of
 output rows in an accumulator small enough to stay in cache; its input
 gradient is the same tap sum over the padded output gradient.  Every other
 convolution runs im2col and one GEMM, and 1x1 kernels skip im2col and run
@@ -54,13 +55,23 @@ bit depends on it.  The workers run only private code and numpy.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
-so a run's outputs do not move by a single bit.  A block of a GEMM or resize
-is a narrower GEMM than the one-call formulation, whose bits it keeps at the
-tested network shapes (the default network at 360x640 and 720x1280, with 4
-or 9 classes, in float32); elsewhere (some float64 shapes) it may round
-otherwise.  The shifted lowering sums each output in another order than
-im2col; the two agree to about 1e-6 relative in float32, and im2col stays
-the shifted form's test oracle.
+so a run's outputs do not move by a single bit.  A block of a GEMM or of a
+resize's channels is a narrower GEMM than the one-call formulation, with
+the same inner dimension, and keeps its bits at the tested network shapes
+(the default network at 360x640 and 720x1280, with 4 or 9 classes, in
+float32).  A bilinear resize contracts each axis in blocks of outputs over
+only the band of inputs they read (:func:`bilinear_resize_forward`): the
+terms it drops have zero weights, and OpenBLAS's blocked kernel (0.3.31,
+Skylake-X) adds each output's terms in order within one K-block of the
+inner dimension, so a band keeps the dense ``einsum``'s bits wherever that
+inner dimension fits one K-block (448 in float32).  Where it does not, BLAS
+adds the sums of the K-blocks, and an output whose band straddles their
+seam moves by about 1e-7 relative: input column 160 of the 360x640 head
+resize's backward, whose dense K = 640 runs as 2 x 320.  Elsewhere
+(float64, whose K-block is smaller) a block may round otherwise.  The
+shifted lowering sums each output in another order than im2col; the two
+agree to about 1e-6 relative in float32, and im2col stays the shifted
+form's test oracle.
 
 Production code runs in float32; gradient checking runs the same code in
 float64.
@@ -543,8 +554,9 @@ def _pad_flat(x: np.ndarray, xp: np.ndarray | None = None) -> np.ndarray:
 
 def _weight_taps(w: np.ndarray) -> np.ndarray:
     """``(Cout, Cin, 3, 3)`` weights as nine ``(Cout, Cin)`` taps in the
-    order of :func:`_tap_offsets`."""
-    return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(9, *w.shape[:2])
+    order of :func:`_tap_offsets`: a view of tap-major weights, as
+    :class:`Conv2d` stores them, else a copy."""
+    return w.transpose(2, 3, 0, 1).reshape(9, *w.shape[:2])
 
 
 def shifted_conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -599,15 +611,15 @@ def _shifted_gradients(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
         dtaps = np.empty((9, *w.shape[:2]), dtype=w.dtype)
         for dtap, off in zip(dtaps, offsets):
             np.matmul(inner, xp[:, off:off + n].T, out=dtap)
-        return np.ascontiguousarray(dtaps.reshape(3, 3, *w.shape[:2]).transpose(2, 3, 0, 1))
+        return dtaps.reshape(3, 3, *w.shape[:2]).transpose(2, 3, 0, 1)
     return _input_gradient, _weight_gradient
 
 
 def shifted_conv3x3_backward(dy: np.ndarray, w: np.ndarray, xp: np.ndarray):
     """Gradients of :func:`shifted_conv3x3_forward` w.r.t. input, weights and
-    bias (:func:`_shifted_gradients`)."""
+    bias (:func:`_shifted_gradients`), the weights' C-contiguous."""
     input_gradient, weight_gradient = _shifted_gradients(dy, w, xp)
-    return input_gradient(), weight_gradient(), dy.sum(axis=(1, 2))
+    return input_gradient(), np.ascontiguousarray(weight_gradient()), dy.sum(axis=(1, 2))
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -757,47 +769,156 @@ def resize_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
 _RESIZE_FORWARD = "oh,chw,pw->cop"
 _RESIZE_BACKWARD = "oh,cop,pw->chw"
 
+# a resize stage runs in as few near-equal blocks of outputs as read about
+# this many inputs each (a 2x upsample's forward 64 outputs, its backward 16)
+BAND_INPUTS = 32
+
+# a resize whose extents are all at most this runs its planned einsum, as
+# every resize of a 96x96 or 50x70 network does: the band saves little
+# there, and einsum's GEMMs are small enough that BLAS may take a small-GEMM
+# path that rounds by the GEMM's orientation, which the band stages change
+EINSUM_EXTENT = 128
+
+
+def _bands(weights: np.ndarray) -> tuple[tuple[int, int, int, int], ...]:
+    """``(lo, hi, first, last)`` for each block of a banded stage with
+    ``weights`` (outputs x inputs): the outputs ``lo:hi`` and the inputs
+    ``first:last`` that hold every nonzero of their rows."""
+    n, n_in = weights.shape
+    count = max(1, min(n, -(-n_in // BAND_INPUTS)))
+    blocks = []
+    for i in range(count):
+        lo, hi = n * i // count, n * (i + 1) // count
+        taps = np.flatnonzero(weights[lo:hi].any(axis=0))
+        blocks.append((lo, hi, int(taps[0]), int(taps[-1]) + 1))
+    return tuple(blocks)
+
+
+@dataclass(frozen=True)
+class _ResizePass:
+    """One direction of a resize: the planned ``einsum`` it equals, that
+    ``einsum``'s result's shape and axes from outermost to innermost in
+    memory, and the two banded stages in the ``einsum``'s contraction
+    order, each ``(axis, weights, blocks)`` (:func:`_bands`), or None where
+    the resize runs the ``einsum`` (:data:`EINSUM_EXTENT`)."""
+
+    equation: str
+    path: list
+    mh: np.ndarray
+    mw: np.ndarray
+    shape: tuple[int, int, int]
+    axes: tuple[int, int, int]
+    stages: tuple | None
+
+
+def _resize_pass(equation: str, mh: np.ndarray, mw: np.ndarray,
+                 src_shape: tuple[int, int, int], dtype, backward: bool) -> _ResizePass:
+    """Plans one direction of a resize of a ``src_shape`` input; the
+    backward's weights are the forward's transposed."""
+    # planning reads only extents, so zero-stride stand-ins do
+    src = np.broadcast_to(np.zeros((), dtype), src_shape)
+    path = np.einsum_path(equation, mh, src, mw, optimize=True)[0]
+    # einsum orders its intermediates by their extents: read its result's
+    # layout off a run on zeros of the real extent
+    dst = np.einsum(equation, mh, np.zeros(src_shape, dtype), mw, optimize=path)
+    axes = tuple(sorted(range(3), key=lambda axis: -dst.strides[axis]))
+    stages = None
+    if max(src_shape[1:] + dst.shape[1:]) > EINSUM_EXTENT:
+        stages = []
+        for axis in (1, 2) if path[1] == (0, 1) else (2, 1):
+            weights = {1: mh, 2: mw}[axis]
+            weights = weights.T if backward else weights
+            # laid out so that :func:`_contract` hands them to BLAS
+            # transposed: OpenBLAS's small-GEMM path for two untransposed
+            # row-major operands (Skylake-X) rounds otherwise than its
+            # blocked kernel, which the dense einsum runs at these extents
+            weights = (np.ascontiguousarray if axes[2] == axis else np.asfortranarray)(weights)
+            weights.flags.writeable = False
+            stages.append((axis, weights, _bands(weights)))
+        stages = tuple(stages)
+    return _ResizePass(equation, path, mh, mw, dst.shape, axes, stages)
+
 
 @functools.lru_cache(maxsize=64)
 def _resize_plan(x_shape: tuple[int, int, int], out_hw: tuple[int, int], dtype):
-    """Read-only interpolation matrices of one resize and the contraction
-    paths ``einsum(optimize=True)`` picks for its forward and backward.
-
-    Passing the path back to ``einsum`` runs the same contractions as
-    planning again, so the result keeps its values and its memory layout
-    (which may be a transposed view, and later reductions depend on it).
-    """
+    """The forward and backward :class:`_ResizePass` of one resize, on
+    read-only interpolation matrices."""
     c, h, w = x_shape
     mh = resize_weights(h, out_hw[0], dtype)
     mw = resize_weights(w, out_hw[1], dtype)
     mh.flags.writeable = mw.flags.writeable = False
-    # planning reads only extents, so zero-stride stand-ins do
-    x = np.broadcast_to(np.zeros((), dtype), x_shape)
-    dy = np.broadcast_to(np.zeros((), dtype), (c, *out_hw))
-    forward = np.einsum_path(_RESIZE_FORWARD, mh, x, mw, optimize=True)[0]
-    backward = np.einsum_path(_RESIZE_BACKWARD, mh, dy, mw, optimize=True)[0]
-    return mh, mw, forward, backward
+    return (_resize_pass(_RESIZE_FORWARD, mh, mw, x_shape, dtype, False),
+            _resize_pass(_RESIZE_BACKWARD, mh, mw, (c, *out_hw), dtype, True))
 
 
-@functools.lru_cache(maxsize=64)
-def _resize_axes(x_shape: tuple[int, int, int], out_hw: tuple[int, int], dtype):
-    """The axes of a resize's forward result from outermost to innermost in
-    memory, read off the planned ``einsum`` on zeros of the real extent:
-    ``einsum`` orders its intermediates by their extents, so a channel chunk
-    may come out laid out otherwise than the whole."""
-    mh, mw, forward, _ = _resize_plan(x_shape, out_hw, dtype)
-    y = np.einsum(_RESIZE_FORWARD, mh, np.zeros(x_shape, dtype), mw, optimize=forward)
-    return tuple(sorted(range(3), key=lambda axis: -y.strides[axis]))
+def _laid_out(shape, axes, dtype) -> np.ndarray:
+    """An uninitialised array of ``shape`` whose axes run ``axes`` from
+    outermost to innermost in memory."""
+    return np.empty([shape[a] for a in axes], dtype=dtype).transpose(np.argsort(axes))
+
+
+def _fold(arrays, at: int):
+    """The 3-D ``arrays`` with axes ``at`` and ``at + 1`` merged where each
+    allows that as a view, else None."""
+    if all(a.strides[at] == a.shape[at + 1] * a.strides[at + 1] for a in arrays):
+        return [a.reshape(a.shape[:at] + (-1,) + a.shape[at + 2:]) for a in arrays]
+    return None
+
+
+def _contract(src: np.ndarray, dst: np.ndarray, axes, axis: int, weights: np.ndarray,
+              blocks) -> None:
+    """``dst`` (laid out as ``axes``) = ``src`` contracted along ``axis``
+    with ``weights``, one GEMM per block over only its band of inputs,
+    which BLAS writes straight into the block's slice of ``dst``.  The
+    GEMM's columns run along ``dst``'s innermost axis: where that is
+    ``axis``, ``src``'s rows times the weights' transpose, else the weights
+    times ``src``, one GEMM per entry of the outer other axis unless the
+    two others fold into one."""
+    u, v = (a for a in axes if a != axis)
+    if axes[2] == axis:
+        s, d = src.transpose(u, v, axis), dst.transpose(u, v, axis)
+        s, d = _fold([s, d], 0) or (s, d)
+        for lo, hi, first, last in blocks:
+            np.matmul(s[..., first:last], weights[lo:hi, first:last].T, out=d[..., lo:hi])
+        return
+    s, d = src.transpose(u, axis, v), dst.transpose(u, axis, v)
+    if axes[0] == axis:
+        s, d = _fold([src.transpose(axis, u, v), dst.transpose(axis, u, v)], 1) or (s, d)
+    for lo, hi, first, last in blocks:
+        np.matmul(weights[lo:hi, first:last], s[..., first:last, :], out=d[..., lo:hi, :])
+
+
+def _resample(plan: _ResizePass, src: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
+    """The planned ``einsum`` of ``src``, written into ``dst`` when given:
+    the two banded stages (:func:`_contract`) through an intermediate laid
+    out as the result, or, where the plan has none, the ``einsum`` itself."""
+    if plan.stages is None:
+        y = np.einsum(plan.equation, plan.mh, src, plan.mw, optimize=plan.path)
+        if dst is None:
+            return y
+        dst[...] = y
+        return dst
+    if dst is None:
+        dst = _laid_out(plan.shape, plan.axes, src.dtype)
+    (axis, weights, blocks), second = plan.stages
+    shape = list(src.shape)
+    shape[axis] = weights.shape[0]
+    mid = _laid_out(shape, plan.axes, src.dtype)
+    _contract(src, mid, plan.axes, axis, weights, blocks)
+    _contract(mid, dst, plan.axes, *second)
+    return dst
 
 
 def bilinear_resize_forward(x: np.ndarray, out_hw: tuple[int, int]):
     """Bilinear resample to an explicit target extent (a factor ``r`` maps to
     ``(H*r, W*r)``).
 
-    A large ``x`` is resampled by chunks of channels (:func:`block_count`
-    of its bytes), one planned ``einsum`` per chunk, each copied into one
-    result laid out as the unchunked ``einsum``'s (:func:`_resize_axes`):
-    an ``out=`` view would take the GEMMs off BLAS."""
+    Each output reads at most two inputs per axis, so each axis is
+    contracted in blocks of outputs over only the band of inputs they read
+    (:func:`_resample`), in the contraction order and into the memory
+    layout of the planned ``einsum`` it equals.  A large ``x`` is resampled
+    by chunks of channels (:func:`block_count` of its bytes), each written
+    into its channels of the result."""
     c, h, w = x.shape
     ho, wo = out_hw
     if ho < 1 or wo < 1:
@@ -805,27 +926,25 @@ def bilinear_resize_forward(x: np.ndarray, out_hw: tuple[int, int]):
     if (ho, wo) == (h, w):
         return x, (x.shape, None)
     plan = _resize_plan(x.shape, (ho, wo), x.dtype)
-    mh, mw, forward, _ = plan
+    forward = plan[0]
     count = block_count(c, x.nbytes)
     if count == 1:
-        return np.einsum(_RESIZE_FORWARD, mh, x, mw, optimize=forward), (x.shape, plan)
-    axes = _resize_axes(x.shape, (ho, wo), x.dtype)
-    shape = (c, ho, wo)
-    y = np.empty([shape[a] for a in axes], dtype=x.dtype).transpose(np.argsort(axes))
+        return _resample(forward, x), (x.shape, plan)
+    y = _laid_out(forward.shape, forward.axes, x.dtype)
 
     def _channels(lo, hi):
-        y[lo:hi] = np.einsum(_RESIZE_FORWARD, mh, x[lo:hi], mw, optimize=forward)
+        _resample(forward, x[lo:hi], y[lo:hi])
     run_blocks(c, count, _channels)
     return y, (x.shape, plan)
 
 
 def bilinear_resize_backward(dy: np.ndarray, cache):
-    """Scatter output gradients to the contributing input cells."""
+    """Scatter output gradients to the contributing input cells, by the
+    banded stages of :func:`_resample`."""
     _, plan = cache
     if plan is None:
         return dy
-    mh, mw, _, backward = plan
-    return np.einsum(_RESIZE_BACKWARD, mh, dy, mw, optimize=backward)
+    return _resample(plan[1], dy)
 
 
 def label_map(logits: np.ndarray) -> np.ndarray:
@@ -871,7 +990,12 @@ class Conv2d:
         self.pad = (kh // 2, kw // 2)
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kh * kw
-        self.w = ParamState.of(_he_init(rng, (out_channels, in_channels, kh, kw), fan_in, dtype))
+        shape = (out_channels, in_channels, kh, kw)
+        w = _he_init(rng, shape, fan_in, dtype)
+        if _runs_shifted(shape, stride, *self.pad):
+            # tap-major: the shifted lowering's taps are views of it
+            w = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+        self.w = ParamState.of(w)
         self.b = ParamState.of(np.zeros(out_channels, dtype=dtype)) if bias else None
         self._cache = None
 

@@ -20,6 +20,7 @@ from jitstream.nn import (
     Conv2d,
     ReLU,
     SeparableConv,
+    SGDMomentum,
     ShapeError,
     batchnorm_forward,
     bilinear_resize_backward,
@@ -190,6 +191,111 @@ class TestBilinearResize:
         rx, _ = bilinear_resize_forward(x, (8, 8))
         rz, _ = bilinear_resize_forward(z, (8, 8))
         np.testing.assert_allclose(lhs, a * rx + b * rz, rtol=1e-6, atol=1e-9)
+
+
+def banded_plan(x_shape, out_hw, dtype):
+    """The forward and backward plans of a resize, each asserted to run as
+    banded stages."""
+    plans = layers._resize_plan(x_shape, out_hw, np.dtype(dtype))
+    assert all(plan.stages is not None for plan in plans)
+    return plans
+
+
+def band_mask(weights, index):
+    """The outputs of the blocks (:func:`layers._bands`) whose band of
+    inputs holds input ``index``."""
+    mask = np.zeros(len(weights), dtype=bool)
+    for lo, hi, first, last in layers._bands(weights):
+        mask[lo:hi] |= first <= index < last
+    return mask
+
+
+class TestBandedResize:
+    """A resize contracts each axis in blocks of outputs over only the band
+    of inputs their rows of the interpolation matrix touch."""
+
+    @pytest.mark.parametrize("extents", [lambda n: (n, 2 * n), lambda n: (n, 4 * n),
+                                         lambda n: (2 * n, n), lambda n: (3 * n + 1, n),
+                                         lambda n: (n, n + 1)],
+                             ids=["up2", "up4", "down2", "down3", "up1"])
+    def test_bands_cover_every_nonzero(self, extents):
+        """Forward and backward weights at extents 1 to 130: the blocks tile
+        the outputs in near-equal runs, as many as read about BAND_INPUTS
+        inputs each, and each block's band holds every nonzero of its rows,
+        the last block's included, and starts and ends on one."""
+        for n in range(1, 131):
+            n_in, n_out = extents(n)
+            forward = resize_weights(n_in, n_out, np.float32)
+            for weights in (forward, forward.T):
+                blocks = layers._bands(weights)
+                rows, inputs = weights.shape
+                assert len(blocks) == max(1, min(rows, -(-inputs // layers.BAND_INPUTS)))
+                assert blocks[0][0] == 0 and blocks[-1][1] == rows
+                assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+                sizes = [hi - lo for lo, hi, _, _ in blocks]
+                assert max(sizes) - min(sizes) <= 1
+                for lo, hi, first, last in blocks:
+                    block = weights[lo:hi]
+                    assert not block[:, :first].any() and not block[:, last:].any()
+                    assert block[:, first].any() and block[:, last - 1].any()
+
+    @pytest.mark.parametrize("layout", ["C", "channels-last", "rows-inner"])
+    @pytest.mark.parametrize("x_shape,out_hw", [((3, 7, 130), (14, 260)),
+                                                ((2, 130, 5), (260, 20)),
+                                                ((2, 9, 520), (3, 260)),
+                                                ((5, 150, 200), (300, 400)),
+                                                ((2, 400, 30), (130, 31))])
+    def test_float64_equals_dense_einsum(self, layout, x_shape, out_hw):
+        """Up and down, each axis alone and both: the dense einsum's values
+        to within float64 rounding (BLAS's float64 kernels split the dense
+        GEMM otherwise than the band's), and its strides."""
+        banded_plan(x_shape, out_hw, np.float64)
+        rng = np.random.default_rng(7)
+        x = channel_layout(rng.standard_normal(x_shape), layout)
+        mh = resize_weights(x_shape[1], out_hw[0], np.float64)
+        mw = resize_weights(x_shape[2], out_hw[1], np.float64)
+        y, cache = bilinear_resize_forward(x, out_hw)
+        want = np.einsum("oh,chw,pw->cop", mh, x, mw, optimize=True)
+        assert y.strides == want.strides and max_relative_diff(y, want) < 1e-14
+        dy = rng.standard_normal(y.shape)
+        dx = bilinear_resize_backward(dy, cache)
+        want = np.einsum("oh,cop,pw->chw", mh, dy, mw, optimize=True)
+        assert dx.strides == want.strides and max_relative_diff(dx, want) < 1e-14
+
+    @pytest.mark.parametrize("at", [(0, 0), (35, 64), (69, 129), (40, 87)])
+    def test_nan_reaches_only_its_bands(self, at):
+        """A NaN at one input reaches the outputs of the blocks whose bands
+        hold it, on each axis, and no others: every output whose taps read
+        it, and not the whole channel, as the dense einsum's zero weights
+        spread it."""
+        x_shape, out_hw = (2, 70, 130), (140, 260)
+        forward, _ = banded_plan(x_shape, out_hw, np.float32)
+        x = np.random.default_rng(3).standard_normal(x_shape).astype(np.float32)
+        x[1][at] = np.nan
+        y, cache = bilinear_resize_forward(x, out_hw)
+        rows, cols = band_mask(forward.mh, at[0]), band_mask(forward.mw, at[1])
+        assert (rows >= (forward.mh[:, at[0]] != 0)).all()
+        assert (cols >= (forward.mw[:, at[1]] != 0)).all()
+        want = np.zeros(y.shape, dtype=bool)
+        want[1] = rows[:, None] & cols
+        np.testing.assert_array_equal(np.isnan(y), want)
+        assert want.sum() < y[1].size
+        dense = np.einsum("oh,chw,pw->cop", forward.mh, x, forward.mw, optimize=True)
+        assert np.isnan(dense[1]).all()
+        dy = np.random.default_rng(4).standard_normal(y.shape).astype(np.float32)
+        o, p = 2 * at[0], 2 * at[1]
+        dy[0, o, p] = np.nan
+        dx = bilinear_resize_backward(dy, cache)
+        want = np.zeros(dx.shape, dtype=bool)
+        want[0] = band_mask(forward.mh.T, o)[:, None] & band_mask(forward.mw.T, p)
+        np.testing.assert_array_equal(np.isnan(dx), want)
+
+    def test_matches_reference_across_bands(self, rng):
+        """Band blocks on each axis, against the independent loop oracle."""
+        x = rng.standard_normal((2, 130, 65))
+        banded_plan(x.shape, (260, 130), np.float64)
+        y, _ = bilinear_resize_forward(x, (260, 130))
+        np.testing.assert_allclose(y, bilinear_reference(x, 260, 130), rtol=1e-10, atol=1e-12)
 
 
 class TestConcat:
@@ -365,6 +471,40 @@ class TestBitExactKernels:
             dx = bilinear_resize_backward(dy, cache)
             want = np.einsum("oh,cop,pw->chw", mh, dy, mw, optimize=True)
             assert dx.strides == want.strides and dx.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("classes", [4, 9])     # the bundled streams', the paper's
+    @pytest.mark.parametrize("hw,exact", [((96, 96), "both"), ((50, 70), "both"),
+                                          ((360, 640), "forward"), ((720, 1280), "none")])
+    def test_banded_resize_equals_einsum_at_network_shapes(self, monkeypatch, classes, hw,
+                                                           exact):
+        """Every resize of a default network's forward and its backward, in
+        float32 and in the layout the forward hands over: the dense einsum's
+        strides, and its bits where every dense GEMM's inner dimension fits
+        one OpenBLAS K-block (448 in float32 on a Skylake-X).  The 360p
+        head's backward (K = 640) and the 720p resizes keep them to 1e-6:
+        there BLAS adds the dense sums of its K-blocks (2 x 320 at K = 640),
+        and a band across a seam adds its taps in turn."""
+        seen = resize_shapes_of(ArchConfig(num_classes=classes), hw, monkeypatch)
+        assert len(seen) == 6
+        banded = 0
+        for x, out_hw in seen:
+            if out_hw == x.shape[1:]:
+                continue
+            mh = resize_weights(x.shape[1], out_hw[0], x.dtype)
+            mw = resize_weights(x.shape[2], out_hw[1], x.dtype)
+            banded += layers._resize_plan(x.shape, out_hw, x.dtype)[0].stages is not None
+            y, cache = bilinear_resize_forward(x, out_hw)
+            dy = np.random.default_rng(4).standard_normal(y.shape).astype(x.dtype)
+            dx = bilinear_resize_backward(dy, cache)
+            pairs = [(y, np.einsum("oh,chw,pw->cop", mh, x, mw, optimize=True), "forward"),
+                     (dx, np.einsum("oh,cop,pw->chw", mh, dy, mw, optimize=True), "backward")]
+            for got, want, direction in pairs:
+                assert got.strides == want.strides
+                if exact in ("both", direction):
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert max_relative_diff(got, want) < 1e-6
+        assert banded == {(96, 96): 0, (50, 70): 0, (360, 640): 2, (720, 1280): 3}[hw]
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("kernel", [3, (1, 3), (3, 1)])
@@ -542,6 +682,34 @@ class TestShiftedConv:
         for g, want in zip(got, conv_via_im2col(x, w, b, 1, 1, dy)):
             assert g.shape == want.shape and g.dtype == want.dtype and g.flags.c_contiguous
             assert max_relative_diff(g, want) <= tol
+
+    @pytest.mark.parametrize("stride,tap_major", [(1, True), (2, False)])
+    def test_tap_major_weights(self, rng, stride, tap_major):
+        """A shifted layer stores its weights tap-major, so its taps are a
+        view, and its training steps give the bits of C-order weights: its
+        outputs, gradients and weights after two SGD steps.  Every other
+        layer keeps C-order weights."""
+        layer = Conv2d(5, 7, 3, stride, rng=np.random.default_rng(1))
+        twin = Conv2d(5, 7, 3, stride, rng=np.random.default_rng(1))
+        twin.w = layers.ParamState.of(np.ascontiguousarray(twin.w.value))
+        w = layer.w.value
+        assert w.flags.c_contiguous != tap_major
+        for p in (layer.w, twin.w):
+            assert p.gradient.strides == p.momentum_buffer.strides == p.value.strides
+        if tap_major:
+            assert w.transpose(2, 3, 0, 1).flags.c_contiguous
+            assert np.shares_memory(layers._weight_taps(w), w)
+        optimizers = [SGDMomentum([p for _, p in net.params()]) for net in (layer, twin)]
+        for _ in range(2):
+            x = rng.standard_normal((5, 13, 16)).astype(np.float32)
+            y = [net.forward(x) for net in (layer, twin)]
+            dy = rng.standard_normal(y[0].shape).astype(np.float32)
+            dx = [net.backward(dy) for net in (layer, twin)]
+            grads = [net.w.gradient.copy() for net in (layer, twin)]
+            for optimizer in optimizers:
+                optimizer.step()
+            for got, want in (y, dx, grads, (layer.w.value, twin.w.value)):
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("cin,hw", [(256, (23, 40)), (192, (45, 80)), (64, (180, 320)),
                                         (32, (180, 320))])
@@ -1435,12 +1603,13 @@ class TestForwardBlocks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["C", "channels-last", "rows-inner"])
     @pytest.mark.parametrize("hw,out_hw", [((12, 20), (23, 40)), ((9, 7), (36, 28)),
-                                           ((23, 40), (12, 20)), ((36, 28), (9, 7))])
+                                           ((23, 40), (12, 20)), ((36, 28), (9, 7)),
+                                           ((65, 40), (260, 160)), ((260, 150), (65, 40))])
     @pytest.mark.parametrize("chunks", [3, 7])         # 2+2+3 channels, or 1 each
     def test_chunked_resize_equals_across_widths(self, split_width, monkeypatch, dtype,
                                                  layout, hw, out_hw, chunks):
-        """Up and down, at widths 1, 2 and 3, laid out as the unchunked
-        einsum's result."""
+        """Up and down, as the planned einsum and in band stages, at widths
+        1, 2 and 3, laid out as the unchunked einsum's result."""
         x = channel_layout(np.random.default_rng(8).standard_normal((7, *hw)).astype(dtype),
                            layout)
         single, _ = bilinear_resize_forward(x, out_hw)
