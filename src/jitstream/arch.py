@@ -245,17 +245,22 @@ class JITNet:
         # built in table order, which is also the order of the weight draws;
         # one layer per row
         self._layers = []
-        for row in stages:
-            if row.kind == "block":
-                stage = EncDecBlock(row.name, row.in_channels, row.channels, row.stride,
-                                    rng, dtype)
-            else:
-                stage = ConvStage(row.name, row.in_channels, row.channels, 3, row.stride,
-                                  rng, dtype)
-            setattr(self, row.name, stage)
-            self._layers.append(stage)
-        self.classifier = Conv2d(head3.in_channels, head3.channels, 1, 1, bias=True,
-                                 rng=rng, dtype=dtype)
+        try:
+            for row in stages:
+                if row.kind == "block":
+                    stage = EncDecBlock(row.name, row.in_channels, row.channels, row.stride,
+                                        rng, dtype)
+                else:
+                    stage = ConvStage(row.name, row.in_channels, row.channels, 3, row.stride,
+                                      rng, dtype)
+                setattr(self, row.name, stage)
+                self._layers.append(stage)
+            self.classifier = Conv2d(head3.in_channels, head3.channels, 1, 1, bias=True,
+                                     rng=rng, dtype=dtype)
+        except (MemoryError, ValueError) as exc:
+            # numpy refuses a weight array too large to allocate or to index
+            raise ArchError(f"width_multiplier = {config.width_multiplier:g}: the network's "
+                            f"weights cannot be allocated ({exc})") from None
         self._layers.append(self.classifier)
 
         # one Concat per skip, keyed by the stage whose output it carries

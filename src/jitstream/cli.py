@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import JITNet, count_params_from_config, end_to_end_gradient_check, estimate_flops
+from .arch import (ArchError, JITNet, count_params_from_config, end_to_end_gradient_check,
+                   estimate_flops)
 from .config import (SETTINGS, ConfigError, RunConfig, Section, load_pretrain_config,
                      load_run_config)
 from .distill import (
@@ -220,6 +221,9 @@ def cmd_pretrain(args) -> int:
             lines = ["epoch,loss,train_mean_iou"]
             lines += [f"{epoch},{loss:.6f},{miou:.6f}" for epoch, loss, miou in log]
             log_file.write(("\n".join(lines) + "\n").encode())
+    except ArchError as exc:        # a network too wide to allocate
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except StreamNumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

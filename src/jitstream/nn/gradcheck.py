@@ -79,8 +79,8 @@ def gradient_check(layer, x: np.ndarray, eps: float = 1e-5,
 LAYER_KINDS = ("Conv2d", "Conv2d_s2", "Conv2d_1x1", "SeparableConv", "BatchNorm", "ReLU",
                "BilinearResize", "BandedResize_2x", "BandedResize_4x", "BandedResize_1/2")
 
-# input and target extents of resizes that run banded both ways, the
-# forward's widest axis in three or more blocks (layers.BAND_INPUTS)
+# input and target extents of resizes whose forward runs its widest axis in
+# three or more band blocks (layers.BAND_INPUTS)
 BANDED_RESIZES = {"BandedResize_2x": ((1, 2, 130), (4, 260)),
                   "BandedResize_4x": ((1, 2, 130), (8, 520)),
                   "BandedResize_1/2": ((1, 2, 520), (1, 260))}

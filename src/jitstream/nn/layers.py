@@ -41,10 +41,10 @@ included.  A shifted layer's blocks are the whole row blocks of its output
 (:func:`_block_rows`), the last taking the ragged rows after it;
 BatchNorm's and ReLU's are ranges of at least two channels and
 :data:`BLOCK_BYTES` of the input (:func:`_channel_blocks`); the forward's
-other large passes, the GEMM of every other convolution by output columns,
-a resize by chunks of channels and the student's label map by rows, run in
-as few near-equal blocks as hold about :data:`BLOCK_BYTES` each
-(:func:`block_count`).  At 96x96 in float32 no forward pass of the default
+other large passes, the GEMM of every other convolution by output columns
+and the student's label map by rows, run in as few near-equal blocks as
+hold about :data:`BLOCK_BYTES` each (:func:`block_count`).  A resize runs
+on the calling thread.  At 96x96 in float32 no forward pass of the default
 network has two blocks, so nothing splits there.  A network's backward
 holds the pool (:func:`deferred_weight_gradients`), so every block of its
 passes runs on the calling thread, as where the process may use one
@@ -55,20 +55,14 @@ bit depends on it.  The workers run only private code and numpy.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
-so a run's outputs do not move by a single bit.  A block of a GEMM or of a
-resize's channels is a narrower GEMM than the one-call formulation, with
-the same inner dimension, and keeps its bits at the tested network shapes
-(the default network at 360x640 and 720x1280, with 4 or 9 classes, in
-float32).  A bilinear resize contracts each axis in blocks of outputs over
-only the band of inputs they read (:func:`bilinear_resize_forward`): the
-terms it drops have zero weights, and OpenBLAS's blocked kernel (0.3.31,
-Skylake-X) adds each output's terms in order within one K-block of the
-inner dimension, so a band keeps the dense ``einsum``'s bits wherever that
-inner dimension fits one K-block (448 in float32).  Where it does not, BLAS
-adds the sums of the K-blocks, and an output whose band straddles their
-seam moves by about 1e-7 relative: input column 160 of the 360x640 head
-resize's backward, whose dense K = 640 runs as 2 x 320.  Elsewhere
-(float64, whose K-block is smaller) a block may round otherwise.  The
+so a run's outputs do not move by a single bit.  A block of a GEMM is a
+narrower GEMM than the one-call formulation, with the same inner
+dimension, and keeps its bits at the tested network shapes (the default
+network at 360x640 and 720x1280, with 4 or 9 classes, in float32).  A
+bilinear resize contracts the rows, then the columns, each in blocks of
+outputs over only the band of inputs they read
+(:func:`bilinear_resize_forward`), into C-contiguous results; the dense
+product with both interpolation matrices is its test oracle.  The
 shifted lowering sums each output in another order than im2col; the two
 agree to about 1e-6 relative in float32, and im2col stays the shifted
 form's test oracle.
@@ -430,7 +424,7 @@ def _run_or_defer(job) -> None:
 
 
 def block_count(n: int, nbytes: int) -> int:
-    """Blocks a pass over ``n`` items (output columns, channels or rows)
+    """Blocks a pass over ``n`` items (output columns or rows)
     measuring ``nbytes`` in all is cut into: as few near-equal ones as hold
     about :data:`BLOCK_BYTES` each, at most one per item."""
     return max(1, min(n, -(-nbytes // BLOCK_BYTES)))
@@ -766,18 +760,9 @@ def resize_weights(n_in: int, n_out: int, dtype) -> np.ndarray:
     return m
 
 
-_RESIZE_FORWARD = "oh,chw,pw->cop"
-_RESIZE_BACKWARD = "oh,cop,pw->chw"
-
 # a resize stage runs in as few near-equal blocks of outputs as read about
 # this many inputs each (a 2x upsample's forward 64 outputs, its backward 16)
 BAND_INPUTS = 32
-
-# a resize whose extents are all at most this runs its planned einsum, as
-# every resize of a 96x96 or 50x70 network does: the band saves little
-# there, and einsum's GEMMs are small enough that BLAS may take a small-GEMM
-# path that rounds by the GEMM's orientation, which the band stages change
-EINSUM_EXTENT = 128
 
 
 def _bands(weights: np.ndarray) -> tuple[tuple[int, int, int, int], ...]:
@@ -794,118 +779,38 @@ def _bands(weights: np.ndarray) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class _ResizePass:
-    """One direction of a resize: the planned ``einsum`` it equals, that
-    ``einsum``'s result's shape and axes from outermost to innermost in
-    memory, and the two banded stages in the ``einsum``'s contraction
-    order, each ``(axis, weights, blocks)`` (:func:`_bands`), or None where
-    the resize runs the ``einsum`` (:data:`EINSUM_EXTENT`)."""
-
-    equation: str
-    path: list
-    mh: np.ndarray
-    mw: np.ndarray
-    shape: tuple[int, int, int]
-    axes: tuple[int, int, int]
-    stages: tuple | None
-
-
-def _resize_pass(equation: str, mh: np.ndarray, mw: np.ndarray,
-                 src_shape: tuple[int, int, int], dtype, backward: bool) -> _ResizePass:
-    """Plans one direction of a resize of a ``src_shape`` input; the
-    backward's weights are the forward's transposed."""
-    # planning reads only extents, so zero-stride stand-ins do
-    src = np.broadcast_to(np.zeros((), dtype), src_shape)
-    path = np.einsum_path(equation, mh, src, mw, optimize=True)[0]
-    # einsum orders its intermediates by their extents: read its result's
-    # layout off a run on zeros of the real extent
-    dst = np.einsum(equation, mh, np.zeros(src_shape, dtype), mw, optimize=path)
-    axes = tuple(sorted(range(3), key=lambda axis: -dst.strides[axis]))
-    stages = None
-    if max(src_shape[1:] + dst.shape[1:]) > EINSUM_EXTENT:
-        stages = []
-        for axis in (1, 2) if path[1] == (0, 1) else (2, 1):
-            weights = {1: mh, 2: mw}[axis]
-            weights = weights.T if backward else weights
-            # laid out so that :func:`_contract` hands them to BLAS
-            # transposed: OpenBLAS's small-GEMM path for two untransposed
-            # row-major operands (Skylake-X) rounds otherwise than its
-            # blocked kernel, which the dense einsum runs at these extents
-            weights = (np.ascontiguousarray if axes[2] == axis else np.asfortranarray)(weights)
-            weights.flags.writeable = False
-            stages.append((axis, weights, _bands(weights)))
-        stages = tuple(stages)
-    return _ResizePass(equation, path, mh, mw, dst.shape, axes, stages)
+def _stage(weights: np.ndarray):
+    """One banded stage: C-contiguous, read-only ``weights`` (outputs x
+    inputs) and their :func:`_bands`."""
+    weights = np.ascontiguousarray(weights)
+    weights.flags.writeable = False
+    return weights, _bands(weights)
 
 
 @functools.lru_cache(maxsize=64)
-def _resize_plan(x_shape: tuple[int, int, int], out_hw: tuple[int, int], dtype):
-    """The forward and backward :class:`_ResizePass` of one resize, on
-    read-only interpolation matrices."""
-    c, h, w = x_shape
-    mh = resize_weights(h, out_hw[0], dtype)
-    mw = resize_weights(w, out_hw[1], dtype)
-    mh.flags.writeable = mw.flags.writeable = False
-    return (_resize_pass(_RESIZE_FORWARD, mh, mw, x_shape, dtype, False),
-            _resize_pass(_RESIZE_BACKWARD, mh, mw, (c, *out_hw), dtype, True))
+def _resize_plan(hw: tuple[int, int], out_hw: tuple[int, int], dtype):
+    """The forward's and the backward's stages of a resize from ``hw`` to
+    ``out_hw``, each a pair ``(rows, columns)`` of :func:`_stage`; the
+    backward's weights are the forward's transposed."""
+    mh = resize_weights(hw[0], out_hw[0], dtype)
+    mw = resize_weights(hw[1], out_hw[1], dtype)
+    return (_stage(mh), _stage(mw)), (_stage(mh.T), _stage(mw.T))
 
 
-def _laid_out(shape, axes, dtype) -> np.ndarray:
-    """An uninitialised array of ``shape`` whose axes run ``axes`` from
-    outermost to innermost in memory."""
-    return np.empty([shape[a] for a in axes], dtype=dtype).transpose(np.argsort(axes))
-
-
-def _fold(arrays, at: int):
-    """The 3-D ``arrays`` with axes ``at`` and ``at + 1`` merged where each
-    allows that as a view, else None."""
-    if all(a.strides[at] == a.shape[at + 1] * a.strides[at + 1] for a in arrays):
-        return [a.reshape(a.shape[:at] + (-1,) + a.shape[at + 2:]) for a in arrays]
-    return None
-
-
-def _contract(src: np.ndarray, dst: np.ndarray, axes, axis: int, weights: np.ndarray,
-              blocks) -> None:
-    """``dst`` (laid out as ``axes``) = ``src`` contracted along ``axis``
-    with ``weights``, one GEMM per block over only its band of inputs,
-    which BLAS writes straight into the block's slice of ``dst``.  The
-    GEMM's columns run along ``dst``'s innermost axis: where that is
-    ``axis``, ``src``'s rows times the weights' transpose, else the weights
-    times ``src``, one GEMM per entry of the outer other axis unless the
-    two others fold into one."""
-    u, v = (a for a in axes if a != axis)
-    if axes[2] == axis:
-        s, d = src.transpose(u, v, axis), dst.transpose(u, v, axis)
-        s, d = _fold([s, d], 0) or (s, d)
-        for lo, hi, first, last in blocks:
-            np.matmul(s[..., first:last], weights[lo:hi, first:last].T, out=d[..., lo:hi])
-        return
-    s, d = src.transpose(u, axis, v), dst.transpose(u, axis, v)
-    if axes[0] == axis:
-        s, d = _fold([src.transpose(axis, u, v), dst.transpose(axis, u, v)], 1) or (s, d)
-    for lo, hi, first, last in blocks:
-        np.matmul(weights[lo:hi, first:last], s[..., first:last, :], out=d[..., lo:hi, :])
-
-
-def _resample(plan: _ResizePass, src: np.ndarray, dst: np.ndarray | None = None) -> np.ndarray:
-    """The planned ``einsum`` of ``src``, written into ``dst`` when given:
-    the two banded stages (:func:`_contract`) through an intermediate laid
-    out as the result, or, where the plan has none, the ``einsum`` itself."""
-    if plan.stages is None:
-        y = np.einsum(plan.equation, plan.mh, src, plan.mw, optimize=plan.path)
-        if dst is None:
-            return y
-        dst[...] = y
-        return dst
-    if dst is None:
-        dst = _laid_out(plan.shape, plan.axes, src.dtype)
-    (axis, weights, blocks), second = plan.stages
-    shape = list(src.shape)
-    shape[axis] = weights.shape[0]
-    mid = _laid_out(shape, plan.axes, src.dtype)
-    _contract(src, mid, plan.axes, axis, weights, blocks)
-    _contract(mid, dst, plan.axes, *second)
+def _resample(stages, src: np.ndarray) -> np.ndarray:
+    """``src`` contracted along its rows, then along its columns, each stage
+    one GEMM per block of outputs over only its band of inputs, which BLAS
+    writes straight into a C-contiguous result: the rows stage one GEMM per
+    channel, the columns stage one over all channels' rows at once."""
+    (mh, row_bands), (mw, column_bands) = stages
+    c, _, w = src.shape
+    mid = np.empty((c, len(mh), w), dtype=src.dtype)
+    for lo, hi, first, last in row_bands:
+        np.matmul(mh[lo:hi, first:last], src[:, first:last], out=mid[:, lo:hi])
+    dst = np.empty((c, len(mh), len(mw)), dtype=src.dtype)
+    rows, out = mid.reshape(-1, w), dst.reshape(-1, len(mw))
+    for lo, hi, first, last in column_bands:
+        np.matmul(rows[:, first:last], mw[lo:hi, first:last].T, out=out[:, lo:hi])
     return dst
 
 
@@ -915,32 +820,20 @@ def bilinear_resize_forward(x: np.ndarray, out_hw: tuple[int, int]):
 
     Each output reads at most two inputs per axis, so each axis is
     contracted in blocks of outputs over only the band of inputs they read
-    (:func:`_resample`), in the contraction order and into the memory
-    layout of the planned ``einsum`` it equals.  A large ``x`` is resampled
-    by chunks of channels (:func:`block_count` of its bytes), each written
-    into its channels of the result."""
+    (:func:`_resample`), rows first."""
     c, h, w = x.shape
     ho, wo = out_hw
     if ho < 1 or wo < 1:
         raise ShapeError(f"bilinear_resize: target extent {ho}x{wo} invalid")
     if (ho, wo) == (h, w):
         return x, (x.shape, None)
-    plan = _resize_plan(x.shape, (ho, wo), x.dtype)
-    forward = plan[0]
-    count = block_count(c, x.nbytes)
-    if count == 1:
-        return _resample(forward, x), (x.shape, plan)
-    y = _laid_out(forward.shape, forward.axes, x.dtype)
-
-    def _channels(lo, hi):
-        _resample(forward, x[lo:hi], y[lo:hi])
-    run_blocks(c, count, _channels)
-    return y, (x.shape, plan)
+    plan = _resize_plan((h, w), (ho, wo), x.dtype)
+    return _resample(plan[0], x), (x.shape, plan)
 
 
 def bilinear_resize_backward(dy: np.ndarray, cache):
     """Scatter output gradients to the contributing input cells, by the
-    banded stages of :func:`_resample`."""
+    banded stages of :func:`_resample`, rows first."""
     _, plan = cache
     if plan is None:
         return dy

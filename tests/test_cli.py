@@ -18,6 +18,11 @@ from jitstream.streams import read_lvss
 from test_streams import write_damaged_lvss
 
 
+# a width whose stem weights alone would take 1.5 EiB: every OS refuses the
+# allocation at once, whatever its overcommit setting, so no memory is touched
+UNALLOCATABLE_WIDTH = 1e15
+
+
 def stream_config(path: Path, num_frames: int, extent: int = 56) -> Path:
     """A two-object synthetic stream of ``num_frames`` square frames."""
     path.write_text(
@@ -215,6 +220,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {bad_run}: ") and message in err
         assert not out.exists()
+
+    def test_unallocatable_width_exit_2_before_any_frame(self, small_world, tmp_path,
+                                                         capsys):
+        """1e15 asks numpy for 1.5 EiB of stem weights, which it refuses at
+        once: a configuration error, not a failed validation (exit 1)."""
+        root, run = small_world
+        bad_run = tmp_path / "bad_run.cfg"
+        bad_run.write_text(f"stream.synthetic = {root / 'stream.cfg'}\n"
+                           f"width_multiplier = {UNALLOCATABLE_WIDTH}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(bad_run), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: width_multiplier = 1e+15: ")
+        assert "cannot be allocated" in err and not out.exists()
 
     def test_unusable_out_exit_2_before_any_frame(self, small_world, tmp_path, capsys):
         root, run = small_world
@@ -570,6 +589,16 @@ class TestPretrain:
         assert err.startswith("config error: ") and message in err
         assert not out.exists()
 
+    def test_unallocatable_width_exit_2(self, tmp_path, capsys):
+        cfg = self.pretrain_cfg(tmp_path, epochs=1)
+        cfg.write_text(cfg.read_text() + f"width_multiplier = {UNALLOCATABLE_WIDTH}\n")
+        out = tmp_path / "w.jitw"
+        assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: width_multiplier = 1e+15: ")
+        assert captured.out == "" and not out.exists()
+        assert not out.with_suffix(".jitw.log.csv").exists()
+
     def test_unusable_out_exit_2_before_training(self, tmp_path, capsys):
         cfg = self.pretrain_cfg(tmp_path, epochs=1)
         taken = tmp_path / "taken"
@@ -734,6 +763,16 @@ class TestSweep:
         assert [line.split(",")[:2] for line in lines[1:]] == [["inf", "failed"],
                                                                 ["0.5", "ok"]]
         assert "width_multiplier must be finite and > 0, got inf" in capsys.readouterr().err
+
+    def test_unallocatable_width_fails_only_its_cell(self, small_world, tmp_path, capsys):
+        root, run = small_world
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(run), "--out", str(out),
+                     "--knob", f"width_multiplier={UNALLOCATABLE_WIDTH},0.5"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1000000000000000.0", "failed"],
+                                                                ["0.5", "ok"]]
+        assert "width_multiplier = 1e+15: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["init_snapshot", "stream.container",
                                      "stream.recorded_teacher"])

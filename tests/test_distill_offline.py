@@ -74,7 +74,7 @@ class TestLabelMap:
         logits[:, 0, :4] = [[-0.0], [0.0]] * (classes // 2) + [[0.0]] * (classes % 2)
         logits[:, 1, :4] = [[0.0], [-0.0]] * (classes // 2) + [[-0.0]] * (classes % 2)
         logits[:, 2, 0] = 7.0                   # all classes tie at the maximum
-        if layout == "resize":                  # (C, W, H) memory, as the head resize gives
+        if layout == "resize":                  # (C, W, H) memory, as a caller may hand over
             logits = np.ascontiguousarray(logits.transpose(0, 2, 1)).transpose(0, 2, 1)
         want = logits.argmax(axis=0).astype(np.uint8)
         got = label_map(logits)
@@ -169,20 +169,27 @@ class TestOfflineTraining:
 
 class TestStreamIntegration:
     def test_real_student_learns_small_stream(self):
+        """Cold starts from network seeds 0-4 on one small stream: the median
+        over seeds of the mean IoU from frame 80 on is at least 0.5.  One
+        seed's cold start is chaotic: a change of rounding alone moves a
+        seed's figure by up to 0.2, to either side of the bar."""
         scfg = SyntheticStreamConfig(
             width=64, height=64, num_frames=120, class_count=2, seed=11,
             objects=(ObjectSpec(1, "disc", (9, 12), (0.2, 0.6), 0),
                      ObjectSpec(2, "rectangle", (8, 11), (0.2, 0.6), 1)))
         stream = gen_synthetic_stream(scfg)
-        net = JITNet(ArchConfig(num_classes=3), seed=0)
-        records = []
-        report = process_stream(stream, OracleTeacher(stream), DistillConfig(), net,
-                                eval_labels=stream.labels, progress=records.append)
-        assert report.n_frames == 120
-        assert report.teacher_invocations >= 120 // 64
-        assert report.total_updates == sum(r.updates_performed for r in records)
-        assert report.numeric_events == 0
-        late = [r.eval_iou for r in records[80:] if r.eval_iou is not None]
-        assert float(np.mean(late)) > 0.5
-        assert records[7].prediction.shape == (64, 64)
-        assert records[7].prediction.dtype == np.uint8
+        late_ious = []
+        for seed in range(5):
+            net = JITNet(ArchConfig(num_classes=3), seed=seed)
+            records = []
+            report = process_stream(stream, OracleTeacher(stream), DistillConfig(), net,
+                                    eval_labels=stream.labels, progress=records.append)
+            assert report.n_frames == 120
+            assert report.teacher_invocations >= 120 // 64
+            assert report.total_updates == sum(r.updates_performed for r in records)
+            assert report.numeric_events == 0
+            late = [r.eval_iou for r in records[80:] if r.eval_iou is not None]
+            late_ious.append(float(np.mean(late)))
+            assert records[7].prediction.shape == (64, 64)
+            assert records[7].prediction.dtype == np.uint8
+        assert float(np.median(late_ious)) >= 0.5, late_ious
