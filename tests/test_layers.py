@@ -468,6 +468,30 @@ class TestBitExactKernels:
     def test_reused_buffer_equals_fresh_layer(self, rng, kernel, stride):
         assert_conv_equals_fresh_twins(rng, kernel, stride, ((96, 96), (50, 70), (96, 96)))
 
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("skips", [True, False])
+    @pytest.mark.parametrize("hw", [(96, 96), (50, 70)])
+    def test_cached_resize_equals_fresh_einsum(self, monkeypatch, scale, skips, hw):
+        """Every resize of a network's forward and its backward, through the
+        plan the forward cached: the bits and strides of a plan built
+        afresh, C-contiguous and within 1e-6 of the dense einsum."""
+        config = ArchConfig(num_classes=4, input_scale=scale, skip_connections=skips)
+        seen = resize_shapes_of(config, hw, monkeypatch)
+        assert len(seen) >= 6
+        for x, out_hw in seen:
+            y, cache = bilinear_resize_forward(x, out_hw)
+            if out_hw == x.shape[1:]:
+                assert y is x
+                continue
+            dy = np.random.default_rng(4).standard_normal(y.shape).astype(x.dtype)
+            cached = [y, bilinear_resize_backward(dy, cache)]
+            layers._resize_plan.cache_clear()
+            y, fresh_cache = bilinear_resize_forward(x, out_hw)
+            assert fresh_cache[1] is not cache[1]
+            assert_same_arrays(cached, [y, bilinear_resize_backward(dy, fresh_cache)])
+            for got, want in zip(cached, dense_resize(x, out_hw, dy)):
+                assert got.flags.c_contiguous and max_relative_diff(got, want) < 1e-6
+
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("kernel", [3, (1, 3), (3, 1)])
     def test_same_column_count_new_extent_equals_fresh_layer(self, rng, kernel, stride):
@@ -1558,6 +1582,39 @@ class TestForwardBlocks:
         def run():
             return [conv2d_forward(x, w, b, stride, pad)[0]]
         assert widths_agree(split_width, run) == [0, 1, 1]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["C", "channels-last", "rows-inner"])
+    @pytest.mark.parametrize("hw,out_hw", [((12, 20), (23, 40)), ((9, 7), (36, 28)),
+                                           ((23, 40), (12, 20)), ((36, 28), (9, 7)),
+                                           ((65, 40), (260, 160)), ((260, 150), (65, 40))])
+    @pytest.mark.parametrize("chunks", [3, 7])         # 2+2+3 channels, or 1 each
+    def test_chunked_resize_equals_across_widths(self, split_width, monkeypatch, dtype,
+                                                 layout, hw, out_hw, chunks):
+        """Up and down, in one band block and in several, at widths 1, 2 and
+        3 with blocks small enough to cut the input into 3 or 7 channel
+        chunks: a resize deals no block, so forward and backward keep the
+        bits of the call made before the blocks shrank, C-contiguous and
+        within rounding of the dense einsum."""
+        rng = np.random.default_rng(8)
+        x = channel_layout(rng.standard_normal((7, *hw)).astype(dtype), layout)
+        dy = rng.standard_normal((7, *out_hw)).astype(dtype)
+        y, cache = bilinear_resize_forward(x, out_hw)
+        single = [y, bilinear_resize_backward(dy, cache)]
+        bound = 1e-6 if dtype == np.float32 else 1e-14
+        for got, want in zip(single, dense_resize(x, out_hw, dy)):
+            assert got.flags.c_contiguous and max_relative_diff(got, want) < bound
+        monkeypatch.setattr(layers, "BLOCK_BYTES", x.nbytes // chunks + 1)
+        assert layers.block_count(7, x.nbytes) == chunks
+        seen = recorded_blocks(monkeypatch)
+
+        def run():
+            y, cache = bilinear_resize_forward(x, out_hw)
+            got = [y, bilinear_resize_backward(dy, cache)]
+            assert_same_arrays(got, single)
+            return got
+        assert widths_agree(split_width, run) == [0, 0, 0]
+        assert seen == []
 
     @pytest.mark.parametrize("layout", ["C", "rows-inner"])
     def test_row_split_label_map_equals_across_widths(self, split_width, monkeypatch, layout):
