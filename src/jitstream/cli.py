@@ -38,6 +38,7 @@ from .streams import (
     NoisyTeacher,
     OracleTeacher,
     RecordedTeacher,
+    StreamConfigError,
     gen_synthetic_stream,
     lvss_header,
 )
@@ -221,7 +222,7 @@ def cmd_pretrain(args) -> int:
             lines = ["epoch,loss,train_mean_iou"]
             lines += [f"{epoch},{loss:.6f},{miou:.6f}" for epoch, loss, miou in log]
             log_file.write(("\n".join(lines) + "\n").encode())
-    except ArchError as exc:        # a network too wide to allocate
+    except (ArchError, StreamConfigError) as exc:   # a network or frame too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except StreamNumericError as exc:

@@ -503,6 +503,9 @@ def read_predictions_jsonl(path) -> dict[int, list[TeacherInstance]]:
             for inst in row["instances"]:
                 [class_id] = _json_ints([inst["class"]], "class")
                 x0, y0, x1, y1 = _json_ints(inst["bbox"], "bbox")
+                if x0 > x1 or y0 > y1:
+                    raise ValueError(f"bbox [{x0}, {y0}, {x1}, {y1}] is inverted: "
+                                     f"it needs x0 <= x1 and y0 <= y1")
                 conf = inst["conf"]
                 if type(conf) not in (int, float):
                     raise TypeError(f"conf must be a JSON number, got {conf!r}")
@@ -511,7 +514,8 @@ def read_predictions_jsonl(path) -> dict[int, list[TeacherInstance]]:
                 mask = decode_rle(_json_ints(inst["rle"], "rle"), (y1 - y0, x1 - x0))
                 instances.append(TeacherInstance(class_id, float(conf),
                                                  (x0, y0, x1, y1), mask))
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, MemoryError,
+                RecursionError) as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from exc
         table[frame_index] = instances
     return table

@@ -37,35 +37,31 @@ training step's backward runs on the calling thread while its weight
 gradients run on the pool's first worker.  A pass cuts itself into blocks
 fixed by its extents alone and hands them to :func:`run_blocks`, which
 deals two or more round-robin to persistent worker threads, the caller's
-included.  A shifted layer's blocks are the whole row blocks of its output
-(:func:`_block_rows`), the last taking the ragged rows after it;
-BatchNorm's and ReLU's are ranges of at least two channels and
-:data:`BLOCK_BYTES` of the input (:func:`_channel_blocks`); the forward's
-other large passes, the GEMM of every other convolution by output columns
-and the student's label map by rows, run in as few near-equal blocks as
-hold about :data:`BLOCK_BYTES` each (:func:`block_count`).  A resize runs
-on the calling thread.  At 96x96 in float32 no forward pass of the default
-network has two blocks, so nothing splits there.  A network's backward
-holds the pool (:func:`deferred_weight_gradients`), so every block of its
-passes runs on the calling thread, as where the process may use one
-thread.  That number is the CPUs this process may run on over the BLAS
-threads each GEMM already uses (asked of OpenBLAS; 1 for another BLAS),
-capped by ``JITSTREAM_THREADS``; it decides only who runs the work, so no
-bit depends on it.  The workers run only private code and numpy.
+included.  Two passes split: a shifted layer's blocks are the whole row
+blocks of its output (:func:`_block_rows`), the last taking the ragged rows
+after it, and BatchNorm's are ranges of at least two channels and
+:data:`BLOCK_BYTES` of the input (:func:`_channel_blocks`).  Every other
+pass (a GEMM convolution, ReLU, a resize, the label map) runs whole on the
+calling thread: at 360x640 on a 2-core Xeon, blocks of the GEMMs, ReLUs and
+label map saved about 3 ms of a 100 ms forward, too little for their code.
+At 96x96 in float32 no forward pass of the default network has two blocks,
+so nothing splits there.  A network's backward holds the pool
+(:func:`deferred_weight_gradients`), so every block of its passes runs on
+the calling thread, as where the process may use one thread.  That number
+is the CPUs this process may run on over the BLAS threads each GEMM already
+uses (asked of OpenBLAS; 1 for another BLAS), capped by
+``JITSTREAM_THREADS``; it decides only who runs the work, so no bit depends
+on it.  The workers run only private code and numpy.
 
 Kernel rewrites on the im2col side must stay bit-exact: the same values
 reach BLAS in the same layout and every elementwise step keeps its order,
-so a run's outputs do not move by a single bit.  A block of a GEMM is a
-narrower GEMM than the one-call formulation, with the same inner
-dimension, and keeps its bits at the tested network shapes (the default
-network at 360x640 and 720x1280, with 4 or 9 classes, in float32).  A
-bilinear resize contracts the rows, then the columns, each in blocks of
-outputs over only the band of inputs they read
-(:func:`bilinear_resize_forward`), into C-contiguous results; the dense
-product with both interpolation matrices is its test oracle.  The
-shifted lowering sums each output in another order than im2col; the two
-agree to about 1e-6 relative in float32, and im2col stays the shifted
-form's test oracle.
+so a run's outputs do not move by a single bit.  A bilinear resize
+contracts the rows, then the columns, each in blocks of outputs over only
+the band of inputs they read (:func:`bilinear_resize_forward`), into
+C-contiguous results; the dense product with both interpolation matrices
+is its test oracle.  The shifted lowering sums each output in another
+order than im2col; the two agree to about 1e-6 relative in float32, and
+im2col stays the shifted form's test oracle.
 
 Production code runs in float32; gradient checking runs the same code in
 float64.
@@ -198,8 +194,7 @@ def col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int,
 # 128 KiB head2 at 360x640 gets blocks of 3 rows, and OpenBLAS rounds those
 # narrower GEMMs differently from the full-width ones; at 256 KiB every
 # shifted layer at 360x640 and 720x1280 keeps the unblocked sum's bits in
-# float32.  The channel blocks and the forward's other blocks are sized from
-# the same constant.
+# float32.  BatchNorm's channel blocks are sized from the same constant.
 BLOCK_BYTES = 256 << 10
 
 
@@ -423,13 +418,6 @@ def _run_or_defer(job) -> None:
     _deferral.count += 1
 
 
-def block_count(n: int, nbytes: int) -> int:
-    """Blocks a pass over ``n`` items (output columns or rows)
-    measuring ``nbytes`` in all is cut into: as few near-equal ones as hold
-    about :data:`BLOCK_BYTES` each, at most one per item."""
-    return max(1, min(n, -(-nbytes // BLOCK_BYTES)))
-
-
 def _channel_blocks(x: np.ndarray) -> int:
     """Blocks a per-channel pass over ``(C, H, W)`` ``x`` is cut into: as
     many as each get at least two channels and :data:`BLOCK_BYTES` of ``x``,
@@ -454,28 +442,6 @@ def run_blocks(n: int, count: int, block) -> None:
         for i in range(k, count, width):
             block(n * i // count, n * (i + 1) // count)
     _workers.run(_share, width)
-
-
-def _matmul_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` in blocks of ``b``'s columns (:func:`block_count`), sized
-    by the smaller of ``b`` and the result: a GEMM with a short inner
-    dimension has too little work to share (``enc1``'s 8-channel 1x1
-    shortcut at 360x640, 115 KiB of columns for a 900 KiB result, took 0.38
-    ms in one call and 0.50 ms in four blocks on a 2-core Xeon with one
-    OpenBLAS thread).  Each block is one GEMM that BLAS writes straight
-    into its columns of the result; it rounds them as the single GEMM does
-    at the tested shapes (see the module docstring)."""
-    n = b.shape[1]
-    dtype = np.result_type(a, b)
-    count = block_count(n, min(a.shape[0], b.shape[0]) * n * dtype.itemsize)
-    if count == 1:
-        return a @ b
-    y = np.empty((a.shape[0], n), dtype=dtype)
-
-    def _columns(lo, hi):
-        np.matmul(a, b[:, lo:hi], out=y[:, lo:hi])
-    run_blocks(n, count, _columns)
-    return y
 
 
 def _empty_result(*operands, dtype=None) -> np.ndarray:
@@ -625,8 +591,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     runs :func:`shifted_conv3x3_forward` at every extent and dtype;
     everything else runs im2col and one GEMM.  An unpadded 1x1 kernel skips
     im2col and runs its GEMM on the strided input, which is the matrix
-    im2col would build; a large GEMM runs by blocks of output columns
-    (:func:`_matmul_columns`).  ``buf`` is the lowering's buffer (the
+    im2col would build.  ``buf`` is the lowering's buffer (the
     padded input or the columns) from an earlier call with the same kernel,
     stride and padding and an input of the same extent, refilled when it
     has the input's dtype.
@@ -648,7 +613,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
         cols = np.ascontiguousarray(x[:, ::stride, ::stride]).reshape(cin, ho * wo)
     else:
         cols, (ho, wo) = im2col(x, kh, kw, stride, ph, pw, buf)
-    y = _matmul_columns(w.reshape(cout, -1), cols).reshape(cout, ho, wo)
+    y = (w.reshape(cout, -1) @ cols).reshape(cout, ho, wo)
     if b is not None:
         y += b[:, None, None]
     return y, (x.shape, cols, stride, ph, pw, (ho, wo))
@@ -845,22 +810,14 @@ def label_map(logits: np.ndarray) -> np.ndarray:
     logits, in one pass per class: a strict ``>`` lets the first maximum
     win, as in argmax, and ``putmask`` with a running maximum beats argmax's
     reduction over the class axis (4x360x640 7.4 -> 4.4 ms, 11x96x96 0.38
-    -> 0.29 ms).  It runs in blocks of rows whose running maximum holds
-    about :data:`BLOCK_BYTES` (:func:`block_count`); every step is
-    elementwise, so the blocks keep the bits.  The label map is
-    C-contiguous, as argmax's is."""
-    c, h, w = logits.shape
-    labels = np.zeros((h, w), dtype=np.uint8)
-
-    def _rows(lo, hi):
-        best = logits[0, lo:hi].copy()
-        better = np.empty_like(best, dtype=bool)
-        rows = labels[lo:hi]
-        for k in range(1, c):
-            np.greater(logits[k, lo:hi], best, out=better)
-            np.putmask(rows, better, k % 256)       # astype(np.uint8) wraps
-            np.maximum(best, logits[k, lo:hi], out=best)
-    run_blocks(h, block_count(h, h * w * logits.itemsize), _rows)
+    -> 0.29 ms).  The label map is C-contiguous, as argmax's is."""
+    labels = np.zeros(logits.shape[1:], dtype=np.uint8)
+    best = logits[0].copy()
+    better = np.empty_like(best, dtype=bool)
+    for k in range(1, len(logits)):
+        np.greater(logits[k], best, out=better)
+        np.putmask(labels, better, k % 256)         # astype(np.uint8) wraps
+        np.maximum(best, logits[k], out=best)
     return labels
 
 
@@ -975,9 +932,7 @@ class BatchNorm:
 class ReLU:
     """``max(x, 0)`` as ``x * (x > 0)``, which keeps NaN and gives -0.0 for a
     negative input.  ``forward`` works in place and returns ``x``: every
-    caller hands it a fresh array that nothing else holds.  The forward
-    runs in blocks of channels (:func:`_channel_blocks`); the backward is
-    one product, which blocks run in turn on one thread do not beat."""
+    caller hands it a fresh array that nothing else holds."""
 
     def __init__(self):
         self._mask = None
@@ -987,13 +942,8 @@ class ReLU:
 
     def forward(self, x):
         self._mask = mask = np.empty_like(x, dtype=bool)
-
-        def _rectify(lo, hi):
-            xs, ms = x[lo:hi], mask[lo:hi]
-            np.greater(xs, 0, out=ms)
-            np.multiply(xs, ms, out=xs)
-        run_blocks(len(x), _channel_blocks(x), _rectify)
-        return x
+        np.greater(x, 0, out=mask)
+        return np.multiply(x, mask, out=x)
 
     def backward(self, dy):
         return dy * self._mask

@@ -174,9 +174,14 @@ class SyntheticStream:
     def __init__(self, config: SyntheticStreamConfig):
         self.config = config
         h, w = config.height, config.width
-        self._ys, self._xs = np.meshgrid(np.arange(h, dtype=np.float32),
-                                         np.arange(w, dtype=np.float32),
-                                         indexing="ij")
+        try:
+            self._ys, self._xs = np.meshgrid(np.arange(h, dtype=np.float32),
+                                             np.arange(w, dtype=np.float32),
+                                             indexing="ij")
+        except (MemoryError, ValueError) as exc:
+            # numpy refuses a grid too large to allocate or to index
+            raise StreamConfigError(f"frame extent width {w} x height {h}: the frame's "
+                                    f"coordinate grid cannot be allocated ({exc})") from None
         self._objects = [self._init_object(i, spec)
                          for i, spec in enumerate(config.objects)]
         self._pan_events = [ev for ev in config.events if ev.kind == "camera_pan"]
@@ -356,8 +361,13 @@ class OracleTeacher:
 
 
 def _shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """``mask`` moved ``dy`` rows down and ``dx`` columns right, with False
+    where it moved in from outside; all False once the shift reaches the
+    extent."""
     out = np.zeros_like(mask)
     h, w = mask.shape
+    if abs(dy) >= h or abs(dx) >= w:
+        return out
     ys = slice(max(dy, 0), min(h + dy, h))
     xs = slice(max(dx, 0), min(w + dx, w))
     ys_src = slice(max(-dy, 0), min(h - dy, h))
@@ -367,18 +377,21 @@ def _shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
 
 
 def _morph(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Square-kernel dilation (radius > 0) or erosion (radius < 0)."""
+    """Square-kernel dilation (radius > 0) or erosion (radius < 0), as a row
+    pass then a column pass: a square is separable, so the two give the
+    square's result with 2(2r+1) shifts in place of (2r+1)^2.  A shift past
+    the extent is all False, so a pass stops at the first one."""
     if radius == 0:
         return mask
-    grow = radius > 0
-    r = abs(radius)
-    out = mask.copy()
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if dy == 0 and dx == 0:
-                continue
-            shifted = _shift_mask(mask, dy, dx)
-            out = (out | shifted) if grow else (out & shifted)
+    combine = np.logical_or if radius > 0 else np.logical_and
+    out = mask
+    for axis, n in ((1, mask.shape[1]), (0, mask.shape[0])):
+        r = min(abs(radius), n)
+        passed = out.copy()
+        for d in range(-r, r + 1):
+            if d:
+                combine(passed, _shift_mask(out, *((0, d) if axis else (d, 0))), out=passed)
+        out = passed
     return out
 
 

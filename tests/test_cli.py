@@ -21,6 +21,9 @@ from test_streams import write_damaged_lvss
 # a width whose stem weights alone would take 1.5 EiB: every OS refuses the
 # allocation at once, whatever its overcommit setting, so no memory is touched
 UNALLOCATABLE_WIDTH = 1e15
+# a frame extent whose coordinate grid would take 1 PiB: refused at once the
+# same way, after two 64 MiB ranges
+UNALLOCATABLE_EXTENT = 16777216
 
 
 def stream_config(path: Path, num_frames: int, extent: int = 56) -> Path:
@@ -234,6 +237,26 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error: width_multiplier = 1e+15: ")
         assert "cannot be allocated" in err and not out.exists()
+
+    def test_unallocatable_extent_exit_2_before_any_frame(self, tmp_path, capsys):
+        stream_config(tmp_path / "huge.cfg", 5, extent=UNALLOCATABLE_EXTENT)
+        run = tmp_path / "run.cfg"
+        run.write_text("stream.synthetic = huge.cfg\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(run), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: frame extent width 16777216 x height 16777216: ")
+        assert "cannot be allocated" in err and not out.exists()
+
+    def test_jitter_past_the_extent_completes(self, tmp_path):
+        """A teacher jitter of up to 20 pixels on 8x8 frames."""
+        (tmp_path / "stream.cfg").write_text(
+            "width = 8\nheight = 8\nnum_frames = 20\nclass_count = 1\nseed = 3\n"
+            "object1.class_id = 1\nobject1.size_min = 3\nobject1.size_max = 4\n")
+        run = tmp_path / "run.cfg"
+        run.write_text("stream.synthetic = stream.cfg\nnoise.jitter_px = 20\nseed = 1\n")
+        assert main(["run", "--config", str(run), "--out", str(tmp_path / "out")]) == 0
+        assert len((tmp_path / "out" / "run.csv").read_text().splitlines()) == 21
 
     def test_unusable_out_exit_2_before_any_frame(self, small_world, tmp_path, capsys):
         root, run = small_world
@@ -599,6 +622,17 @@ class TestPretrain:
         assert captured.out == "" and not out.exists()
         assert not out.with_suffix(".jitw.log.csv").exists()
 
+    def test_unallocatable_extent_exit_2(self, tmp_path, capsys):
+        cfg = self.pretrain_cfg(tmp_path, epochs=1)
+        cfg.write_text(cfg.read_text().replace(" = 48\n", f" = {UNALLOCATABLE_EXTENT}\n"))
+        out = tmp_path / "w.jitw"
+        assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "config error: frame extent width 16777216 x height 16777216: ")
+        assert captured.out == "" and not out.exists()
+        assert not out.with_suffix(".jitw.log.csv").exists()
+
     def test_unusable_out_exit_2_before_training(self, tmp_path, capsys):
         cfg = self.pretrain_cfg(tmp_path, epochs=1)
         taken = tmp_path / "taken"
@@ -763,6 +797,19 @@ class TestSweep:
         assert [line.split(",")[:2] for line in lines[1:]] == [["inf", "failed"],
                                                                 ["0.5", "ok"]]
         assert "width_multiplier must be finite and > 0, got inf" in capsys.readouterr().err
+
+    def test_unallocatable_extent_fails_its_cells(self, tmp_path, capsys):
+        """The extent is not a knob, so every cell fails, and the sweep
+        goes on to write them all."""
+        stream_config(tmp_path / "huge.cfg", 5, extent=UNALLOCATABLE_EXTENT)
+        run = tmp_path / "run.cfg"
+        run.write_text("stream.synthetic = huge.cfg\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(run), "--out", str(out),
+                     "--knob", "seed=1,2"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1", "failed"], ["2", "failed"]]
+        assert "frame extent width 16777216 x height 16777216: " in capsys.readouterr().err
 
     def test_unallocatable_width_fails_only_its_cell(self, small_world, tmp_path, capsys):
         root, run = small_world

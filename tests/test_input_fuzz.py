@@ -183,6 +183,23 @@ class TestRunExitCodes:
         assert self.run(world) == 2
         assert f"frame 0: class {class_id} outside [0, 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        # deeper than the JSON decoder's recursion limit
+        ("[" * 100000 + "]" * 100000, "recursion"),
+        # a 256 TiB mask
+        (json.dumps({"frame": 0, "instances": [{
+            **GOOD_INSTANCE, "bbox": [0, 0, 16777216, 16777216], "rle": [281474976710656]}]}),
+         "Unable to allocate"),
+        (json.dumps({"frame": 0, "instances": [{
+            **GOOD_INSTANCE, "bbox": [5, 5, 2, 2], "rle": [9]}]}),
+         "bbox [5, 5, 2, 2] is inverted"),
+    ], ids=["deep", "huge-mask", "inverted-box"])
+    def test_unreadable_teacher_line(self, world, capsys, line, message):
+        (world / "teacher.jsonl").write_text('{"frame": 1, "instances": []}\n' + line + "\n")
+        assert self.run(world) == 2
+        err = capsys.readouterr().err
+        assert "line 2: " in err and message in err
+
     def test_bad_teacher_line(self, world, capsys):
         (world / "teacher.jsonl").write_text('{"frame": 0, "instances": []}\n{"frame": 1e400}\n')
         assert self.run(world) == 2

@@ -17,6 +17,8 @@ from jitstream.streams import (
     StreamConfigError,
     SyntheticStreamConfig,
     TeacherNoise,
+    _morph,
+    _shift_mask,
     gen_synthetic_stream,
     read_lvss,
     write_lvss,
@@ -271,6 +273,40 @@ class TestNoisyTeacher:
         for t in range(20):
             for inst in noisy.predict(t, stream.frame(t)):
                 assert 0.0 <= inst.confidence <= 1.0
+
+
+def morph_square(mask, radius):
+    """Dilation (radius > 0) or erosion (radius < 0) by a square, as one
+    2-D loop over every offset of the square, with False outside the frame:
+    the oracle of the row and column passes."""
+    r = abs(radius)
+    h, w = mask.shape
+    padded = np.pad(mask, r)
+    out = mask.copy()
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            shifted = padded[r - dy:r - dy + h, r - dx:r - dx + w]
+            out = (out | shifted) if radius > 0 else (out & shifted)
+    return out
+
+
+class TestMorph:
+    @pytest.mark.parametrize("radius", [-3, -2, -1, 0, 1, 2, 3, -9, 9, -20, 20])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_square_loop(self, radius, seed):
+        """Radii inside the 9x13 extent and past it, on random masks, a
+        full one and an empty one."""
+        rng = np.random.default_rng(seed)
+        for mask in (rng.random((9, 13)) < 0.2 + 0.2 * seed,
+                     np.ones((9, 13), bool), np.zeros((9, 13), bool)):
+            got = _morph(mask, radius)
+            assert got.dtype == bool and np.array_equal(got, morph_square(mask, radius))
+
+    @pytest.mark.parametrize("dy,dx", [(8, 0), (-8, 0), (0, 13), (0, -13), (20, 3), (-3, -40)])
+    def test_shift_past_the_extent_is_empty(self, dy, dx):
+        mask = np.ones((8, 13), bool)
+        got = _shift_mask(mask, dy, dx)
+        assert got.shape == mask.shape and not got.any()
 
 
 class TestContainer:
